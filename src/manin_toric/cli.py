@@ -358,7 +358,7 @@ def _cmd_height(args):
         "rows": places,
     }
     if all(isinstance(v, int) for v in lam):
-        result["height_exact"] = exact_height(fan, lam, xs)
+        result["height_exact"] = exact_height(fan, lam, prof)
     return result, 0
 
 

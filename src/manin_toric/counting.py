@@ -60,22 +60,6 @@ def _is_symmetric(fan: Fan, lam_ints) -> bool:
     return True
 
 
-def _is_convex(fan: Fan, lam_ints) -> bool:
-    # phi is convex iff each cone's linear extension underestimates
-    # lambda on every ray outside the cone
-    for s, cone in enumerate(fan.max_cones):
-        inv = fan.cone_inverses[s]
-        for j, ray in enumerate(fan.rays):
-            if j in cone:
-                continue
-            coords = [sum(inv[i][k] * ray[k] for k in range(fan.dim))
-                      for i in range(fan.dim)]
-            ell = sum(c * lam_ints[cone[i]] for i, c in enumerate(coords))
-            if ell > lam_ints[j]:
-                return False
-    return True
-
-
 def _candidates(fan: Fan, lam_ints, kmax: int):
     """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, coeffs)
     sorted by phi then lexicographically; coeffs[j] = multiplicity of
@@ -182,61 +166,6 @@ def _count_dim1(lam_ints, Bq: Fraction, root_filter=None, visitor=None):
     return accepted
 
 
-def _exact_cone_exponents(fan: Fan, stack):
-    """Exact archimedean data for the point with the given profile.
-
-    Returns integer exponents m_p per prime p such that the
-    archimedean local height is prod_p p^(m_p-combination), located by
-    exact sign tests: a coordinate sum_p c_p log p is >= 0 iff the
-    rational number prod_p p^(c_p) is >= 1.
-    """
-    d = fan.dim
-    plist = [p for p, _ in stack]
-    nvecs = [n for _, n in stack]
-    for s, cone in enumerate(fan.max_cones):
-        inv = fan.cone_inverses[s]
-        # coords_i of -v as integer combinations of log p
-        combo = []
-        ok = True
-        for i in range(d):
-            cvec = [-sum(inv[i][k] * nv[k] for k in range(d))
-                    for nv in nvecs]
-            r = Fraction(1)
-            for p, c in zip(plist, cvec):
-                r *= Fraction(p) ** c
-            if r < 1:
-                ok = False
-                break
-            combo.append(cvec)
-        if ok:
-            return cone, combo
-    raise CountingError("no cone contains the archimedean vector")
-
-
-def _exact_height_leq(fan: Fan, lam_ints, stack, Bq: Fraction) -> bool:
-    cone, combo = _exact_cone_exponents(fan, stack)
-    plist = [p for p, _ in stack]
-    H = Fraction(1)
-    for idx, (p, nv) in enumerate(stack):
-        # finite exponent phi(n_p) plus the archimedean contribution
-        k = 0
-        for i, cvec in enumerate(combo):
-            k += lam_ints[cone[i]] * cvec[idx]
-        s, coords = _locate_exact(fan, nv)
-        kfin = sum(c * lam_ints[j] for c, j in zip(coords, fan.max_cones[s]))
-        H *= Fraction(p) ** (kfin + k)
-    return H <= Bq
-
-
-def _locate_exact(fan: Fan, n):
-    for s, inv in enumerate(fan.cone_inverses):
-        coords = tuple(sum(inv[i][j] * n[j] for j in range(fan.dim))
-                       for i in range(fan.dim))
-        if all(c >= 0 for c in coords):
-            return s, coords
-    raise CountingError("integer vector escaped the fan")
-
-
 _MARGIN = 1e-9
 
 
@@ -253,44 +182,15 @@ def _count_general(fan: Fan, lam_ints, Bq: Fraction, *, halve: bool,
     kmax = intB.bit_length() - 1   # max phi with 2^phi <= B
     cands = _candidates(fan, lam_ints, kmax) if kmax >= 1 else []
     half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
-    convex = _is_convex(fan, lam_ints)
+    pl = PLFunction(fan, lam_ints)
+    convex = pl.is_convex
     c_min = cands[0][0] if cands else 1
     prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
     primes = [int(p) for p in primes_up_to(prime_limit)]
     logs = [math.log(p) for p in primes]
     nprimes = len(primes)
 
-    cone_data = []
-    for s, cone in enumerate(fan.max_cones):
-        inv = fan.cone_inverses[s]
-        finv = [[float(x) for x in row] for row in inv]
-        lams = [float(lam_ints[j]) for j in cone]
-        cone_data.append((finv, lams))
-
-    def phi_arch(w):
-        scale = 1.0
-        for x in w:
-            scale += abs(x)
-        tol = -1e-12 * scale
-        best_mn = -1e300
-        best_val = 0.0
-        for finv, lams in cone_data:
-            val = 0.0
-            mn = 0.0
-            for i in range(d):
-                row = finv[i]
-                c = 0.0
-                for k in range(d):
-                    c += row[k] * w[k]
-                if c < mn:
-                    mn = c
-                val += lams[i] * c
-            if mn >= tol:
-                return val
-            if mn > best_mn:
-                best_mn = mn
-                best_val = val
-        return best_val
+    phi_arch = pl.evaluate_float
 
     accepted = 0
     stack = []
@@ -325,8 +225,8 @@ def _count_general(fan: Fan, lam_ints, Bq: Fraction, *, halve: bool,
                 stack.append((p, n))
                 if logH <= logB - _MARGIN:
                     accept()
-                elif logH <= logB + _MARGIN and _exact_height_leq(
-                        fan, lam_ints, stack, Bq):
+                elif (logH <= logB + _MARGIN
+                      and pl.profile_height(stack) <= Bq):
                     accept()
                 if not convex or logH <= logB + _MARGIN:
                     rec(i + 1, Fc, logFc, vc, False)
@@ -495,25 +395,17 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
     total = [complex(2 ** d)]  # unit profile: height 1, 2^d points
     npoints = [2 ** d]
 
-    cone_lams = [[vals[j] for j in cone] for cone in fan.max_cones]
-
-    def phi_of(n):
-        s, coords = _locate_exact(fan, n)
-        return sum(c * l for c, l in zip(coords, cone_lams[s]))
-
-    def phi_arch_cplx(w):
-        s, coords = _locate_float(fan, w)
-        return sum(c * l for c, l in zip(coords, cone_lams[s]))
+    pl = PLFunction(fan, tuple(vals))
 
     def visit(stack, weight=1):
         expo = 0j
         v = [0.0] * d
         for p, n in stack:
             lp = logp_cache.setdefault(p, math.log(p))
-            expo += phi_of(n) * lp
+            expo += pl(n) * lp
             for k in range(d):
                 v[k] += n[k] * lp
-        expo += phi_arch_cplx(tuple(-x for x in v))
+        expo += pl(tuple(-x for x in v))
         term = 2 ** d * cmath.exp(-expo)
         total[0] += weight * term
         npoints[0] += weight * 2 ** d
@@ -532,15 +424,3 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
     return ZetaPartial(value=total[0], B=Bf, n_points=npoints[0],
                        tail_estimate=tail)
 
-
-def _locate_float(fan: Fan, w):
-    best = None
-    for s, inv in enumerate(fan.cone_inverses):
-        coords = tuple(sum(inv[i][j] * w[j] for j in range(fan.dim))
-                       for i in range(fan.dim))
-        mn = min(coords) if coords else 0.0
-        if mn >= -1e-9 * (1.0 + max(abs(c) for c in coords)):
-            return s, coords
-        if best is None or mn > best[0]:
-            best = (mn, s, coords)
-    return best[1], best[2]

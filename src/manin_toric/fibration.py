@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
 from .heights import (AdelicOffset, exact_height, global_height,
                       make_offset, valuation_profile, character_pairing)
-from .latticefan import Fan, builtin_fan
+from .latticefan import Fan, PLFunction, builtin_fan
 from .primes import factorize
 from .ratlinalg import solve_fraction
 from .toric import PicardData, picard_data, tamagawa_number, TamagawaResult
@@ -287,13 +287,14 @@ def direct_zeta_partial(fan: Fan, lam, B):
     from .counting import enumerate_bounded
 
     rho = (1,) * len(fan.rays)
+    pl_rho = PLFunction(fan, rho)
+    pl_lam = pl_rho if tuple(lam) == rho else PLFunction(fan, tuple(lam))
     heights = []
     terms = []
     n = 0
     for prof in enumerate_bounded(fan, rho, B):
-        pt = prof.point()
-        hcut = exact_height(fan, rho, pt)
-        hsum = hcut if tuple(lam) == rho else exact_height(fan, lam, pt)
+        hcut = exact_height(fan, pl_rho, prof)
+        hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam, prof)
         heights.append(hcut)
         terms.append(1.0 / float(hsum))
         n += 1

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .latticefan import Fan, PLFunction, pl_evaluate
+from .latticefan import Fan, PLFunction
 from .primes import factorize
-from .ratlinalg import solve_fraction
 
 INF = float("inf")
 
@@ -130,13 +129,8 @@ def make_offset(dim: int, finite=None, arch=None) -> AdelicOffset:
                         arch=tuple(float(a) for a in arch) if arch else ())
 
 
-def _lambda_values(fan: Fan, lam) -> tuple:
-    if isinstance(lam, PLFunction):
-        return lam.values
-    vals = tuple(lam)
-    if len(vals) != len(fan.rays):
-        raise ValueError("one lambda value per ray required")
-    return vals
+def _kernel(fan: Fan, lam) -> PLFunction:
+    return lam if isinstance(lam, PLFunction) else PLFunction(fan, tuple(lam))
 
 
 def _as_profile(x) -> ValuationProfile:
@@ -145,7 +139,7 @@ def _as_profile(x) -> ValuationProfile:
 
 def local_height(fan: Fan, lam, place, profile, offset=None):
     """exp(phi_lambda(n_v + g_v) * log q_v); log q_oo = 1."""
-    values = _lambda_values(fan, lam)
+    phi_lambda = _kernel(fan, lam)
     profile = _as_profile(profile)
     if offset is None:
         offset = AdelicOffset.zero(fan.dim)
@@ -160,7 +154,7 @@ def local_height(fan: Fan, lam, place, profile, offset=None):
         arg = tuple(a + b for a, b in
                     zip(profile.order_vector(p), offset.finite_vector(p)))
         logq = math.log(p)
-    phi = pl_evaluate(fan, values, arg)
+    phi = phi_lambda(arg)
     val = complex(phi) * logq
     if val.imag == 0:
         return math.exp(val.real)
@@ -169,6 +163,7 @@ def local_height(fan: Fan, lam, place, profile, offset=None):
 
 def global_height(fan: Fan, lam, x, offset=None):
     """Product of the local heights over inf and all supporting primes."""
+    lam = _kernel(fan, lam)
     profile = _as_profile(x)
     if offset is None:
         offset = AdelicOffset.zero(fan.dim)
@@ -184,60 +179,15 @@ def cone_monomials(fan: Fan, lam) -> tuple:
 
     Requires integral lambda; regularity of the fan makes every
     exponent an integer."""
-    values = _lambda_values(fan, lam)
-    ints = []
-    for v in values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise ValueError("integral lambda required")
-        ints.append(int(f))
-    out = []
-    for cone in fan.max_cones:
-        cols = [[fan.rays[j][i] for j in cone] for i in range(fan.dim)]
-        sol = solve_fraction(cols, [ints[j] for j in cone])
-        assert all(c.denominator == 1 for c in sol)
-        out.append(tuple(int(c) for c in sol))
-    return tuple(out)
+    return _kernel(fan, lam).monomials
 
 
 def exact_height(fan: Fan, lam, x) -> Fraction:
-    """Global height as an exact Fraction, integral lambda only.
-
-    H = prod_v max_sigma |x^{m_sigma}|_v^{-1}: the archimedean factor
-    is 1/min|y_sigma| and each finite factor is p^(max_sigma ord_p)."""
-    if isinstance(x, ValuationProfile):
-        coords = x.point()
-    else:
-        coords = tuple(Fraction(c) for c in x)
-    if any(c == 0 for c in coords):
-        raise ValueError("height needs a torus point, no zero coordinates")
-    ys = []
-    for mono in cone_monomials(fan, lam):
-        y = Fraction(1)
-        for c, e in zip(coords, mono):
-            y *= c ** e
-        ys.append(abs(y))
-    h = max(Fraction(1) / y for y in ys)
-    primes = set()
-    for y in ys:
-        primes.update(p for p, _ in factorize(y.numerator))
-        primes.update(p for p, _ in factorize(y.denominator))
-    for p in sorted(primes):
-        best = None
-        for y in ys:
-            num, den, e = y.numerator, y.denominator, 0
-            while num % p == 0:
-                num //= p
-                e += 1
-            while den % p == 0:
-                den //= p
-                e -= 1
-            best = e if best is None else max(best, e)
-        if best > 0:
-            h *= Fraction(p) ** best
-        elif best < 0:
-            h *= Fraction(1, p ** -best)
-    return h
+    """Global height as an exact Fraction, for any integral lambda,
+    convex or not: prod_p p^(phi(n_p)) times the archimedean factor
+    exp(phi(-sum_p n_p log p)), each exponent an integer combination of
+    the n_p (see PLFunction.profile_height)."""
+    return _kernel(fan, lam).profile_height(_as_profile(x).support)
 
 
 def character_pairing(fan: Fan, m, x, offset=None) -> complex:

@@ -20,6 +20,7 @@ JSON schema::
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,19 +153,159 @@ class Fan:
         return len(self.cones_by_dim.get(k, ()))
 
 
+# relative float tolerance of cone membership: a float vector v is in a
+# cone when its ray coordinates are >= -_TOL * (1 + sum|v_k|)
+_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class PLFunction:
-    """A piecewise linear function on a fan, determined by its ray values."""
+    """A piecewise linear function on a fan, determined by its ray values.
+
+    The one kernel for phi_lambda: cone location, exact and float
+    evaluation, the dual monomials of the cones, convexity and exact
+    heights of valuation profiles, with per-cone data cached on the
+    instance.  Values may be int, Fraction, float or complex.
+    """
 
     fan: Fan
-    values: tuple[Fraction, ...]
+    values: tuple
 
     def __post_init__(self):
         if len(self.values) != len(self.fan.rays):
             raise ValueError("one value per ray required")
 
-    def __call__(self, v: Sequence) -> Fraction | float:
-        return pl_evaluate(self.fan, self.values, v)
+    @cached_property
+    def monomials(self) -> tuple[Vector, ...]:
+        """Dual monomial m_sigma of each maximal cone, <m_sigma, e_j> = lam_j
+        on the rays e_j of sigma: m_sigma = inv_sigma^T lam_sigma, integral
+        by unimodularity.  Requires integral lambda."""
+        lam = []
+        for v in self.values:
+            f = Fraction(v)
+            if f.denominator != 1:
+                raise ValueError("integral lambda required")
+            lam.append(int(f))
+        d = self.fan.dim
+        return tuple(
+            tuple(sum(inv[i][k] * lam[j] for i, j in enumerate(cone))
+                  for k in range(d))
+            for inv, cone in zip(self.fan.cone_inverses, self.fan.max_cones))
+
+    @cached_property
+    def is_convex(self) -> bool:
+        """phi = max_sigma <m_sigma, .>: every cone's linear extension
+        stays at or below lambda on every ray."""
+        return all(sum(m * r for m, r in zip(mono, ray)) <= lam
+                   for mono in self.monomials
+                   for ray, lam in zip(self.fan.rays, self.values))
+
+    def locate(self, v: Sequence):
+        """Index of the maximal cone containing v and v's ray coordinates.
+
+        Integer or Fraction input is handled exactly.  Points on a wall
+        belong to several closed cones; the one with the lowest index in
+        max_cones wins.  Float coordinates within the tolerance count as
+        in the cone and are clamped at 0; when round-off pushes v outside
+        every cone, the nearest cone is taken.  Returns (cone_index,
+        coords).
+        """
+        exact = all(isinstance(x, (int, Fraction)) for x in v)
+        tol = 0 if exact else -_TOL * (1.0 + sum(abs(x) for x in v))
+        best = None
+        for s, inv in enumerate(self.fan.cone_inverses):
+            coords = tuple(sum(r * x for r, x in zip(row, v)) for row in inv)
+            m = min(coords)
+            if m >= tol:
+                break
+            if best is None or m > best[0]:
+                best = (m, s, coords)
+        else:
+            if exact:
+                raise FanValidationError(
+                    f"vector {v} lies in no cone; fan incomplete")
+            _m, s, coords = best
+        return s, coords if exact else tuple(max(c, 0.0) for c in coords)
+
+    def __call__(self, v: Sequence):
+        """phi(v): the ray coordinates of v weighted by the ray values."""
+        s, coords = self.locate(v)
+        return sum(c * self.values[j]
+                   for c, j in zip(coords, self.fan.max_cones[s]))
+
+    @cached_property
+    def evaluate_float(self):
+        """phi as a function of a real float vector w, built once for
+        inner loops from the float inverse rows and the ray values of
+        each cone; the cone is chosen as in locate, but coordinates are
+        left unclamped."""
+        d = self.fan.dim
+        cones = [([[float(x) for x in row] for row in inv],
+                      [float(self.values[j]) for j in cone])
+                     for inv, cone in zip(self.fan.cone_inverses,
+                                          self.fan.max_cones)]
+
+        def phi(w):
+            scale = 1.0
+            for x in w:
+                scale += abs(x)
+            tol = -_TOL * scale
+            best_mn = -math.inf
+            best_val = 0.0
+            for finv, lams in cones:
+                val = 0.0
+                mn = 0.0
+                for i in range(d):
+                    row = finv[i]
+                    c = 0.0
+                    for k in range(d):
+                        c += row[k] * w[k]
+                    if c < mn:
+                        mn = c
+                    val += lams[i] * c
+                if mn >= tol:
+                    return val
+                if mn > best_mn:
+                    best_mn = mn
+                    best_val = val
+            return best_val
+
+        return phi
+
+    def profile_height(self, support) -> Fraction:
+        """Exact height of the point with valuation profile
+        ((p, n_p), ...): prod_p p^(phi(n_p) - <m_sigma, n_p>), where sigma
+        is the cone of the archimedean vector -sum_p n_p log p.  A ray
+        coordinate -sum_p c_p log p of that vector is >= 0 iff
+        prod_p p^(c_p) <= 1, so sigma is found by exact sign tests.
+        Requires integral lambda."""
+        mono = self.monomials
+        for s, inv in enumerate(self.fan.cone_inverses):
+            if all(_log_nonpositive(row, support) for row in inv):
+                break
+        else:
+            raise FanValidationError("no cone contains the archimedean vector")
+        num = den = 1
+        for p, n in support:
+            t, _coords = self.locate(n)
+            e = sum((a - b) * x for a, b, x in zip(mono[t], mono[s], n))
+            if e > 0:
+                num *= p ** e
+            elif e < 0:
+                den *= p ** -e
+        return Fraction(num, den)
+
+
+def _log_nonpositive(row, support) -> bool:
+    """Whether sum_p <row, n_p> log p <= 0, decided in integers."""
+    num = den = 1
+    for p, n in support:
+        c = sum(r * x for r, x in zip(row, n))
+        if c > 0:
+            num *= p ** c
+        elif c < 0:
+            den *= p ** -c
+    return num <= den
 
 
 def make_fan(dim: int, rays: Sequence[Sequence[int]],
@@ -287,48 +428,15 @@ def validate_fan(fan: Fan, samples: int = 200, seed: int = 0) -> None:
 
 
 def locate_cone(fan: Fan, v: Sequence):
-    """Index of the maximal cone containing v and v's ray coordinates.
-
-    Integer or Fraction input is handled exactly.  Points on a wall
-    belong to several closed cones; the one with the lowest index in
-    max_cones wins.  Returns (cone_index, coords).
-    """
-    d = fan.dim
-    exact = all(isinstance(x, (int, Fraction)) for x in v)
-    best = None
-    best_min = None
-    for s, inv in enumerate(fan.cone_inverses):
-        coords = tuple(sum(inv[i][j] * v[j] for j in range(d))
-                       for i in range(d))
-        if exact:
-            if all(c >= 0 for c in coords):
-                return s, coords
-        else:
-            m = min(coords)
-            scale = max(1.0, max(abs(c) for c in coords))
-            if m >= -1e-9 * scale:
-                return s, tuple(max(c, 0.0) for c in coords)
-            if best_min is None or m > best_min:
-                best_min, best = m, (s, coords)
-    if exact:
-        raise FanValidationError(f"vector {v} lies in no cone; fan incomplete")
-    # float round-off pushed v just outside every cone; take the nearest
-    s, coords = best
-    return s, tuple(max(c, 0.0) for c in coords)
+    """Index of the maximal cone containing v and v's ray coordinates;
+    see PLFunction.locate."""
+    return PLFunction(fan, (0,) * len(fan.rays)).locate(v)
 
 
 def pl_evaluate(fan: Fan, values: Sequence, v: Sequence):
-    """Evaluate the PL function with the given ray values at v.
-
-    On the cone spanned by rays e_j the function is linear, so the value
-    is the coordinate-weighted sum of the ray values.  Exact for integer
-    or Fraction input.
-    """
-    if len(values) != len(fan.rays):
-        raise ValueError("one value per ray required")
-    s, coords = locate_cone(fan, v)
-    cone = fan.max_cones[s]
-    return sum(c * values[j] for c, j in zip(coords, cone))
+    """Evaluate the PL function with the given ray values at v; exact for
+    integer or Fraction input."""
+    return PLFunction(fan, tuple(values))(v)
 
 
 _BUILTINS: dict[str, dict] = {

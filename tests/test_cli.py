@@ -131,6 +131,12 @@ class TestHeight:
         places = {str(r["place"]): r["factor"] for r in doc["rows"]}
         assert set(places) == {"inf", "2", "3", "5"}
 
+    def test_exact_non_convex_lambda(self, capsys):
+        doc = run_json(["height", "--fan", "builtin:hirzebruch-1",
+                        "--lambda", "1,5,1,1", "--x", "3/2,5"], capsys)
+        assert doc["height_exact"] == "421875"
+        assert doc["height"] == pytest.approx(421875.0)
+
     def test_rejects_boundary_point(self, capsys):
         assert run(["height", "--fan", "builtin:p1xp1",
                     "--x", "0,5"]) == 2

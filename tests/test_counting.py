@@ -31,6 +31,7 @@ P2 = builtin_fan("p2")
 P1XP1 = builtin_fan("p1xp1")
 F1 = builtin_fan("hirzebruch-1")
 F2 = builtin_fan("hirzebruch-2")
+P3 = builtin_fan("p3")
 
 ZETA3 = 1.2020569031595942854
 
@@ -196,6 +197,20 @@ class TestSurfaces:
             for h in range(2, math.isqrt(B) + 1):
                 total += 4 * phi[h] * n1_oracle(B // (h * h))
             assert count_points(P1XP1, (1, 1, 1, 1), B) == total
+
+    @pytest.mark.parametrize("fan,x,coord_bound", [
+        (P2, (Fraction(3, 2), Fraction(5, 2)), 6),
+        (P1XP1, (Fraction(3, 2), 2), 7),
+        (F1, (Fraction(3, 2), 2), 9),
+        (P3, (3, 1, 1), 4),
+    ], ids=["p2", "p1xp1", "hirzebruch-1", "p3"])
+    def test_exact_boundary_anchors(self, fan, x, coord_bound):
+        # B is a height that points attain, so their float heights fall
+        # inside the margin and the engine re-decides them exactly
+        rho = (1,) * len(fan.rays)
+        B = exact_height(fan, rho, x)
+        got = check_against_brute(fan, rho, B, coord_bound)
+        assert sum(exact_height(fan, rho, p) == B for p in got) > 1
 
     def test_unit_bound_counts_units(self):
         for fan in (P1, P2, P1XP1, F1, F2):

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from manin_toric.counting import enumerate_bounded
 from manin_toric.heights import (INF, AdelicOffset, ValuationProfile,
-                                 character_pairing, global_height,
-                                 local_height, make_offset,
+                                 character_pairing, exact_height,
+                                 global_height, local_height, make_offset,
                                  valuation_profile)
 from manin_toric.latticefan import PLFunction, builtin_fan
 
@@ -172,3 +173,36 @@ def test_offset_zero_factory():
     assert off.finite == ()
     assert off.arch_vector == (0.0, 0.0, 0.0)
     assert off.finite_vector(5) == (0, 0, 0)
+
+
+CONVEX_CASES = [("p1", (1, 1)), ("p2", (1, 2, 1)), ("p3", (1, 1, 1, 1)),
+                ("p1xp1", (1, 2, 1, 1)), ("hirzebruch-1", (2, 1, 3, 1)),
+                ("hirzebruch-2", (1, 1, 1, 1))]
+NON_CONVEX_CASES = [("hirzebruch-1", (1, 5, 1, 1)),
+                    ("hirzebruch-2", (1, 5, 1, 1))]
+
+
+@pytest.mark.parametrize("name,lam", CONVEX_CASES + NON_CONVEX_CASES)
+def test_exact_height_matches_global_height(name, lam):
+    fan = builtin_fan(name)
+    assert PLFunction(fan, lam).is_convex == ((name, lam) in CONVEX_CASES)
+    n = 0
+    for prof in enumerate_bounded(fan, lam, 60):
+        assert close(float(exact_height(fan, lam, prof)),
+                     global_height(fan, lam, prof), rel=1e-9), prof
+        n += 1
+    assert n > 4
+
+
+def test_exact_height_non_convex_point():
+    # phi_lambda of (1,5,1,1) on the first Hirzebruch surface is not
+    # convex, so the max over cone monomials (11390625) overshoots
+    fan = builtin_fan("hirzebruch-1")
+    x = [Fraction(3, 2), 5]
+    assert exact_height(fan, (1, 5, 1, 1), x) == 421875
+    assert close(global_height(fan, (1, 5, 1, 1), x), 421875.0, rel=1e-9)
+
+
+def test_exact_height_needs_integral_lambda():
+    with pytest.raises(ValueError, match="integral"):
+        exact_height(builtin_fan("p1"), (Fraction(1, 2), 1), [3])

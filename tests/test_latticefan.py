@@ -1,15 +1,20 @@
 """Fan parsing, validation, cone location, and PL evaluation."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from manin_toric.heights import exact_height, global_height, valuation_profile
 from manin_toric.latticefan import (
     Fan,
     FanFormatError,
     FanValidationError,
+    PLFunction,
     builtin_fan,
     fan_from_json,
     fan_to_json,
@@ -184,3 +189,74 @@ def test_fan_is_hashable_value_object():
     b = builtin_fan("p2")
     assert a == b and hash(a) == hash(b)
     assert isinstance(a, Fan)
+
+
+KERNEL_FANS = ["p2", "p3", "p1xp1"] + [f"hirzebruch-{n}" for n in range(5)]
+kernel_settings = settings(derandomize=True, deadline=None, database=None,
+                           max_examples=60)
+
+
+@st.composite
+def kernels(draw):
+    fan = builtin_fan(draw(st.sampled_from(KERNEL_FANS)))
+    lam = tuple(draw(st.integers(1, 6)) for _ in fan.rays)
+    return PLFunction(fan, lam)
+
+
+def rationals(nonzero=False):
+    num = st.integers(-60, 60)
+    if nonzero:
+        num = num.filter(bool)
+    return st.one_of(num, st.builds(Fraction, num, st.integers(1, 60)))
+
+
+def vectors(dim):
+    return st.lists(rationals(), min_size=dim, max_size=dim).filter(
+        any).map(tuple)
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_exact_and_float_agree(data):
+    pl = data.draw(kernels())
+    fan = pl.fan
+    v = data.draw(vectors(fan.dim))
+    s, coords = pl.locate(v)
+    cone = fan.max_cones[s]
+    assert min(coords) >= 0
+    assert tuple(sum(c * fan.rays[j][k] for c, j in zip(coords, cone))
+                 for k in range(fan.dim)) == v
+    vf = tuple(float(x) for x in v)
+    sf, coords_f = pl.locate(vf)
+    if min(coords) > 0:
+        assert sf == s
+    tol = 1e-9 * (1 + sum(abs(x) for x in vf))
+    assert abs(pl(vf) - float(pl(v))) <= tol
+    assert abs(pl.evaluate_float(vf) - float(pl(v))) <= tol
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_convex_iff_max_of_monomials(data):
+    pl = data.draw(kernels())
+    fan = pl.fan
+    samples = list(fan.rays) + data.draw(
+        st.lists(vectors(fan.dim), min_size=1, max_size=8))
+    agree = all(
+        pl(v) == max(sum(m * x for m, x in zip(mono, v))
+                     for mono in pl.monomials)
+        for v in samples)
+    assert pl.is_convex == agree
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_exact_height_matches_global_height(data):
+    pl = data.draw(kernels())
+    fan = pl.fan
+    x = data.draw(st.lists(rationals(nonzero=True), min_size=fan.dim,
+                           max_size=fan.dim))
+    h = exact_height(fan, pl.values, x)
+    assert h == pl.profile_height(valuation_profile(x).support)
+    assert math.isclose(float(h), global_height(fan, pl.values, x),
+                        rel_tol=1e-9)
