@@ -180,7 +180,9 @@ def _resolve_fan(spec: str) -> Fan:
     return fan
 
 
-def _parse_lambda(text: str, n_rays: int):
+def _exact_lambda(text: str, n_rays: int):
+    """Lambda as exact rationals: int entries where integral, else
+    Fraction."""
     if text.strip().lower() == "rho":
         return (1,) * n_rays
     try:
@@ -189,7 +191,17 @@ def _parse_lambda(text: str, n_rays: int):
         raise CliError(f"cannot parse lambda {text!r}: {e}") from None
     if len(parts) != n_rays:
         raise CliError(f"lambda needs {n_rays} entries, got {len(parts)}")
-    return tuple(int(f) if f.denominator == 1 else float(f) for f in parts)
+    return tuple(int(f) if f.denominator == 1 else f for f in parts)
+
+
+def _float_lambda(lam):
+    """Non-integral entries as floats: the form the float routes take and
+    the artifacts' config records."""
+    return tuple(v if isinstance(v, int) else float(v) for v in lam)
+
+
+def _parse_lambda(text: str, n_rays: int):
+    return _float_lambda(_exact_lambda(text, n_rays))
 
 
 def _parse_rationals(text: str):
@@ -315,14 +327,16 @@ def _cmd_constants(args):
 def _cmd_count(args):
     fan = _resolve_fan(args.fan)
     threads = _resolve_threads(args)
-    lam = _parse_lambda(args.lam, len(fan.rays))
+    # counting scales lambda to integers, so it needs the exact rationals
+    lam = _exact_lambda(args.lam, len(fan.rays))
     bounds = sorted(_parse_floats(args.bounds))
     report = count_N(fan, lam, bounds, threads=threads, pmax=args.pmax)
     rows = [{"B": b, "N": n, "predicted": p, "ratio": r}
             for b, n, p, r in zip(report.bounds, report.counts,
                                   report.predicted, report.ratios)]
     result = {
-        "config": _config(args, threads=threads, lam=list(lam)),
+        "config": _config(args, threads=threads,
+                          lam=list(_float_lambda(lam))),
         "fan": fan.name,
         "rows": rows,
     }

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import accumulate, product as _iproduct
 
 import numpy as np
 
@@ -60,15 +61,15 @@ def _is_symmetric(fan: Fan, lam_ints) -> bool:
     return True
 
 
-def _candidates(fan: Fan, lam_ints, kmax: int):
-    """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, coeffs)
-    sorted by phi then lexicographically; coeffs[j] = multiplicity of
-    ray j in a cone decomposition of n (phi(m) for any PL m is then
-    the dot product with the ray values)."""
+def _candidates(pl: PLFunction, kmax: int):
+    """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, pairings)
+    sorted by phi then lexicographically; pairings = pl.pairings(n), what
+    n adds per unit of log p to the vector the DFS carries."""
+    fan = pl.fan
     d = fan.dim
     found = {}
-    for s, cone in enumerate(fan.max_cones):
-        lams = [lam_ints[j] for j in cone]
+    for cone in fan.max_cones:
+        lams = [pl.values[j] for j in cone]
         rays = [fan.rays[j] for j in cone]
         bounds = [kmax // l for l in lams]
         for coords in _iproduct(*(range(b + 1) for b in bounds)):
@@ -77,14 +78,9 @@ def _candidates(fan: Fan, lam_ints, kmax: int):
                 continue
             n = tuple(sum(a * rays[i][k] for i, a in enumerate(coords))
                       for k in range(d))
-            if n not in found:
-                coeffs = [0] * len(fan.rays)
-                for i, a in enumerate(coords):
-                    coeffs[cone[i]] = a
-                found[n] = (phi, tuple(coeffs))
-    out = [(phi, n, coeffs) for n, (phi, coeffs) in found.items()]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+            found.setdefault(n, phi)
+    out = sorted((phi, n) for n, phi in found.items())
+    return [(phi, n, pl.pairings(n)) for phi, n in out]
 
 
 def _lex_positive(n) -> bool:
@@ -107,28 +103,24 @@ def _int_nth_root(Bq: Fraction, s: int) -> int:
     return T
 
 
-def _count_dim1(lam_ints, Bq: Fraction, root_filter=None, visitor=None):
+def _count_dim1(lam_ints, Bqs, root_filter=None, visitor=None):
     """Exact integer engine for d = 1 fans (rays +1 and -1).
 
-    The height of a/b in lowest terms is max(a, b)^(l+ + l-), so the
-    bound is an integer box constraint and the whole search runs on
-    machine integers.  Returns the number of accepted profiles
+    The height of a/b in lowest terms is max(a, b)^(l+ + l-), so each
+    bound is an integer box constraint max(a, b) <= T_i and the whole
+    search runs on machine integers.  Returns, per bound of the
+    ascending Bqs (all >= 1), the number of accepted profiles
     (signless); each corresponds to 2 points.
     """
     s = sum(lam_ints)
-    T = _int_nth_root(Bq, s)
-    if T < 1:
-        return 0
+    Ts = [_int_nth_root(Bq, s) for Bq in Bqs]
+    T = Ts[-1]
     primes = [int(p) for p in primes_up_to(T)]
     nprimes = len(primes)
-    accepted = 0
+    bins = [0] * len(Ts)
     stack = []
 
     def rec(i0, a, b):
-        nonlocal accepted
-        accepted += 1
-        if visitor is not None and stack:
-            visitor(tuple(stack))
         for i in range(i0, nprimes):
             p = primes[i]
             na = a * p
@@ -139,8 +131,11 @@ def _count_dim1(lam_ints, Bq: Fraction, root_filter=None, visitor=None):
                 continue
             e = 1
             while na <= T:
+                j = bisect_left(Ts, na if na > b else b)
+                bins[j] += 1
                 if visitor is not None:
                     stack.append((p, (e,)))
+                    visitor(tuple(stack), 1, j)
                 rec(i + 1, na, b)
                 if visitor is not None:
                     stack.pop()
@@ -148,8 +143,11 @@ def _count_dim1(lam_ints, Bq: Fraction, root_filter=None, visitor=None):
                 e += 1
             e = 1
             while nb <= T:
+                j = bisect_left(Ts, nb if nb > a else a)
+                bins[j] += 1
                 if visitor is not None:
                     stack.append((p, (-e,)))
+                    visitor(tuple(stack), 1, j)
                 rec(i + 1, a, nb)
                 if visitor is not None:
                     stack.pop()
@@ -157,52 +155,51 @@ def _count_dim1(lam_ints, Bq: Fraction, root_filter=None, visitor=None):
                 e += 1
 
     if root_filter is None:
-        rec(0, 1, 1)
-    else:
-        # run only the filtered root branches; the unit profile is
-        # accounted for by the coordinator
-        accepted -= 1
-        rec(0, 1, 1)
-    return accepted
+        bins[0] += 1   # the unit profile, height 1
+    rec(0, 1, 1)
+    return list(accumulate(bins))
 
 
 _MARGIN = 1e-9
 
 
-def _count_general(fan: Fan, lam_ints, Bq: Fraction, *, halve: bool,
+def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                    root_filter=None, visitor=None):
-    """DFS engine for any dimension; returns the accepted profile
-    count with lex-positive first vectors counted double when halve is
-    set (profile negation preserves heights for symmetric data)."""
-    d = fan.dim
-    intB = math.floor(Bq)
-    if intB < 1:
-        return 0
-    logB = math.log(Bq.numerator) - math.log(Bq.denominator)
+    """DFS engine for any dimension.  One pass, sized by the largest of
+    the ascending bounds Bqs (all >= 1), serves them all: each accepted
+    profile goes to the bin of the first bound it satisfies, and the
+    visitor, if any, gets that bin's index.  Returns per bound the
+    accepted profile count, with lex-positive first vectors counted
+    double when halve is set (profile negation preserves heights for
+    symmetric data).
+
+    The archimedean term phi(-v) of v = sum_p n_p log p is kept
+    incrementally: each node adds log p times the candidate's pairings
+    to its parent's carried vector, whose archimedean term is
+    -min_sigma <m_sigma, v> when phi is convex and pl.arch otherwise.
+    """
+    k = len(Bqs)
+    logBs = [math.log(Bq.numerator) - math.log(Bq.denominator)
+             for Bq in Bqs]
+    logB = logBs[-1]
+    intB = math.floor(Bqs[-1])
     kmax = intB.bit_length() - 1   # max phi with 2^phi <= B
-    cands = _candidates(fan, lam_ints, kmax) if kmax >= 1 else []
-    half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
     pl = PLFunction(fan, lam_ints)
     convex = pl.is_convex
+    arch = pl.arch
+    cands = _candidates(pl, kmax) if kmax >= 1 else []
+    half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
     c_min = cands[0][0] if cands else 1
     prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
     primes = [int(p) for p in primes_up_to(prime_limit)]
     logs = [math.log(p) for p in primes]
     nprimes = len(primes)
+    weight = 2 if halve else 1
 
-    phi_arch = pl.evaluate_float
-
-    accepted = 0
+    bins = [0] * k
     stack = []
 
-    def accept():
-        nonlocal accepted
-        weight = 2 if (halve and stack) else 1
-        accepted += weight
-        if visitor is not None and stack:
-            visitor(tuple(stack), weight)
-
-    def rec(i0, F, logF, v, at_root):
+    def rec(i0, F, logF, M, at_root):
         budget = logB - logF + _MARGIN
         table = half_cands if (halve and at_root) else cands
         for i in range(i0, nprimes):
@@ -212,79 +209,101 @@ def _count_general(fan: Fan, lam_ints, Bq: Fraction, *, halve: bool,
             if at_root and root_filter is not None and not root_filter(i):
                 continue
             p = primes[i]
-            for phi, n, _coeffs in table:
+            for phi, n, P in table:
                 if phi * lq > budget:
                     break
                 Fc = F * p ** phi
                 if Fc > intB:
                     continue
                 logFc = logF + phi * lq
-                vc = tuple(v[k] + n[k] * lq for k in range(d))
-                arch = phi_arch(tuple(-x for x in vc))
-                logH = logFc + arch
+                Mc = [m + lq * x for m, x in zip(M, P)]
+                logH = logFc - min(Mc) if convex else logFc + arch(Mc)
                 stack.append((p, n))
-                if logH <= logB - _MARGIN:
-                    accept()
-                elif (logH <= logB + _MARGIN
-                      and pl.profile_height(stack) <= Bq):
-                    accept()
-                if not convex or logH <= logB + _MARGIN:
-                    rec(i + 1, Fc, logFc, vc, False)
+                # bounds below lo fail and bounds from hi on hold; the
+                # ones in between are within the margin, decided exactly
+                lo = bisect_left(logBs, logH - _MARGIN)
+                if lo < k:
+                    hi = bisect_left(logBs, logH + _MARGIN, lo)
+                    j = lo
+                    if lo < hi:
+                        j = bisect_left(Bqs, pl.profile_height(stack),
+                                        lo, hi)
+                    if j < k:
+                        bins[j] += weight
+                        if visitor is not None:
+                            visitor(tuple(stack), weight, j)
+                # lo < k: within the largest bound; extensions of a
+                # profile above it can still qualify only for non-convex phi
+                if lo < k or not convex:
+                    rec(i + 1, Fc, logFc, Mc, False)
                 stack.pop()
 
     if root_filter is None:
-        accept()   # the unit profile, height 1
-    rec(0, 1, 0.0, (0.0,) * d, True)
-    return accepted
+        bins[0] += 1   # the unit profile, height 1
+    rec(0, 1, 0.0, pl.pairings((0,) * fan.dim), True)
+    return list(accumulate(bins))
 
 
 def _is_p1_like(fan: Fan) -> bool:
     return fan.dim == 1 and set(fan.rays) == {(1,), (-1,)}
 
 
-def _count_profiles(fan, lam_ints, Bq, root_filter=None, visitor=None,
+def _count_profiles(fan, lam_ints, Bqs, root_filter=None, visitor=None,
                     force_general=False):
     if _is_p1_like(fan) and not force_general:
         if fan.rays[0] == (1,):
             lpos, lneg = lam_ints
         else:
             lneg, lpos = lam_ints
-        return _count_dim1((lpos, lneg), Bq, root_filter=root_filter,
+        return _count_dim1((lpos, lneg), Bqs, root_filter=root_filter,
                            visitor=visitor)
     halve = _is_symmetric(fan, lam_ints) and visitor is None
-    return _count_general(fan, lam_ints, Bq, halve=halve,
+    return _count_general(fan, lam_ints, Bqs, halve=halve,
                           root_filter=root_filter, visitor=visitor)
 
 
 def _worker(args):
-    fan_json, lam_ints, B_num, B_den, nworkers, k, force_general = args
+    fan_json, lam_ints, bounds, nworkers, k, force_general = args
     from .latticefan import fan_from_json
     fan = fan_from_json(fan_json)
-    Bq = Fraction(B_num, B_den)
-    return _count_profiles(fan, tuple(lam_ints), Bq,
+    Bqs = [Fraction(num, den) for num, den in bounds]
+    return _count_profiles(fan, tuple(lam_ints), Bqs,
                            root_filter=lambda i: i % nworkers == k,
                            force_general=force_general)
+
+
+def _count_grid(fan: Fan, lam, bounds, threads: int = 1,
+                force_general: bool = False) -> list:
+    """N(B) for every B of the ascending bounds, from one enumeration;
+    with threads > 1 the root primes are split over one worker pool."""
+    lam_ints, L = _lambda_ints(fan, lam)
+    Bqs = [Fraction(B) ** L for B in bounds]
+    low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
+    Bqs = Bqs[low:]
+    if not Bqs:
+        return [0] * low
+    if threads <= 1:
+        profiles = _count_profiles(fan, lam_ints, Bqs,
+                                   force_general=force_general)
+    else:
+        from .latticefan import fan_to_json
+        import multiprocessing as mp
+        src = fan_to_json(fan)
+        fracs = [(Bq.numerator, Bq.denominator) for Bq in Bqs]
+        jobs = [(src, lam_ints, fracs, threads, k, force_general)
+                for k in range(threads)]
+        with mp.Pool(threads) as pool:
+            parts = pool.map(_worker, jobs)
+        # the unit profile is counted here, not by the workers
+        profiles = [1 + sum(col) for col in zip(*parts)]
+    return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
 def count_points(fan: Fan, lam, B, threads: int = 1,
                  force_general: bool = False) -> int:
     """N(B): the number of x in (Q*)^d with H_lambda(x) <= B."""
-    lam_ints, L = _lambda_ints(fan, lam)
-    Bq = Fraction(B) ** L
-    if Bq < 1:
-        return 0
-    if threads <= 1:
-        profiles = _count_profiles(fan, lam_ints, Bq,
-                                   force_general=force_general)
-        return profiles * 2 ** fan.dim
-    from .latticefan import fan_to_json
-    import multiprocessing as mp
-    src = fan_to_json(fan)
-    jobs = [(src, lam_ints, Bq.numerator, Bq.denominator, threads, k,
-             force_general) for k in range(threads)]
-    with mp.Pool(threads) as pool:
-        parts = pool.map(_worker, jobs)
-    return (1 + sum(parts)) * 2 ** fan.dim
+    return _count_grid(fan, lam, [B], threads=threads,
+                       force_general=force_general)[0]
 
 
 def enumerate_bounded(fan: Fan, lam, B):
@@ -295,14 +314,14 @@ def enumerate_bounded(fan: Fan, lam, B):
     d = fan.dim
     collected = []
 
-    def visit(stack, weight=1):
+    def visit(stack, weight, _bin):
         collected.append(stack)
         if weight == 2:
             collected.append(tuple((p, tuple(-c for c in n))
                                    for p, n in stack))
 
     if Bq >= 1:
-        _count_profiles(fan, lam_ints, Bq, visitor=visit)
+        _count_profiles(fan, lam_ints, [Bq], visitor=visit)
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
             yield ValuationProfile(dim=d, support=(), signs=signs)
@@ -330,12 +349,13 @@ class CountReport:
 
 def count_N(fan: Fan, lam, bounds, threads: int = 1,
             pmax: int = 100000) -> CountReport:
-    """Exact counts over a grid of height bounds, with the main-term
-    prediction Theta*B*(log B)^(b-1)/(b-1)! attached."""
+    """Exact counts over a grid of height bounds, from one enumeration at
+    the largest, with the main-term prediction
+    Theta*B*(log B)^(b-1)/(b-1)! attached."""
     lam_values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     bs = sorted(float(b) for b in bounds)
     lc = leading_constant(fan, pmax=pmax)
-    counts = [count_points(fan, lam, B, threads=threads) for B in bs]
+    counts = _count_grid(fan, lam, bs, threads=threads)
     predicted = [lc.predict(B) for B in bs]
     ratios = [(n / p if p > 0 else math.inf) for n, p in
               zip(counts, predicted)]
@@ -377,6 +397,14 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
     open convergence region.  The tail estimate extrapolates N(t)
     growth at rate t (log t)^(r-1) beyond the cutoff.
     """
+    return _zeta_partials(fan, lam, [B])[0]
+
+
+def _zeta_partials(fan: Fan, lam, Bs) -> list:
+    """zeta_partial for every B of the ascending Bs, from one enumeration
+    at the largest.  Each profile's term is added, in enumeration order,
+    to the sum of every bound the profile satisfies, so each sum is
+    bit-identical to the one a separate enumeration at its bound makes."""
     values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     if len(values) != len(fan.rays):
         raise CountingError("one lambda value per ray required")
@@ -386,41 +414,46 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
         raise CountingError("Re(lambda_j) > 1 required on every ray")
     d = fan.dim
     rho = tuple([1] * len(fan.rays))
-    Bq = Fraction(B)
-    if Bq < 1:
-        return ZetaPartial(value=0j, B=float(B), n_points=0,
-                           tail_estimate=0.0)
+    Bqs = [Fraction(B) for B in Bs]
+    low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
+    k = len(Bqs) - low
 
     logp_cache = {}
-    total = [complex(2 ** d)]  # unit profile: height 1, 2^d points
-    npoints = [2 ** d]
+    total = [complex(2 ** d)] * k  # unit profile: height 1, 2^d points
+    npoints = [2 ** d] * k
 
     pl = PLFunction(fan, tuple(vals))
 
-    def visit(stack, weight=1):
+    def visit(stack, weight, first):
         expo = 0j
         v = [0.0] * d
         for p, n in stack:
             lp = logp_cache.setdefault(p, math.log(p))
             expo += pl(n) * lp
-            for k in range(d):
-                v[k] += n[k] * lp
+            for c in range(d):
+                v[c] += n[c] * lp
         expo += pl(tuple(-x for x in v))
         term = 2 ** d * cmath.exp(-expo)
-        total[0] += weight * term
-        npoints[0] += weight * 2 ** d
+        for j in range(first, k):
+            total[j] += weight * term
+            npoints[j] += weight * 2 ** d
 
-    _count_profiles(fan, rho, Bq, visitor=visit, force_general=True)
+    if k:
+        _count_profiles(fan, rho, Bqs[low:], visitor=visit,
+                        force_general=True)
 
     r = len(fan.rays) - d
-    Bf = float(B)
-    tail = 0.0
-    t = Bf
-    for _ in range(200):
-        tail += 4.0 * (t * (1 + math.log(t)) ** (r - 1)) * t ** (-smin)
-        if t > Bf * 1e12:
-            break
-        t *= 2.0
-    return ZetaPartial(value=total[0], B=Bf, n_points=npoints[0],
-                       tail_estimate=tail)
-
+    out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)
+           for B in Bs[:low]]
+    for j, B in enumerate(Bs[low:]):
+        Bf = float(B)
+        tail = 0.0
+        t = Bf
+        for _ in range(200):
+            tail += 4.0 * (t * (1 + math.log(t)) ** (r - 1)) * t ** (-smin)
+            if t > Bf * 1e12:
+                break
+            t *= 2.0
+        out.append(ZetaPartial(value=total[j], B=Bf, n_points=npoints[j],
+                               tail_estimate=tail))
+    return out

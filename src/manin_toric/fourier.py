@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .counting import zeta_partial
+from .counting import _zeta_partials
 from .latticefan import Fan
 from .primes import primes_up_to
 
@@ -240,7 +240,7 @@ def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int):
     """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums."""
     smin = min(float(v) for v in lam)
     Bs = [B0 * 4.0**k for k in range(n_terms + 1)]
-    Ss = [zeta_partial(fan, lam, B).value.real for B in Bs]
+    Ss = [z.value.real for z in _zeta_partials(fan, lam, Bs)]
     rows = []
     for B in Bs:
         decay = B ** (1.0 - smin)

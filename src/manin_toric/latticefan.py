@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -163,9 +164,10 @@ class PLFunction:
     """A piecewise linear function on a fan, determined by its ray values.
 
     The one kernel for phi_lambda: cone location, exact and float
-    evaluation, the dual monomials of the cones, convexity and exact
-    heights of valuation profiles, with per-cone data cached on the
-    instance.  Values may be int, Fraction, float or complex.
+    evaluation, the dual monomials of the cones, convexity, the per-cone
+    float data of the enumeration's archimedean term and exact heights
+    of valuation profiles, with per-cone data cached on the instance.
+    Values may be int, Fraction, float or complex.
     """
 
     fan: Fan
@@ -233,44 +235,48 @@ class PLFunction:
         return sum(c * self.values[j]
                    for c, j in zip(coords, self.fan.max_cones[s]))
 
+    def pairings(self, n: Sequence[int]) -> tuple[float, ...]:
+        """What the lattice vector n adds, per unit of log p, to the float
+        vector the valuation-profile DFS carries for v = sum_p n_p log p:
+        the pairings <m_sigma, n> of every cone when phi is convex, and
+        otherwise n followed by the ray coordinates inv_sigma n of every
+        cone.  Requires integral lambda."""
+        if self.is_convex:
+            return tuple(float(sum(m * x for m, x in zip(mono, n)))
+                         for mono in self.monomials)
+        out = [float(x) for x in n]
+        for inv in self.fan.cone_inverses:
+            out.extend(float(sum(r * x for r, x in zip(row, n)))
+                       for row in inv)
+        return tuple(out)
+
     @cached_property
-    def evaluate_float(self):
-        """phi as a function of a real float vector w, built once for
-        inner loops from the float inverse rows and the ray values of
-        each cone; the cone is chosen as in locate, but coordinates are
-        left unclamped."""
+    def arch(self):
+        """phi(-v) as a function of the carried vector of v (see
+        pairings), built once for the DFS: -min_sigma <m_sigma, v> when
+        phi is convex, otherwise <m_sigma, -v> on the cone chosen as in
+        locate, with coordinates left unclamped."""
+        if self.is_convex:
+            return lambda carried: -min(carried)
         d = self.fan.dim
-        cones = [([[float(x) for x in row] for row in inv],
-                      [float(self.values[j]) for j in cone])
-                     for inv, cone in zip(self.fan.cone_inverses,
-                                          self.fan.max_cones)]
+        cones = [(d * (s + 1), d * (s + 2),
+                  [float(self.values[j]) for j in cone])
+                 for s, cone in enumerate(self.fan.max_cones)]
 
-        def phi(w):
-            scale = 1.0
-            for x in w:
-                scale += abs(x)
-            tol = -_TOL * scale
-            best_mn = -math.inf
-            best_val = 0.0
-            for finv, lams in cones:
-                val = 0.0
-                mn = 0.0
-                for i in range(d):
-                    row = finv[i]
-                    c = 0.0
-                    for k in range(d):
-                        c += row[k] * w[k]
-                    if c < mn:
-                        mn = c
-                    val += lams[i] * c
-                if mn >= tol:
-                    return val
-                if mn > best_mn:
-                    best_mn = mn
-                    best_val = val
-            return best_val
+        def arch(carried):
+            # -v is in a cone when every coordinate of v there is <= tol
+            tol = _TOL * (1.0 + sum(map(abs, carried[:d])))
+            best_m = math.inf
+            for lo, hi, lams in cones:
+                coords = carried[lo:hi]
+                m = max(coords)
+                if m <= tol:
+                    return -sum(map(mul, coords, lams))
+                if m < best_m:
+                    best_m, best = m, (coords, lams)
+            return -sum(map(mul, *best))
 
-        return phi
+        return arch
 
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile

@@ -2,10 +2,15 @@
 
 import json
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
+from manin_toric import cli
 from manin_toric.cli import run
+from manin_toric.counting import count_N, count_points
+from manin_toric.latticefan import builtin_fan
 
 
 def run_json(argv, capsys, expect=0):
@@ -116,6 +121,22 @@ class TestCount:
         doc = run_json(["count", "--fan", "builtin:p1", "--bounds", "1e2"],
                        capsys)
         assert doc["config"]["threads"] == 2
+
+    def test_rational_lambda_counted_exactly(self, capsys, monkeypatch):
+        # a float 1/3 would scale lambda by 2^54 and the bound 10 to
+        # 10^(2^54); the exact 1/3 scales it by 3
+        def exact_count_N(fan, lam, *args, **kwargs):
+            assert all(isinstance(v, (int, Fraction)) for v in lam)
+            return count_N(fan, lam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "count_N", exact_count_N)
+        t0 = time.perf_counter()
+        doc = run_json(["count", "--fan", "builtin:p1", "--lambda",
+                        "1/3,1/3", "--bounds", "10"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert doc["rows"][0]["N"] == count_points(builtin_fan("p1"),
+                                                   (1, 1), 1000)
+        assert doc["config"]["lam"] == [1 / 3, 1 / 3]
 
     def test_bad_thread_count(self, capsys):
         assert run(["count", "--fan", "builtin:p1", "--bounds", "1e2",

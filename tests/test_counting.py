@@ -13,15 +13,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from manin_toric import counting
 from manin_toric.counting import (
     CountingError,
     CountReport,
+    _count_grid,
+    _zeta_partials,
     count_N,
     count_points,
     enumerate_bounded,
     fit_asymptotic,
     zeta_partial,
 )
+from manin_toric.fourier import _extrapolate_direct
 from manin_toric.heights import global_height
 from manin_toric.latticefan import builtin_fan
 from manin_toric.primes import factorize, totient_table
@@ -240,6 +244,67 @@ class TestParallel:
         for fan, lam, B, frozen in jobs:
             for threads in (1, 2, 3):
                 assert count_points(fan, lam, B, threads=threads) == frozen
+
+
+# grids around heights that points attain (B-1, B, B repeated, B+1), so
+# profiles at a bound are re-decided exactly, plus bounds below 1
+GRIDS = [
+    ("p2", (1, 1, 1), (1, 124, 125, 125, 126, 500)),
+    ("p1xp1", (1, 1, 1, 1), (0.5, 1, 35, 36, 36, 37, 144)),
+    ("hirzebruch-1", (1, 1, 1, 1), (1, 26, 27, 27, 28, 108)),
+    ("p3", (1, 1, 1, 1), (1, 80, 81, 81, 82, 324)),
+    # non-convex phi
+    ("hirzebruch-3", (1, 1, 1, 1), (1, 242, 243, 243, 244, 972)),
+    ("hirzebruch-1", (1, 5, 1, 1), (1, 26, 27, 27, 28, 63, 64, 65, 256)),
+]
+P1_GRID = (0.5, 1, 8, 9, 9, 10, 24, 25, 26, 1000)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name,lam,grid", GRIDS,
+                             ids=[f"{g[0]}-{g[1]}" for g in GRIDS])
+    def test_grid_equals_recounts(self, name, lam, grid):
+        fan = builtin_fan(name)
+        want = [count_points(fan, lam, B) for B in grid]
+        assert count_N(fan, lam, grid, pmax=1000).counts == want
+        assert count_N(fan, lam, grid, threads=2, pmax=1000).counts == want
+
+    @pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
+    def test_p1_grid_both_engines(self, lam):
+        for force in (False, True):
+            want = [count_points(P1, lam, B, force_general=force)
+                    for B in P1_GRID]
+            assert _count_grid(P1, lam, P1_GRID, force_general=force) == want
+            assert _count_grid(P1, lam, P1_GRID, threads=2,
+                               force_general=force) == want
+        assert count_N(P1, lam, P1_GRID, pmax=1000).counts == want
+
+    @pytest.mark.parametrize("fan", [P1, P1XP1], ids=["p1", "p1xp1"])
+    def test_zeta_partials_bit_identical(self, fan):
+        lam = (2,) * len(fan.rays)
+        Bs = (0.5, 1, 9, 9, 100, 400)
+        for got, B in zip(_zeta_partials(fan, lam, Bs), Bs):
+            # value, n_points and tail estimate, bit for bit
+            assert got == zeta_partial(fan, lam, B)
+
+    def test_one_enumeration_per_call(self, monkeypatch):
+        calls = []
+        for name in ("_count_general", "_count_dim1"):
+            engine = getattr(counting, name)
+
+            def counted(*args, _engine=engine, _name=name, **kwargs):
+                calls.append(_name)
+                return _engine(*args, **kwargs)
+
+            monkeypatch.setattr(counting, name, counted)
+        count_N(P2, (1, 1, 1), [10, 100, 1000], pmax=1000)
+        assert calls == ["_count_general"]
+        calls.clear()
+        count_N(P1, (1, 1), [10, 100, 1000], pmax=1000)
+        assert calls == ["_count_dim1"]
+        calls.clear()
+        _extrapolate_direct(P1XP1, (2, 2, 2, 2), 50.0, 2)
+        assert calls == ["_count_general"]
 
 
 class TestValidation:

@@ -232,7 +232,21 @@ def test_kernel_exact_and_float_agree(data):
         assert sf == s
     tol = 1e-9 * (1 + sum(abs(x) for x in vf))
     assert abs(pl(vf) - float(pl(v))) <= tol
-    assert abs(pl.evaluate_float(vf) - float(pl(v))) <= tol
+    # the archimedean term the enumeration carries along a chain of
+    # lattice vectors n_p, one per prime, for w = -sum_p n_p log p
+    chain = data.draw(st.lists(
+        st.tuples(st.sampled_from((2, 3, 5, 7, 101)),
+                  st.lists(st.integers(-6, 6), min_size=fan.dim,
+                           max_size=fan.dim)),
+        min_size=1, max_size=5))
+    carried = pl.pairings((0,) * fan.dim)
+    w = [Fraction(0)] * fan.dim
+    for p, n in chain:
+        lq = math.log(p)
+        carried = [m + lq * x for m, x in zip(carried, pl.pairings(n))]
+        w = [a - Fraction(lq) * x for a, x in zip(w, n)]
+    tol = 1e-9 * (1 + sum(abs(float(x)) for x in w))
+    assert abs(pl.arch(carried) - float(pl(tuple(w)))) <= tol
 
 
 @kernel_settings
