@@ -29,7 +29,7 @@ from .heights import (AdelicOffset, ValuationProfile, character_pairing,
 from .latticefan import (Fan, FanFormatError, FanValidationError, PLFunction,
                          builtin_fan, fan_from_json, fan_to_json, locate_cone,
                          make_fan, pl_evaluate, validate_fan)
-from .tauberian import (DirichletOracle, PoleData, TauberianError,
+from .tauberian import (DirichletOracle, PerronLine, PoleData, TauberianError,
                         builtin_oracle, compare, contour_independence,
                         descend_k, perron_phi_k, predict, residue_circle,
                         residue_consistency, residue_shape)
@@ -45,9 +45,10 @@ __all__ = [
     "DirichletOracle", "Fan", "FanFormatError", "FanValidationError",
     "FibrationConstant", "FibrationError", "FibrationPicard",
     "FibrationZeta", "FourierError", "LeadingConstant",
-    "PLFunction", "PicardData", "PicardError", "PoissonReport",
-    "PoleData", "PolyhedralCone", "QuotientChar", "SweepReport",
-    "TamagawaResult", "TauberianError", "TorsorSpec", "TransformValue",
+    "PLFunction", "PerronLine", "PicardData", "PicardError",
+    "PoissonReport", "PoleData", "PolyhedralCone", "QuotientChar",
+    "SweepReport", "TamagawaResult", "TauberianError", "TorsorSpec",
+    "TransformValue",
     "ValuationProfile", "ZetaPartial", "alpha_constant",
     "arakelov_L_partial", "arch_transform", "archimedean_volume",
     "archimedean_volume_mc", "builtin_fan", "builtin_oracle",

@@ -29,8 +29,8 @@ from .heights import INF, exact_height, global_height, local_height, \
     valuation_profile
 from .latticefan import (Fan, FanFormatError, FanValidationError, builtin_fan,
                          fan_from_json, validate_fan)
-from .tauberian import TauberianError, builtin_oracle, descend_k, \
-    perron_phi_k, predict
+from .tauberian import PerronLine, TauberianError, builtin_oracle, \
+    descend_k, predict
 from .toric import (PicardError, archimedean_volume, leading_constant,
                     picard_data)
 
@@ -427,15 +427,15 @@ def _cmd_tauber(args):
         raise CliError(f"k = {args.k} must exceed the contour growth "
                        f"exponent kappa = {pole.kappa}")
     X, k = args.X, args.k
-    try:
-        phi_k = perron_phi_k(oracle, pole, X, k, T=args.T, tol=args.tol)
-        lo, hi = descend_k(
-            lambda Y: perron_phi_k(oracle, pole, Y, k, T=args.T,
-                                   tol=args.tol), k, X)
-    except TauberianError as e:
-        raise ToleranceFailure(str(e)) from None
+    # the direct sums refuse an oversized X before any integral is taken
     direct_km1 = oracle.phi_direct(X, k - 1)
     N = oracle.phi_direct(X, 0)
+    try:
+        line = PerronLine(oracle, pole, k, T=args.T, tol=args.tol)
+        phi_k = line(X)
+        lo, hi = descend_k(line, k, X)
+    except TauberianError as e:
+        raise ToleranceFailure(str(e)) from None
     pred = predict(pole, X)
     result = {
         "config": _config(args),

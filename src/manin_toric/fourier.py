@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -264,7 +264,8 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     m, w = _gauss_panels(T, panel_width)
     arch = 1.0 / (la + 1j * m) + 1.0 / (lb - 1j * m)
     za = zeta_line(la + 1j * m)
-    zb = np.conj(zeta_line(lb + 1j * m))  # zeta(lb - i m), real coefficients
+    # zeta(lb - i m) = conj(zeta(lb + i m)), real coefficients
+    zb = np.conj(za if lb == la else zeta_line(lb + 1j * m))
     integrand = 2.0 * arch * cf0 * za * zb
     main = 2.0 * float(np.dot(w, integrand.real))
 
@@ -348,10 +349,14 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
 
     factors = []
     for axis, (jp, jm) in enumerate(split):
-        sub = make_fan(1, [[1], [-1]], [[0], [1]], name=f"{fan.name or 'product'}[{axis}]")
-        factors.append(
-            _poisson_line(sub, (lam[jp], lam[jm]), T, pmax, B0, panel_width)
-        )
+        name = f"{fan.name or 'product'}[{axis}]"
+        pair = (lam[jp], lam[jm])
+        if factors and factors[0].lam == pair:
+            # the same lambda pair gives the same factor, up to its name
+            factors.append(replace(factors[0], fan_name=name))
+            continue
+        sub = make_fan(1, [[1], [-1]], [[0], [1]], name=name)
+        factors.append(_poisson_line(sub, pair, T, pmax, B0, panel_width))
     lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0 / 4.0, 2)
     rhs = factors[0].rhs * factors[1].rhs
     rel = abs(lhs - rhs) / abs(lhs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -38,31 +40,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def totient_summatory(n: int) -> int:
-    """Sum of Euler's phi(k) for 1 <= k <= n, by sieve."""
-    if n < 1:
-        return 0
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime: phi still untouched
-            phi[p::p] -= phi[p::p] // p
-    return int(phi[1:].sum())
-
-
 def totient_table(n: int) -> np.ndarray:
     """phi(k) for 0 <= k <= n (phi[0] = 0)."""
     phi = np.arange(n + 1, dtype=np.int64)
     if n >= 1:
         phi[0] = 0
-    for p in range(2, n + 1):
-        if phi[p] == p:
-            phi[p::p] -= phi[p::p] // p
+    for p in primes_up_to(n):
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 
 def divisor_count_table(n: int) -> np.ndarray:
     """d(k) = number of divisors, for 0 <= k <= n (d[0] = 0)."""
+    # each divisor pair (k, m/k) of m with k <= sqrt(m), counted once
+    # when k*k = m
     d = np.zeros(n + 1, dtype=np.int64)
-    for k in range(1, n + 1):
-        d[k::k] += 1
+    for k in range(1, math.isqrt(n) + 1):
+        d[k * k:: k] += 2
+        d[k * k] -= 1
     return d

@@ -30,6 +30,7 @@ __all__ = [
     "PoleData",
     "DirichletOracle",
     "builtin_oracle",
+    "PerronLine",
     "perron_phi_k",
     "residue_circle",
     "residue_shape",
@@ -41,6 +42,11 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
+
+# phi_direct holds a few float arrays of N + 1 entries, about 40 bytes a
+# term, so a larger direct sum is refused rather than left to exhaust
+# memory
+MAX_DIRECT_TERMS = 10**8
 
 
 class TauberianError(ValueError):
@@ -99,6 +105,11 @@ class DirichletOracle:
 
     def phi_direct(self, X: float, k: int) -> float:
         """Exact phi_k(X) by direct summation of the coefficients."""
+        if not X < MAX_DIRECT_TERMS + 1:
+            raise TauberianError(
+                f"direct sum needs N = floor(X) = {X:.0f} terms, above the "
+                f"cap of {MAX_DIRECT_TERMS}"
+            )
         N = int(math.floor(X))
         if N < 1:
             return 0.0
@@ -173,57 +184,109 @@ def builtin_oracle(name: str) -> DirichletOracle:
                            _coefficients=co, _evaluate_vec=vec)
 
 
-def _line_nodes(T: float, X: float, order: int = 12):
+def _panel_edges(T: float, X: float) -> int:
     # at least three panels per oscillation period 2*pi/log X
     width = min(0.5, 2 * math.pi / max(math.log(X), 1.0) / 3)
+    return max(2, int(math.ceil(T / width)) + 1)
+
+
+def _line_values(oracle: DirichletOracle, a_prime: float, T: float,
+                 edges: int, order: int = 12):
+    """Gauss-Legendre nodes s on a' + i[0, T], weights, and f(s)."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, T, max(2, int(math.ceil(T / width)) + 1))
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
+    edge = np.linspace(0.0, T, edges)
+    mid = (edge[:-1] + edge[1:]) / 2
+    half = (edge[1:] - edge[:-1]) / 2
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * wts[None, :]).ravel()
-    return t, w
-
-
-def _line_integral(oracle: DirichletOracle, X: float, k: int,
-                   a_prime: float, T: float) -> float:
-    t, w = _line_nodes(T, X)
     s = a_prime + 1j * t
-    f = oracle.evaluate_line(s)
+    return s, w, oracle.evaluate_line(s)
+
+
+def _line_sum(line, X: float, k: int) -> float:
+    s, w, f = line
     vals = f * np.exp(s * math.log(X)) / s ** (k + 1)
     # real coefficients give conjugate symmetry across the real axis
     return math.factorial(k) / math.pi * float(np.dot(w, vals.real))
 
 
-def _tail_bound(oracle: DirichletOracle, X: float, k: int,
-                a_prime: float, T: float, kappa: float) -> float:
-    if k <= kappa:
-        raise TauberianError("need k > kappa for an absolutely convergent tail")
-    samples = [abs(oracle.evaluate(a_prime + 1j * (T * c))) * c**-kappa
-               for c in (1.0, 1.37, 1.9, 2.6)]
-    cf = 1.5 * max(samples)
-    return (math.factorial(k) * X**a_prime * cf
-            * T ** (kappa - k) / (math.pi * (k - kappa)))
+def _line_integral(oracle: DirichletOracle, X: float, k: int,
+                   a_prime: float, T: float) -> float:
+    return _line_sum(_line_values(oracle, a_prime, T, _panel_edges(T, X)),
+                     X, k)
+
+
+_TAIL_SAMPLES = (1.0, 1.37, 1.9, 2.6)
+
+
+class PerronLine:
+    """phi_k(X) as a truncated integral on the line Re s = a_prime.
+
+    Calling the line on X returns phi_k(X) and raises when the bound on
+    the integral beyond |Im s| = T exceeds tol * (|phi_k| + 1).  The
+    quadrature nodes depend on X only through their panel count, and the
+    tail bound only through X^a_prime, so a line evaluates the series once
+    per distinct node set and samples it for the tail once, however many
+    X it is called on.  `stats` reports that work.
+    """
+
+    def __init__(self, oracle: DirichletOracle, pole: PoleData | None,
+                 k: int, a_prime: float | None = None, T: float = 300.0,
+                 tol: float = 1e-3):
+        if pole is None:
+            pole = oracle.pole
+        kappa = pole.kappa if pole else 0.0
+        if a_prime is None:
+            a_prime = (pole.abscissa if pole else 1.0) + 0.5
+        if pole and a_prime <= pole.abscissa:
+            raise TauberianError("contour must pass right of the pole")
+        if k <= kappa:
+            raise TauberianError(
+                "need k > kappa for an absolutely convergent tail")
+        self.oracle, self.k, self.kappa = oracle, k, kappa
+        self.a_prime, self.T, self.tol = a_prime, T, tol
+        self._cf = 1.5 * max(
+            abs(oracle.evaluate(a_prime + 1j * (T * c))) * c**-kappa
+            for c in _TAIL_SAMPLES)
+        self._lines = {}  # panel edge count -> (s, w, f(s))
+
+    def integral(self, X: float) -> float:
+        """The integral over |Im s| <= T."""
+        edges = _panel_edges(self.T, X)
+        if edges not in self._lines:
+            self._lines[edges] = _line_values(self.oracle, self.a_prime,
+                                              self.T, edges)
+        return _line_sum(self._lines[edges], X, self.k)
+
+    def tail(self, X: float) -> float:
+        """Bound on the integral over |Im s| > T."""
+        k, kappa = self.k, self.kappa
+        return (math.factorial(k) * X**self.a_prime * self._cf
+                * self.T ** (kappa - k) / (math.pi * (k - kappa)))
+
+    def __call__(self, X: float) -> float:
+        value = self.integral(X)
+        bound = self.tail(X)
+        if bound > self.tol * (abs(value) + 1):
+            raise TauberianError(
+                f"tail bound {bound:.3g} exceeds tolerance at T={self.T}; "
+                "raise T"
+            )
+        return value
+
+    @property
+    def stats(self) -> dict:
+        """Node sets evaluated, series points in them, tail samples."""
+        return {"node_sets": len(self._lines),
+                "points": sum(s.size for s, _, _ in self._lines.values()),
+                "tail_samples": len(_TAIL_SAMPLES)}
 
 
 def perron_phi_k(oracle: DirichletOracle, pole: PoleData | None, X: float,
                  k: int, a_prime: float | None = None, T: float = 300.0,
                  tol: float = 1e-3) -> float:
     """phi_k(X) by truncated vertical-line integral at Re s = a_prime."""
-    if pole is None:
-        pole = oracle.pole
-    kappa = pole.kappa if pole else 0.0
-    if a_prime is None:
-        a_prime = (pole.abscissa if pole else 1.0) + 0.5
-    if pole and a_prime <= pole.abscissa:
-        raise TauberianError("contour must pass right of the pole")
-    value = _line_integral(oracle, X, k, a_prime, T)
-    bound = _tail_bound(oracle, X, k, a_prime, T, kappa)
-    if bound > tol * (abs(value) + 1):
-        raise TauberianError(
-            f"tail bound {bound:.3g} exceeds tolerance at T={T}; raise T"
-        )
-    return value
+    return PerronLine(oracle, pole, k, a_prime, T, tol)(X)
 
 
 def residue_circle(oracle: DirichletOracle, pole: PoleData, X: float, k: int,
@@ -291,16 +354,15 @@ def contour_independence(oracle: DirichletOracle, pole: PoleData | None,
     if pole is None:
         pole = oracle.pole
     base = (pole.abscissa if pole else 1.0) + 0.5
-    a1 = base if a1 is None else a1
-    a2 = base + 1.0 if a2 is None else a2
-    kappa = pole.kappa if pole else 0.0
+    low = PerronLine(oracle, pole, k, a1, T)
+    high = PerronLine(oracle, pole, k, base + 1.0 if a2 is None else a2, T)
     return ContourReport(
-        value_low=_line_integral(oracle, X, k, a1, T),
-        value_high=_line_integral(oracle, X, k, a2, T),
-        a_low=a1,
-        a_high=a2,
-        tail_low=_tail_bound(oracle, X, k, a1, T, kappa),
-        tail_high=_tail_bound(oracle, X, k, a2, T, kappa),
+        value_low=low.integral(X),
+        value_high=high.integral(X),
+        a_low=low.a_prime,
+        a_high=high.a_prime,
+        tail_low=low.tail(X),
+        tail_high=high.tail(X),
     )
 
 

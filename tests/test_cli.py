@@ -11,6 +11,8 @@ from manin_toric import cli
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
+from manin_toric.tauberian import (MAX_DIRECT_TERMS, builtin_oracle,
+                                   descend_k, perron_phi_k)
 
 
 def run_json(argv, capsys, expect=0):
@@ -219,6 +221,24 @@ class TestTauber:
     def test_truncation_too_short(self, capsys):
         assert run(["tauber", "--oracle", "p1", "--X", "5000",
                     "--k", "2", "--T", "60"]) == 3
+
+    def test_values_equal_fresh_calls(self, capsys):
+        doc = run_json(["tauber", "--oracle", "zeta2", "--X", "1e3",
+                        "--k", "3"], capsys)
+        oracle = builtin_oracle("zeta2")
+        assert doc["phi_k"] == perron_phi_k(oracle, None, 1e3, 3)
+        lo, hi = descend_k(lambda Y: perron_phi_k(oracle, None, Y, 3), 3,
+                           1e3)
+        brackets = doc["brackets"]
+        assert (brackets["lower"], brackets["upper"]) == (lo, hi)
+
+    def test_oversized_direct_sum_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e12",
+                    "--k", "3"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "1000000000000" in err and str(MAX_DIRECT_TERMS) in err
 
 
 class TestFibration:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from manin_toric import fourier
 from manin_toric.fourier import (
     FourierError,
+    _poisson_line,
     arch_transform,
     cf_extract,
     finite_transform,
@@ -17,7 +19,7 @@ from manin_toric.fourier import (
     rademacher_sweep,
     zeta_line,
 )
-from manin_toric.latticefan import builtin_fan, pl_evaluate
+from manin_toric.latticefan import builtin_fan, make_fan, pl_evaluate
 from manin_toric.toric import archimedean_volume
 
 P1 = builtin_fan("p1")
@@ -184,6 +186,24 @@ class TestPoisson:
         assert len(rep.factors) == 2
         assert rep.rhs == pytest.approx(rep.factors[0].rhs * rep.factors[1].rhs)
         assert rep.lhs == pytest.approx(2.4425061413**2, rel=1e-4)
+
+    @pytest.mark.parametrize("lam,lines", [(None, 1), ((2, 3, 2.5, 2), 2)])
+    def test_product_evaluates_each_lambda_pair_once(self, monkeypatch, lam,
+                                                     lines):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _poisson_line(*args)
+
+        monkeypatch.setattr(fourier, "_poisson_line", counted)
+        rep = poisson_check(P1XP1, lam=lam, T=100.0, pmax=100, B0=100.0)
+        assert len(calls) == lines
+        assert [f.fan_name for f in rep.factors] == ["p1xp1[0]", "p1xp1[1]"]
+        # the second factor, copied or not, equals a line computed afresh
+        sub = make_fan(1, [[1], [-1]], [[0], [1]], name="p1xp1[1]")
+        assert rep.factors[1] == _poisson_line(sub, rep.factors[1].lam,
+                                               100.0, 100, 100.0, 4.0)
 
     def test_unsupported_fan_rejected(self):
         with pytest.raises(FourierError):

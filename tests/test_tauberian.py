@@ -9,8 +9,11 @@ from manin_toric.latticefan import builtin_fan
 from manin_toric.counting import count_points
 from manin_toric.tauberian import (
     EULER_GAMMA,
+    DirichletOracle,
+    PerronLine,
     PoleData,
     TauberianError,
+    _panel_edges,
     builtin_oracle,
     compare,
     contour_independence,
@@ -60,6 +63,12 @@ class TestOracles:
     def test_divisor_sums(self):
         assert ZETA2.phi_direct(100.0, 0) == 482.0
         assert ZETA2.phi_direct(1e5, 0) == 1166750.0
+
+    def test_oversized_direct_sum_refused(self):
+        with pytest.raises(TauberianError, match="1000000000000"):
+            ZETA2.phi_direct(1e12, 0)
+        with pytest.raises(TauberianError, match="cap"):
+            ZETA.phi_direct(float("inf"), 1)
 
     def test_floor_count(self):
         assert ZETA.phi_direct(1000.0, 0) == 1000.0
@@ -126,6 +135,39 @@ class TestPerron:
         # zeta2 declares kappa = 1, so phi_1 is out of reach on a line
         with pytest.raises(TauberianError):
             perron_phi_k(ZETA2, None, 100.0, 1)
+
+
+class TestPerronLine:
+    @pytest.mark.parametrize("oracle", [ZETA2, P1O], ids=["zeta2", "p1"])
+    def test_shared_line_equals_fresh_calls(self, oracle):
+        X, eta = 1000.0, 1000.0**-0.5
+        line = PerronLine(oracle, None, 3, T=150.0)
+        for Y in (X, X * (1 - eta), X * (1 + eta), X):
+            assert line(Y) == perron_phi_k(oracle, None, Y, 3, T=150.0)
+
+    def test_descent_samples_share_the_tail_and_node_sets(self):
+        line = PerronLine(ZETA2, None, 3)
+        line(1000.0)
+        descend_k(line, 3, 1000.0)
+        eta = 1000.0**-0.5
+        edges = {_panel_edges(300.0, Y)
+                 for Y in (1000.0 * (1 - eta), 1000.0, 1000.0 * (1 + eta))}
+        assert line.stats == {"node_sets": len(edges),
+                              "points": sum(12 * (e - 1) for e in edges),
+                              "tail_samples": 4}
+
+    def test_rejects_k_before_evaluating(self):
+        calls = []
+
+        def spy(f):
+            return lambda s: calls.append(s) or f(s)
+
+        oracle = DirichletOracle("spy", ZETA2.pole, spy(ZETA2._evaluate),
+                                 ZETA2._coefficients,
+                                 spy(ZETA2._evaluate_vec))
+        with pytest.raises(TauberianError, match="kappa"):
+            PerronLine(oracle, None, 1)
+        assert calls == []
 
 
 class TestResidue:
