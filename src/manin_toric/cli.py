@@ -428,8 +428,7 @@ def _cmd_tauber(args):
                        f"exponent kappa = {pole.kappa}")
     X, k = args.X, args.k
     # the direct sums refuse an oversized X before any integral is taken
-    direct_km1 = oracle.phi_direct(X, k - 1)
-    N = oracle.phi_direct(X, 0)
+    direct_km1, N = oracle.phi_direct(X, (k - 1, 0))
     try:
         line = PerronLine(oracle, pole, k, T=args.T, tol=args.tol)
         phi_k = line(X)

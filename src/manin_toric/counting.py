@@ -24,7 +24,7 @@ import numpy as np
 
 from .heights import ValuationProfile
 from .latticefan import Fan, PLFunction
-from .primes import primes_up_to
+from .primes import primes_up_to, totient_table
 from .toric import LeadingConstant, leading_constant
 
 
@@ -62,9 +62,11 @@ def _is_symmetric(fan: Fan, lam_ints) -> bool:
 
 
 def _candidates(pl: PLFunction, kmax: int):
-    """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, pairings)
+    """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, pairings, s)
     sorted by phi then lexicographically; pairings = pl.pairings(n), what
-    n adds per unit of log p to the vector the DFS carries."""
+    n adds per unit of log p to the vector the DFS carries, and, for
+    convex phi, s is the cone of -n, where <m_s, n> is smallest (0
+    otherwise)."""
     fan = pl.fan
     d = fan.dim
     found = {}
@@ -79,8 +81,12 @@ def _candidates(pl: PLFunction, kmax: int):
             n = tuple(sum(a * rays[i][k] for i, a in enumerate(coords))
                       for k in range(d))
             found.setdefault(n, phi)
-    out = sorted((phi, n) for n, phi in found.items())
-    return [(phi, n, pl.pairings(n)) for phi, n in out]
+    out = []
+    for phi, n in sorted((phi, n) for n, phi in found.items()):
+        P = pl.pairings(n)
+        s = min(range(len(P)), key=P.__getitem__) if pl.is_convex else 0
+        out.append((phi, n, P, s))
+    return out
 
 
 def _lex_positive(n) -> bool:
@@ -103,80 +109,53 @@ def _int_nth_root(Bq: Fraction, s: int) -> int:
     return T
 
 
-def _count_dim1(lam_ints, Bqs, root_filter=None, visitor=None):
-    """Exact integer engine for d = 1 fans (rays +1 and -1).
+def _count_dim1(lam_ints, Bqs):
+    """Closed-form count for d = 1 fans (rays +1 and -1).
 
-    The height of a/b in lowest terms is max(a, b)^(l+ + l-), so each
-    bound is an integer box constraint max(a, b) <= T_i and the whole
-    search runs on machine integers.  Returns, per bound of the
-    ascending Bqs (all >= 1), the number of accepted profiles
-    (signless); each corresponds to 2 points.
+    The height of a/b in lowest terms is max(a, b)^(l+ + l-), so the
+    profiles within a bound are the coprime pairs 1 <= a, b <= T_i, and
+    there are 2 Phi(T_i) - 1 of them, Phi the summatory totient function
+    (the one-dimensional case of the Moebius-inverted torsor count).
+    Returns, per bound of the ascending Bqs (all >= 1), the number of
+    signless profiles; each corresponds to 2 points.
     """
     s = sum(lam_ints)
     Ts = [_int_nth_root(Bq, s) for Bq in Bqs]
-    T = Ts[-1]
-    primes = [int(p) for p in primes_up_to(T)]
-    nprimes = len(primes)
-    bins = [0] * len(Ts)
-    stack = []
-
-    def rec(i0, a, b):
-        for i in range(i0, nprimes):
-            p = primes[i]
-            na = a * p
-            nb = b * p
-            if na > T and nb > T:
-                break
-            if i0 == 0 and root_filter is not None and not root_filter(i):
-                continue
-            e = 1
-            while na <= T:
-                j = bisect_left(Ts, na if na > b else b)
-                bins[j] += 1
-                if visitor is not None:
-                    stack.append((p, (e,)))
-                    visitor(tuple(stack), 1, j)
-                rec(i + 1, na, b)
-                if visitor is not None:
-                    stack.pop()
-                na *= p
-                e += 1
-            e = 1
-            while nb <= T:
-                j = bisect_left(Ts, nb if nb > a else a)
-                bins[j] += 1
-                if visitor is not None:
-                    stack.append((p, (-e,)))
-                    visitor(tuple(stack), 1, j)
-                rec(i + 1, a, nb)
-                if visitor is not None:
-                    stack.pop()
-                nb *= p
-                e += 1
-
-    if root_filter is None:
-        bins[0] += 1   # the unit profile, height 1
-    rec(0, 1, 1)
-    return list(accumulate(bins))
+    Phi = np.cumsum(totient_table(Ts[-1]))
+    return [2 * int(Phi[T]) - 1 for T in Ts]
 
 
 _MARGIN = 1e-9
+# what _count_general counts: children whose carried vector it built,
+# children skipped by the one-cone archimedean bound, accepted nodes and
+# exact re-decisions of nodes within _MARGIN of a bound
+_STATS = ("built", "skipped", "accepted", "redecided")
+
+
+def _add_stats(into: dict, part: dict) -> None:
+    for key, n in part.items():
+        into[key] = into.get(key, 0) + n
 
 
 def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
-                   root_filter=None, visitor=None):
+                   root_filter=None, visitor=None, stats=None):
     """DFS engine for any dimension.  One pass, sized by the largest of
     the ascending bounds Bqs (all >= 1), serves them all: each accepted
     profile goes to the bin of the first bound it satisfies, and the
     visitor, if any, gets that bin's index.  Returns per bound the
     accepted profile count, with lex-positive first vectors counted
     double when halve is set (profile negation preserves heights for
-    symmetric data).
+    symmetric data).  The counts of _STATS are added into stats, a dict,
+    if given.
 
     The archimedean term phi(-v) of v = sum_p n_p log p is kept
     incrementally: each node adds log p times the candidate's pairings
     to its parent's carried vector, whose archimedean term is
     -min_sigma <m_sigma, v> when phi is convex and pl.arch otherwise.
+    For convex phi a child is skipped before its vector is built when
+    the one cone s of -n already puts it above the largest bound: the
+    term is at least -<m_s, v>, computed as the same float, so the bisect
+    would reject the child and the DFS would not extend it.
     """
     k = len(Bqs)
     logBs = [math.log(Bq.numerator) - math.log(Bq.denominator)
@@ -198,8 +177,10 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
 
     bins = [0] * k
     stack = []
+    built = skipped = accepted = redecided = 0
 
     def rec(i0, F, logF, M, at_root):
+        nonlocal built, skipped, accepted, redecided
         budget = logB - logF + _MARGIN
         table = half_cands if (halve and at_root) else cands
         for i in range(i0, nprimes):
@@ -209,13 +190,17 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
             if at_root and root_filter is not None and not root_filter(i):
                 continue
             p = primes[i]
-            for phi, n, P in table:
+            for phi, n, P, s in table:
                 if phi * lq > budget:
                     break
                 Fc = F * p ** phi
                 if Fc > intB:
                     continue
                 logFc = logF + phi * lq
+                if convex and logFc - (M[s] + lq * P[s]) - _MARGIN > logB:
+                    skipped += 1
+                    continue
+                built += 1
                 Mc = [m + lq * x for m, x in zip(M, P)]
                 logH = logFc - min(Mc) if convex else logFc + arch(Mc)
                 stack.append((p, n))
@@ -226,9 +211,11 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                     hi = bisect_left(logBs, logH + _MARGIN, lo)
                     j = lo
                     if lo < hi:
+                        redecided += 1
                         j = bisect_left(Bqs, pl.profile_height(stack),
                                         lo, hi)
                     if j < k:
+                        accepted += 1
                         bins[j] += weight
                         if visitor is not None:
                             visitor(tuple(stack), weight, j)
@@ -241,6 +228,9 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     if root_filter is None:
         bins[0] += 1   # the unit profile, height 1
     rec(0, 1, 0.0, pl.pairings((0,) * fan.dim), True)
+    if stats is not None:
+        _add_stats(stats, dict(zip(_STATS, (built, skipped, accepted,
+                                            redecided))))
     return list(accumulate(bins))
 
 
@@ -248,54 +238,50 @@ def _is_p1_like(fan: Fan) -> bool:
     return fan.dim == 1 and set(fan.rays) == {(1,), (-1,)}
 
 
-def _count_profiles(fan, lam_ints, Bqs, root_filter=None, visitor=None,
-                    force_general=False):
-    if _is_p1_like(fan) and not force_general:
-        if fan.rays[0] == (1,):
-            lpos, lneg = lam_ints
-        else:
-            lneg, lpos = lam_ints
-        return _count_dim1((lpos, lneg), Bqs, root_filter=root_filter,
-                           visitor=visitor)
-    halve = _is_symmetric(fan, lam_ints) and visitor is None
-    return _count_general(fan, lam_ints, Bqs, halve=halve,
-                          root_filter=root_filter, visitor=visitor)
-
-
 def _worker(args):
-    fan_json, lam_ints, bounds, nworkers, k, force_general = args
+    fan_json, lam_ints, bounds, nworkers, k = args
     from .latticefan import fan_from_json
     fan = fan_from_json(fan_json)
     Bqs = [Fraction(num, den) for num, den in bounds]
-    return _count_profiles(fan, tuple(lam_ints), Bqs,
-                           root_filter=lambda i: i % nworkers == k,
-                           force_general=force_general)
+    stats = {}
+    bins = _count_general(fan, tuple(lam_ints), Bqs,
+                          halve=_is_symmetric(fan, lam_ints),
+                          root_filter=lambda i: i % nworkers == k,
+                          stats=stats)
+    return bins, stats
 
 
 def _count_grid(fan: Fan, lam, bounds, threads: int = 1,
-                force_general: bool = False) -> list:
-    """N(B) for every B of the ascending bounds, from one enumeration;
-    with threads > 1 the root primes are split over one worker pool."""
+                force_general: bool = False, stats=None) -> list:
+    """N(B) for every B of the ascending bounds, from one enumeration, or
+    on P^1 from the closed form unless force_general is set; with
+    threads > 1 the root primes of the enumeration are split over one
+    worker pool.  The DFS counts are added into stats, if given."""
     lam_ints, L = _lambda_ints(fan, lam)
     Bqs = [Fraction(B) ** L for B in bounds]
     low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
     Bqs = Bqs[low:]
     if not Bqs:
         return [0] * low
-    if threads <= 1:
-        profiles = _count_profiles(fan, lam_ints, Bqs,
-                                   force_general=force_general)
+    if _is_p1_like(fan) and not force_general:
+        profiles = _count_dim1(lam_ints, Bqs)
+    elif threads <= 1:
+        profiles = _count_general(fan, lam_ints, Bqs,
+                                  halve=_is_symmetric(fan, lam_ints),
+                                  stats=stats)
     else:
         from .latticefan import fan_to_json
         import multiprocessing as mp
         src = fan_to_json(fan)
         fracs = [(Bq.numerator, Bq.denominator) for Bq in Bqs]
-        jobs = [(src, lam_ints, fracs, threads, k, force_general)
-                for k in range(threads)]
+        jobs = [(src, lam_ints, fracs, threads, k) for k in range(threads)]
         with mp.Pool(threads) as pool:
             parts = pool.map(_worker, jobs)
         # the unit profile is counted here, not by the workers
-        profiles = [1 + sum(col) for col in zip(*parts)]
+        profiles = [1 + sum(col) for col in zip(*(b for b, _ in parts))]
+        if stats is not None:
+            for _, part in parts:
+                _add_stats(stats, part)
     return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
@@ -314,14 +300,11 @@ def enumerate_bounded(fan: Fan, lam, B):
     d = fan.dim
     collected = []
 
-    def visit(stack, weight, _bin):
+    def visit(stack, _weight, _bin):
         collected.append(stack)
-        if weight == 2:
-            collected.append(tuple((p, tuple(-c for c in n))
-                                   for p, n in stack))
 
     if Bq >= 1:
-        _count_profiles(fan, lam_ints, [Bq], visitor=visit)
+        _count_general(fan, lam_ints, [Bq], halve=False, visitor=visit)
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
             yield ValuationProfile(dim=d, support=(), signs=signs)
@@ -340,6 +323,9 @@ class CountReport:
     predicted: list
     ratios: list
     constant: LeadingConstant | None = None
+    # the enumeration's _STATS counts, summed over workers; all 0 when
+    # the P^1 closed form counts
+    stats: dict = field(default_factory=dict)
 
     def rows(self):
         for B, N, pred, ratio in zip(self.bounds, self.counts,
@@ -355,13 +341,14 @@ def count_N(fan: Fan, lam, bounds, threads: int = 1,
     lam_values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     bs = sorted(float(b) for b in bounds)
     lc = leading_constant(fan, pmax=pmax)
-    counts = _count_grid(fan, lam, bs, threads=threads)
+    stats = dict.fromkeys(_STATS, 0)
+    counts = _count_grid(fan, lam, bs, threads=threads, stats=stats)
     predicted = [lc.predict(B) for B in bs]
     ratios = [(n / p if p > 0 else math.inf) for n, p in
               zip(counts, predicted)]
     return CountReport(fan_name=fan.name or "fan", lam=lam_values,
                        bounds=bs, counts=counts, predicted=predicted,
-                       ratios=ratios, constant=lc)
+                       ratios=ratios, constant=lc, stats=stats)
 
 
 def fit_asymptotic(report: CountReport, a: int, b: int):
@@ -418,18 +405,21 @@ def _zeta_partials(fan: Fan, lam, Bs) -> list:
     low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
     k = len(Bqs) - low
 
-    logp_cache = {}
     total = [complex(2 ** d)] * k  # unit profile: height 1, 2^d points
     npoints = [2 ** d] * k
 
     pl = PLFunction(fan, tuple(vals))
+    pl_of = {}   # pl(n) per candidate n, for this enumeration
 
     def visit(stack, weight, first):
         expo = 0j
         v = [0.0] * d
         for p, n in stack:
-            lp = logp_cache.setdefault(p, math.log(p))
-            expo += pl(n) * lp
+            lp = math.log(p)
+            f = pl_of.get(n)
+            if f is None:
+                f = pl_of[n] = pl(n)
+            expo += f * lp
             for c in range(d):
                 v[c] += n[c] * lp
         expo += pl(tuple(-x for x in v))
@@ -439,8 +429,7 @@ def _zeta_partials(fan: Fan, lam, Bs) -> list:
             npoints[j] += weight * 2 ** d
 
     if k:
-        _count_profiles(fan, rho, Bqs[low:], visitor=visit,
-                        force_general=True)
+        _count_general(fan, rho, Bqs[low:], halve=False, visitor=visit)
 
     r = len(fan.rays) - d
     out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)

@@ -103,22 +103,27 @@ class DirichletOracle:
         """c_1..c_N as arr[1..N]; arr[0] is unused padding."""
         return self._coefficients(int(N))
 
-    def phi_direct(self, X: float, k: int) -> float:
-        """Exact phi_k(X) by direct summation of the coefficients."""
+    def phi_direct(self, X: float, k):
+        """Exact phi_k(X) by direct summation of the coefficients.  For a
+        sequence of k, the list of phi_k(X), from one coefficient table."""
         if not X < MAX_DIRECT_TERMS + 1:
             raise TauberianError(
                 f"direct sum needs N = floor(X) = {X:.0f} terms, above the "
                 f"cap of {MAX_DIRECT_TERMS}"
             )
+        many = isinstance(k, (tuple, list))
+        ks = list(k) if many else [k]
         N = int(math.floor(X))
-        if N < 1:
-            return 0.0
-        c = self.coefficients(N).astype(float)
-        n = np.arange(0, N + 1, dtype=float)
-        n[0] = 1.0
-        weights = np.log(X / n) ** k if k else np.ones_like(n)
-        weights[0] = 0.0
-        return float(np.dot(c, weights))
+        out = [0.0] * len(ks)
+        if N >= 1:
+            c = self.coefficients(N).astype(float)
+            n = np.arange(0, N + 1, dtype=float)
+            n[0] = 1.0
+            for i, kk in enumerate(ks):
+                weights = np.log(X / n) ** kk if kk else np.ones_like(n)
+                weights[0] = 0.0
+                out[i] = float(np.dot(c, weights))
+        return out if many else out[0]
 
 
 def _coeff_one(N):

@@ -11,8 +11,8 @@ from manin_toric import cli
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
-from manin_toric.tauberian import (MAX_DIRECT_TERMS, builtin_oracle,
-                                   descend_k, perron_phi_k)
+from manin_toric.tauberian import (MAX_DIRECT_TERMS, DirichletOracle,
+                                   builtin_oracle, descend_k, perron_phi_k)
 
 
 def run_json(argv, capsys, expect=0):
@@ -231,6 +231,23 @@ class TestTauber:
                            1e3)
         brackets = doc["brackets"]
         assert (brackets["lower"], brackets["upper"]) == (lo, hi)
+
+    def test_one_coefficient_table(self, capsys, monkeypatch):
+        calls = []
+        table = DirichletOracle.coefficients
+
+        def counted(self, N):
+            calls.append(N)
+            return table(self, N)
+
+        monkeypatch.setattr(DirichletOracle, "coefficients", counted)
+        doc = run_json(["tauber", "--oracle", "zeta2", "--X", "1e3",
+                        "--k", "3"], capsys)
+        assert calls == [1000]
+        # both direct sums equal a separate call each
+        oracle = builtin_oracle("zeta2")
+        assert doc["brackets"]["target"] == oracle.phi_direct(1e3, 2)
+        assert doc["N"] == oracle.phi_direct(1e3, 0)
 
     def test_oversized_direct_sum_fails_fast(self, capsys):
         t0 = time.perf_counter()

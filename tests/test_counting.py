@@ -7,11 +7,15 @@ computed from cone monomials, and (for products) a fiberwise convolution
 of the d=1 oracle.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from manin_toric import counting
 from manin_toric.counting import (
@@ -25,6 +29,7 @@ from manin_toric.counting import (
     fit_asymptotic,
     zeta_partial,
 )
+from manin_toric.fibration import hirzebruch_fan
 from manin_toric.fourier import _extrapolate_direct
 from manin_toric.heights import global_height
 from manin_toric.latticefan import builtin_fan
@@ -92,7 +97,72 @@ def exact_height(fan, lam, point):
     return h
 
 
-def brute_set(fan, lam, B, coord_bound):
+def valuation(x, p):
+    e, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n //= p
+        e += 1
+    while d % p == 0:
+        d //= p
+        e -= 1
+    return e
+
+
+@functools.lru_cache(maxsize=None)
+def cone_functionals(fan, lam):
+    """The cone monomials of lambda, and those of each ray's indicator:
+    the coordinate of u along ray j in cone s is <coords[j][s], u>."""
+    r = len(fan.rays)
+    coords = [cone_monomials(fan, [int(i == j) for i in range(r)])
+              for j in range(r)]
+    return cone_monomials(fan, lam), coords
+
+
+def pl_height(fan, lam, point):
+    """Exact height for any positive integral lambda, convex or not: the
+    product over places v of exp(phi(u_v)), u_v = -log|x|_v, with
+    phi = <m_s, .> on a cone s containing u_v, found by the signs of u_v's
+    ray coordinates, decided in integers."""
+    monos, coords = cone_functionals(fan, tuple(lam))
+    xs = [Fraction(x) for x in point]
+
+    def monomial(sign):
+        # sign(c) has the sign of <c, u_v>
+        for s, cone in enumerate(fan.max_cones):
+            if all(sign(coords[j][s]) >= 0 for j in cone):
+                return monos[s]
+        raise AssertionError("no cone contains the vector")
+
+    def archimedean(c):
+        # exp(<c, u_inf>) = prod_i |x_i|^(-c_i) = num / den
+        num = den = 1
+        for x, ci in zip(xs, c):
+            a, b = abs(x.numerator), x.denominator
+            if ci < 0:
+                num, den = num * a ** -ci, den * b ** -ci
+            else:
+                num, den = num * b ** ci, den * a ** ci
+        return num, den
+
+    def arch_sign(c):
+        num, den = archimedean(c)
+        return num - den
+
+    h = Fraction(*archimedean(monomial(arch_sign)))
+    primes = {p for x in xs for y in (abs(x.numerator), x.denominator)
+              for p, _ in factorize(y)}
+    for p in primes:
+        # u_p = v_p(x) log p
+        u = [valuation(x, p) for x in xs]
+        m = monomial(lambda c: sum(a * b for a, b in zip(c, u)))
+        h *= Fraction(p) ** sum(a * b for a, b in zip(m, u))
+    return h
+
+
+@functools.lru_cache(maxsize=8)
+def box_heights(fan, lam, coord_bound, height):
+    """height(fan, lam, x) for every x in the box of coordinates a/b,
+    0 < |a| <= coord_bound, 1 <= b <= coord_bound."""
     grid = sorted(
         {
             Fraction(a, b)
@@ -101,21 +171,17 @@ def brute_set(fan, lam, B, coord_bound):
             if a
         }
     )
-    pts = set()
-
-    def rec(prefix):
-        if len(prefix) == fan.dim:
-            if exact_height(fan, lam, prefix) <= B:
-                pts.add(tuple(prefix))
-            return
-        for x in grid:
-            rec(prefix + [x])
-
-    rec([])
-    return pts
+    return {pt: height(fan, lam, pt)
+            for pt in itertools.product(grid, repeat=fan.dim)}
 
 
-def check_against_brute(fan, lam, B, coord_bound):
+def brute_set(fan, lam, B, coord_bound, height=exact_height):
+    return {pt for pt, h in
+            box_heights(fan, tuple(lam), coord_bound, height).items()
+            if h <= B}
+
+
+def check_against_brute(fan, lam, B, coord_bound, height=exact_height):
     got = {tuple(p.point()) for p in enumerate_bounded(fan, lam, B)}
     # saturation: nothing enumerated touches the grid boundary
     sat = max(
@@ -123,7 +189,7 @@ def check_against_brute(fan, lam, B, coord_bound):
         default=0,
     )
     assert sat < coord_bound
-    assert got == brute_set(fan, lam, B, coord_bound)
+    assert got == brute_set(fan, lam, B, coord_bound, height)
     assert count_points(fan, lam, B) == len(got)
     return got
 
@@ -305,6 +371,117 @@ class TestOnePass:
         calls.clear()
         _extrapolate_direct(P1XP1, (2, 2, 2, 2), 50.0, 2)
         assert calls == ["_count_general"]
+
+
+class TestClosedFormP1:
+    @pytest.mark.parametrize("lam", [(1, 1), (2, 1), (1, 3),
+                                     (Fraction(1, 2), Fraction(1, 4))],
+                             ids=["1-1", "2-1", "1-3", "half-quarter"])
+    def test_equals_dfs(self, lam):
+        # heights are max(a, b)^s, so T = t^den attains t^num; the bounds
+        # around those are where the integer root T_i turns over.  The
+        # DFS sieves the primes up to B^L, so B^L stays below 10^6.
+        s = sum(Fraction(v) for v in lam)
+        L = math.lcm(*(Fraction(v).denominator for v in lam))
+        grid = sorted(B for B in set(P1_GRID) | {t ** s.numerator + e
+                                                 for t in (2, 3, 5, 6)
+                                                 for e in (-1, 0, 1)}
+                      if B ** L <= 10**6)
+        assert len(grid) >= 10
+        for B in grid:
+            assert (count_points(P1, lam, B)
+                    == count_points(P1, lam, B, force_general=True))
+
+    def test_threads_start_no_pool(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        want = _count_grid(P1, (1, 1), P1_GRID)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        assert _count_grid(P1, (1, 1), P1_GRID, threads=2) == want
+        assert count_N(P1, (1, 1), P1_GRID, threads=2,
+                       pmax=1000).counts == want
+
+
+class TestEngineStats:
+    def test_skip_fires_and_counts_add_up(self):
+        for fan in (P2, P1XP1):
+            lam = (1,) * len(fan.rays)
+            report = count_N(fan, lam, [100, 1000], pmax=1000)
+            stats = report.stats
+            assert stats["skipped"] > 0
+            assert stats["built"] > stats["accepted"] > 0
+            # each accepted node stands for 2^d points, twice that when
+            # the symmetric data let the DFS halve
+            weight = 2 if fan is P1XP1 else 1
+            assert report.counts[-1] == 2 ** fan.dim * (
+                1 + weight * stats["accepted"])
+
+    def test_redecision_fires_at_attained_height(self):
+        assert count_N(P2, (1, 1, 1), [125], pmax=1000).stats[
+            "redecided"] > 0
+        assert count_N(P2, (1, 1, 1), [126], pmax=1000).stats[
+            "redecided"] == 0
+
+    def test_workers_sum_to_serial(self):
+        for fan, B in ((P2, 1000), (F1, 300)):
+            lam = (1,) * len(fan.rays)
+            serial = count_N(fan, lam, [B], pmax=1000).stats
+            assert count_N(fan, lam, [B], threads=2,
+                           pmax=1000).stats == serial
+
+    def test_closed_form_builds_nothing(self):
+        assert count_N(P1, (1, 1), [1000], pmax=1000).stats == {
+            "built": 0, "skipped": 0, "accepted": 0, "redecided": 0}
+
+    def test_stats_stay_out_of_the_artifact(self, capsys):
+        from manin_toric.cli import run
+        assert run(["count", "--fan", "builtin:p2", "--bounds",
+                    "100,1000"]) == 0
+        assert "skipped" not in capsys.readouterr().out
+
+
+# lambda >= 1 on every ray gives H_lambda >= H_rho pointwise, since ray
+# coordinates are nonnegative; every point of these fans with
+# H_rho <= RHO_CAP has numerators and denominators below RHO_BOX
+# (test_rho_box_saturated), so the box holds every point of height at
+# most RHO_CAP for every such lambda
+HIRZEBRUCH = [hirzebruch_fan(n) for n in range(4)]
+RHO_CAP = 30
+RHO_BOX = 7
+
+
+class TestPruneRandomized:
+    @pytest.mark.parametrize("n", range(4))
+    def test_rho_box_saturated(self, n):
+        fan = HIRZEBRUCH[n]
+        check_against_brute(fan, (1, 1, 1, 1), RHO_CAP, RHO_BOX,
+                            height=pl_height)
+        # the general oracle agrees with the convex one where both apply
+        if n <= 2:
+            assert (box_heights(fan, (1, 1, 1, 1), 4, pl_height)
+                    == box_heights(fan, (1, 1, 1, 1), 4, exact_height))
+
+    def test_general_oracle_non_convex_anchor(self):
+        # the float height of this point under the non-convex lambda
+        assert pl_height(F1, (1, 5, 1, 1), (Fraction(3, 2), 5)) == 421875
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              database=None)
+    @given(n=st.integers(0, 3), lam=st.tuples(*[st.integers(1, 3)] * 4),
+           pick=st.integers(0, 100), shift=st.sampled_from((0, -1, 1)))
+    # convex and non-convex phi, at an attained height
+    @example(n=1, lam=(1, 1, 1, 1), pick=5, shift=0)
+    @example(n=3, lam=(1, 1, 1, 1), pick=5, shift=0)
+    @example(n=1, lam=(1, 3, 1, 2), pick=0, shift=0)
+    def test_prune_loses_nothing(self, n, lam, pick, shift):
+        fan = HIRZEBRUCH[n]
+        box = box_heights(fan, lam, RHO_BOX, pl_height)
+        attained = sorted({h for h in box.values() if h <= RHO_CAP - 1})
+        B = attained[-1 - pick % len(attained)] + shift
+        check_against_brute(fan, lam, B, RHO_BOX, height=pl_height)
 
 
 class TestValidation:

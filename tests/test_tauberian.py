@@ -70,6 +70,13 @@ class TestOracles:
         with pytest.raises(TauberianError, match="cap"):
             ZETA.phi_direct(float("inf"), 1)
 
+    def test_several_k_equal_separate_calls(self):
+        for orc in (ZETA, ZETA2, P1O, ONE):
+            for X in (0.5, 1.0, 99.5, 2e3):
+                assert orc.phi_direct(X, (2, 0)) == [orc.phi_direct(X, 2),
+                                                     orc.phi_direct(X, 0)]
+                assert orc.phi_direct(X, [3]) == [orc.phi_direct(X, 3)]
+
     def test_floor_count(self):
         assert ZETA.phi_direct(1000.0, 0) == 1000.0
         assert ZETA.phi_direct(999.5, 0) == 999.0
