@@ -20,9 +20,9 @@ from .fibration import (FibrationConstant, FibrationError, FibrationPicard,
                         fibration_predicted_constant, fibration_zeta_partial,
                         hirzebruch_fan, hirzebruch_match, torsor_class,
                         twisted_fiber_height)
-from .fourier import (FourierError, PoissonReport, TransformValue,
-                      arch_transform, cf_extract, finite_transform,
-                      poisson_check, rademacher_sweep, zeta_line)
+from .fourier import (FourierError, PoissonReport, arch_transform,
+                      cf_extract, finite_transform, poisson_check,
+                      rademacher_sweep, zeta_line)
 from .heights import (AdelicOffset, ValuationProfile, character_pairing,
                       cone_monomials, exact_height, global_height,
                       local_height, make_offset, valuation_profile)
@@ -48,7 +48,6 @@ __all__ = [
     "PLFunction", "PerronLine", "PicardData", "PicardError",
     "PoissonReport", "PoleData", "PolyhedralCone", "QuotientChar",
     "SweepReport", "TamagawaResult", "TauberianError", "TorsorSpec",
-    "TransformValue",
     "ValuationProfile", "ZetaPartial", "alpha_constant",
     "arakelov_L_partial", "arch_transform", "archimedean_volume",
     "archimedean_volume_mc", "builtin_fan", "builtin_oracle",

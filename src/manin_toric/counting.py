@@ -109,23 +109,37 @@ def _int_nth_root(Bq: Fraction, s: int) -> int:
     return T
 
 
+def p1_height_counts(T: int) -> np.ndarray:
+    """c[h] for 0 <= h <= T: the number of torus points of P^1 whose
+    max-norm height max(|a|, |b|) is h, for a/b in lowest terms; 2 at
+    h = 1 (the points 1 and -1), 4 phi(h) above (a/b and b/a, each with
+    either sign, for the phi(h) numerators 1 <= a < h coprime to h)."""
+    c = 4 * totient_table(T)
+    if T >= 1:
+        c[1] = 2
+    return c
+
+
 def _count_dim1(lam_ints, Bqs):
     """Closed-form count for d = 1 fans (rays +1 and -1).
 
-    The height of a/b in lowest terms is max(a, b)^(l+ + l-), so the
-    profiles within a bound are the coprime pairs 1 <= a, b <= T_i, and
-    there are 2 Phi(T_i) - 1 of them, Phi the summatory totient function
-    (the one-dimensional case of the Moebius-inverted torsor count).
-    Returns, per bound of the ascending Bqs (all >= 1), the number of
-    signless profiles; each corresponds to 2 points.
+    The height of a/b in lowest terms is max(|a|, |b|)^(l+ + l-), so the
+    points within a bound are those of max-norm height at most T_i, and
+    half of them are signless profiles (the one-dimensional case of the
+    Moebius-inverted torsor count).  Returns, per bound of the ascending
+    Bqs (all >= 1), the number of signless profiles; each corresponds to
+    2 points.
     """
     s = sum(lam_ints)
     Ts = [_int_nth_root(Bq, s) for Bq in Bqs]
-    Phi = np.cumsum(totient_table(Ts[-1]))
-    return [2 * int(Phi[T]) - 1 for T in Ts]
+    N = np.cumsum(p1_height_counts(Ts[-1]))
+    return [int(N[T]) // 2 for T in Ts]
 
 
 _MARGIN = 1e-9
+# largest prime sieve _count_general builds: a bound whose sieve is larger
+# would need gigabytes and hours, so it is refused before any allocation
+_MAX_SIEVE = 10 ** 8
 # what _count_general counts: children whose carried vector it built,
 # children skipped by the one-cone archimedean bound, accepted nodes and
 # exact re-decisions of nodes within _MARGIN of a bound
@@ -170,6 +184,10 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
     c_min = cands[0][0] if cands else 1
     prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
+    if prime_limit > _MAX_SIEVE:
+        raise CountingError(
+            f"enumeration would sieve the primes up to {prime_limit} "
+            f"(B^L = {float(Bqs[-1]):.6g}), over the limit of {_MAX_SIEVE}")
     primes = [int(p) for p in primes_up_to(prime_limit)]
     logs = [math.log(p) for p in primes]
     nprimes = len(primes)
@@ -239,12 +257,9 @@ def _is_p1_like(fan: Fan) -> bool:
 
 
 def _worker(args):
-    fan_json, lam_ints, bounds, nworkers, k = args
-    from .latticefan import fan_from_json
-    fan = fan_from_json(fan_json)
-    Bqs = [Fraction(num, den) for num, den in bounds]
+    fan, lam_ints, Bqs, nworkers, k = args
     stats = {}
-    bins = _count_general(fan, tuple(lam_ints), Bqs,
+    bins = _count_general(fan, lam_ints, Bqs,
                           halve=_is_symmetric(fan, lam_ints),
                           root_filter=lambda i: i % nworkers == k,
                           stats=stats)
@@ -270,11 +285,8 @@ def _count_grid(fan: Fan, lam, bounds, threads: int = 1,
                                   halve=_is_symmetric(fan, lam_ints),
                                   stats=stats)
     else:
-        from .latticefan import fan_to_json
         import multiprocessing as mp
-        src = fan_to_json(fan)
-        fracs = [(Bq.numerator, Bq.denominator) for Bq in Bqs]
-        jobs = [(src, lam_ints, fracs, threads, k) for k in range(threads)]
+        jobs = [(fan, lam_ints, Bqs, threads, k) for k in range(threads)]
         with mp.Pool(threads) as pool:
             parts = pool.map(_worker, jobs)
         # the unit profile is counted here, not by the workers
@@ -294,7 +306,8 @@ def count_points(fan: Fan, lam, B, threads: int = 1,
 
 def enumerate_bounded(fan: Fan, lam, B):
     """Yield every point of height at most B as a ValuationProfile,
-    signs expanded (2^d per signless profile)."""
+    signs expanded: the 2^d sign copies of each signless profile in a
+    row."""
     lam_ints, L = _lambda_ints(fan, lam)
     Bq = Fraction(B) ** L
     d = fan.dim

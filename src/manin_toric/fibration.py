@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
-from .heights import (AdelicOffset, exact_height, global_height,
-                      make_offset, valuation_profile, character_pairing)
+from .counting import enumerate_bounded, p1_height_counts
+from .heights import AdelicOffset, exact_height, global_height, make_offset
 from .latticefan import Fan, PLFunction, builtin_fan
 from .primes import factorize
 from .ratlinalg import solve_fraction
@@ -136,23 +136,23 @@ def _exact_twisted_height(mu1: int, mu2: int, u: int, w: int,
     return Fraction(u) ** mu1 * Fraction(w) ** mu2 * arch
 
 
+def base_points(m: int) -> list:
+    """Coprime (b0, b1), b0 >= 1, b1 != 0, with max|.| = m, sorted: the
+    p1_height_counts(m)[m] torus points of P^1 of max-norm height m."""
+    if m == 1:
+        return [(1, -1), (1, 1)]
+    batch = []
+    for k in range(1, m):
+        if gcd(k, m) == 1:
+            batch += [(m, -k), (m, k), (k, -m), (k, m)]
+    return sorted(batch)
+
+
 def enumerate_base(Hmax: int):
     """Coprime (b0, b1), b0 >= 1, b1 != 0, max|.| <= Hmax, ordered by
     height then lexicographically: the Farey-style deterministic walk."""
     for m in range(1, int(Hmax) + 1):
-        batch = []
-        if m == 1:
-            batch = [(1, -1), (1, 1)]
-        else:
-            for b1 in range(1, m):
-                if gcd(m, b1) == 1:
-                    batch.append((m, -b1))
-                    batch.append((m, b1))
-            for b0 in range(1, m):
-                if gcd(b0, m) == 1:
-                    batch.append((b0, -m))
-                    batch.append((b0, m))
-        yield from sorted(batch)
+        yield from base_points(m)
 
 
 def _fiber_lambda(lam) -> tuple:
@@ -219,51 +219,59 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
     octave_hi = 0.0
     octave_lo = 0.0
     n_points = 0
-    if Bq >= 1:
-        for b0, b1 in enumerate_base(isqrt(int(Bq))):
-            H1 = max(abs(b0), abs(b1))
-            H1q = Fraction(H1)
-            Bf = Bq / H1q ** 2
-            if Bf < 1:
-                continue
-            S = H1q ** n
-            base_factor = float(H1) ** -a
-            u_max = isqrt(int(Bf / S)) if Bf >= S else 0
-            w_max = isqrt(int(Bf * S))
-            fiber_terms = []
-            for u in range(1, u_max + 1):
-                Su2 = S * u * u
-                for w in range(1, w_max + 1):
-                    if gcd(u, w) != 1:
-                        continue
-                    cut = max(Su2, Fraction(w * w) / S)
-                    if cut > Bf:
-                        continue
-                    total_height = H1q ** 2 * cut
-                    if exact_mu:
-                        hf = _exact_twisted_height(mu1i, mu2i, u, w, S)
-                        summand = base_factor / float(hf)
-                    else:
-                        A = float(S) * u / w
-                        la = math.log(A)
-                        arch = math.exp(-float(mu[0]) * la if la <= 0
-                                        else float(mu[1]) * la)
-                        summand = base_factor / (
-                            u ** float(mu[0]) * w ** float(mu[1]) * arch)
-                    # both signs of the fiber coordinate, same heights
-                    heights.append(total_height)
-                    heights.append(total_height)
-                    fiber_terms.append(2.0 * summand)
-                    n_points += 2
-                    hflt = float(total_height)
-                    if hflt > float(Bq) / 2:
-                        octave_hi += 2.0 * summand
-                    elif hflt > float(Bq) / 4:
-                        octave_lo += 2.0 * summand
-            if fiber_terms:
-                fsum = math.fsum(fiber_terms)
-                terms.append(fsum)
-                base_rows.append((b0, b1, H1, len(fiber_terms) * 2, fsum))
+    # the fiber over b depends on b only through H1 = max|b|: build it
+    # once per height, then add it once per base point of that height
+    for H1 in range(1, (isqrt(int(Bq)) if Bq >= 1 else 0) + 1):
+        H1q = Fraction(H1)
+        Bf = Bq / H1q ** 2
+        S = H1q ** n
+        base_factor = float(H1) ** -a
+        u_max = isqrt(int(Bf / S)) if Bf >= S else 0
+        w_max = isqrt(int(Bf * S))
+        fiber_terms = []
+        fiber_heights = []
+        hi_terms = []
+        lo_terms = []
+        for u in range(1, u_max + 1):
+            Su2 = S * u * u
+            for w in range(1, w_max + 1):
+                if gcd(u, w) != 1:
+                    continue
+                cut = max(Su2, Fraction(w * w) / S)
+                if cut > Bf:
+                    continue
+                total_height = H1q ** 2 * cut
+                if exact_mu:
+                    hf = _exact_twisted_height(mu1i, mu2i, u, w, S)
+                    summand = base_factor / float(hf)
+                else:
+                    A = float(S) * u / w
+                    la = math.log(A)
+                    arch = math.exp(-float(mu[0]) * la if la <= 0
+                                    else float(mu[1]) * la)
+                    summand = base_factor / (
+                        u ** float(mu[0]) * w ** float(mu[1]) * arch)
+                # both signs of the fiber coordinate, same heights
+                fiber_heights += [total_height, total_height]
+                fiber_terms.append(2.0 * summand)
+                hflt = float(total_height)
+                if hflt > float(Bq) / 2:
+                    hi_terms.append(2.0 * summand)
+                elif hflt > float(Bq) / 4:
+                    lo_terms.append(2.0 * summand)
+        if not fiber_terms:
+            continue
+        fsum = math.fsum(fiber_terms)
+        for b0, b1 in base_points(H1):
+            heights += fiber_heights
+            n_points += len(fiber_heights)
+            # in point order, as the tail estimate's last bits depend on it
+            for t in hi_terms:
+                octave_hi += t
+            for t in lo_terms:
+                octave_lo += t
+            terms.append(fsum)
+            base_rows.append((b0, b1, H1, len(fiber_heights), fsum))
     value = math.fsum(terms)
     if octave_lo > 0 and octave_hi < octave_lo:
         r = octave_hi / octave_lo
@@ -284,28 +292,39 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
 def direct_zeta_partial(fan: Fan, lam, B):
     """Exact enumeration reference: sorted anticanonical height multiset
     and the corresponding sum of H_lam^-1 over the torus of the fan."""
-    from .counting import enumerate_bounded
-
     rho = (1,) * len(fan.rays)
     pl_rho = PLFunction(fan, rho)
     pl_lam = pl_rho if tuple(lam) == rho else PLFunction(fan, tuple(lam))
     heights = []
     terms = []
-    n = 0
+    support = None
     for prof in enumerate_bounded(fan, rho, B):
-        hcut = exact_height(fan, pl_rho, prof)
-        hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam, prof)
+        # the 2^d sign copies of a profile come in a row, and heights do
+        # not depend on signs: compute them once per signless profile
+        if prof.support != support:
+            support = prof.support
+            hcut = exact_height(fan, pl_rho, prof)
+            hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam,
+                                                               prof)
+            term = 1.0 / float(hsum)
         heights.append(hcut)
-        terms.append(1.0 / float(hsum))
-        n += 1
+        terms.append(term)
     heights.sort()
-    return tuple(heights), math.fsum(sorted(terms)), n
+    return tuple(heights), math.fsum(terms), len(heights)
 
 
 def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
     """Truncated Arakelov L-sum over the base:
     sum over b in P^1(Q), max-norm height <= H, of the inverse character
     of the torsor class times the base height to the power -a.
+
+    The character at b is H(b)^(i twist m): its finite part, -twist times
+    the orders of b's trivializing coordinate, and its archimedean part,
+    -twist times log(max|b| / that coordinate), add up to -twist log H(b)
+    on either section.  So the sum is 2 (the two boundary points, where
+    the torsor is trivial) plus sum_h c(h) h^-(a + i twist m), c the
+    p1_height_counts, whose limit is 4 zeta(s-1)/zeta(s) at
+    s = a + i twist m.
 
     Needs a > 2: the base count grows quadratically in the max-norm."""
     a = float(a)
@@ -314,20 +333,12 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
     H = float(H)
     if H < 1:
         return 0j
-    unit = valuation_profile((1,))
-    fan = spec.fiber_fan
-    mm = (float(m),)
-    total = []
-    # the two boundary points of the base, height 1, live on one chart
-    for b in ((1, 0), (0, 1)):
-        chi = character_pairing(fan, mm, unit, offset=torsor_class(spec, b))
-        total.append(chi.conjugate())
-    for b in enumerate_base(int(H)):
-        h1 = max(abs(b[0]), abs(b[1]))
-        chi = character_pairing(fan, mm, unit, offset=torsor_class(spec, b))
-        total.append(chi.conjugate() * h1 ** -a)
-    real = math.fsum(t.real for t in total)
-    imag = math.fsum(t.imag for t in total)
+    s = complex(a, spec.twist * float(m))
+    total = [2.0]
+    for h, c in enumerate(p1_height_counts(int(H))[1:].tolist(), 1):
+        total.append(c * h ** -s)
+    real = math.fsum(x.real for x in total)
+    imag = math.fsum(x.imag for x in total)
     return complex(real, imag)
 
 

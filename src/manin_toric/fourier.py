@@ -27,7 +27,6 @@ from .primes import primes_up_to
 
 __all__ = [
     "FourierError",
-    "TransformValue",
     "arch_transform",
     "finite_transform",
     "cf_extract",
@@ -40,16 +39,6 @@ __all__ = [
 
 class FourierError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TransformValue:
-    """One local transform evaluation: place, parameters, value."""
-
-    place: str
-    lam: tuple
-    m: tuple
-    value: complex
 
 
 def _lam_complex(fan: Fan, lam, min_re: float = 0.0) -> tuple[complex, ...]:

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .ratlinalg import det_fraction
 
 
 class FanFormatError(ValueError):
@@ -38,27 +40,6 @@ class FanValidationError(ValueError):
 
 
 Vector = tuple[int, ...]
-
-
-def _det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small integer matrix, exactly (Bareiss)."""
-    n = len(mat)
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -87,19 +68,6 @@ def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
             row.append(int(v))
         inv.append(tuple(row))
     return tuple(inv)
-
-
-def _gcd_vec(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = _gcd(g, abs(x))
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -386,7 +354,7 @@ def validate_fan(fan: Fan, samples: int = 200, seed: int = 0) -> None:
             raise FanValidationError(f"ray {r} has wrong dimension")
         if all(x == 0 for x in r):
             raise FanValidationError("zero vector cannot be a ray")
-        if _gcd_vec(r) != 1:
+        if math.gcd(*r) != 1:
             raise FanValidationError(f"ray {r} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         raise FanValidationError("duplicate rays")
@@ -397,7 +365,7 @@ def validate_fan(fan: Fan, samples: int = 200, seed: int = 0) -> None:
     if len(set(tuple(sorted(c)) for c in fan.max_cones)) != len(fan.max_cones):
         raise FanValidationError("duplicate maximal cones")
     for cone, mat in zip(fan.max_cones, fan.cone_matrices):
-        det = _det_int(mat)
+        det = int(det_fraction(mat))
         if abs(det) != 1:
             raise FanValidationError(
                 f"maximal cone {cone} is not unimodular (det={det})")

@@ -22,8 +22,9 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
+from .counting import p1_height_counts
 from .fourier import zeta_line
-from .primes import divisor_count_table, totient_table
+from .primes import divisor_count_table
 
 __all__ = [
     "TauberianError",
@@ -146,15 +147,11 @@ def _coeff_zeta2(N):
 
 
 def _coeff_p1(N):
-    # height values on the torus of P^1 are squares h^2, with 2 points of
-    # height 1 and 4*phi(h) of height h^2 for h >= 2
+    # anticanonical heights on the torus of P^1 are the squares h^2 of
+    # the max-norm heights h
     arr = np.zeros(N + 1)
     T = math.isqrt(N)
-    if T >= 1:
-        phi = totient_table(T)
-        for h in range(1, T + 1):
-            arr[h * h] = 4.0 * float(phi[h])
-        arr[1] = 2.0
+    arr[np.arange(T + 1) ** 2] = p1_height_counts(T)
     return arr
 
 

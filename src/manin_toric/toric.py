@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import (PolyhedralCone, char_evaluate, char_function, dual_cone,
                     make_cone, quotient_char)
-from .latticefan import Fan, PLFunction
+from .latticefan import Fan, PLFunction, _inverse_unimodular
 from .primes import primes_up_to
 from .ratlinalg import smith_normal_form
 
@@ -77,7 +77,7 @@ def picard_data(fan: Fan) -> PicardData:
 
     # integral section: solve projection @ s_col = basis vector, using
     # the remaining degrees of freedom from the full unimodular U
-    Uinv = _int_inverse(U)
+    Uinv = _inverse_unimodular(U)
     section = tuple(tuple((-Uinv[j][d + i] if sum(U[d + i]) < 0
                            else Uinv[j][d + i]) for i in range(r))
                     for j in range(J))
@@ -87,25 +87,6 @@ def picard_data(fan: Fan) -> PicardData:
     return PicardData(fan=fan, rank=r, projection=projection,
                       section=section, anticanonical=anticanonical,
                       divisor_classes=classes, effective_cone=eff)
-
-
-def _int_inverse(U):
-    n = len(U)
-    M = [[Fraction(U[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = M[col][col]
-        M[col] = [x / scale for x in M[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[col])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[col])]
-    return [[int(x) for x in row] for row in inv]
 
 
 def _strictly_interior(cone: PolyhedralCone, point) -> bool:

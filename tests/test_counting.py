@@ -495,6 +495,17 @@ class TestValidation:
         with pytest.raises(CountingError):
             count_points(P1, (1, 1, 1), 10)
 
+    def test_oversized_sieve_refused_before_allocation(self, monkeypatch):
+        # B^L = 217^4: the DFS would sieve the primes up to 2,217,373,924
+        sieved = []
+        monkeypatch.setattr(counting, "primes_up_to", sieved.append)
+        with pytest.raises(CountingError, match=r"2217373924.*B\^L"):
+            count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217,
+                         force_general=True)
+        assert sieved == []
+        # the closed form needs no sieve and still answers
+        assert count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217) > 0
+
 
 class TestZetaPartial:
     def test_p1_totient_oracle(self):

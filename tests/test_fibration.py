@@ -5,15 +5,20 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 
+from manin_toric.counting import enumerate_bounded, p1_height_counts
 from manin_toric.fibration import (FibrationError, TorsorSpec,
-                                   arakelov_L_partial, direct_zeta_partial,
+                                   arakelov_L_partial, base_points,
+                                   direct_zeta_partial,
                                    enumerate_base, fibration_picard,
                                    fibration_predicted_constant,
                                    fibration_zeta_partial, hirzebruch_fan,
                                    hirzebruch_match, torsor_class,
                                    twisted_fiber_height)
+from manin_toric.heights import (character_pairing, exact_height,
+                                 valuation_profile)
 from manin_toric.latticefan import builtin_fan
 from manin_toric.toric import alpha_constant, leading_constant
 
@@ -126,6 +131,23 @@ class TestEnumerateBase:
     def test_deterministic(self):
         assert list(enumerate_base(25)) == list(enumerate_base(25))
 
+    def test_height_table_counts_base_points(self):
+        c = p1_height_counts(200)
+        assert c[0] == 0
+        for h in range(1, 201):
+            points = base_points(h)
+            assert len(points) == c[h]
+            assert all(max(abs(b0), abs(b1)) == h for b0, b1 in points)
+
+
+def sign_expanded_terms(fan, lam, B):
+    """(anticanonical height, H_lam^-1) of every torus point of the fan
+    with anticanonical height <= B, each sign enumerated, both heights
+    exact."""
+    rho = (1,) * len(fan.rays)
+    return [(exact_height(fan, rho, x), 1.0 / float(exact_height(fan, lam, x)))
+            for x in enumerate_bounded(fan, rho, B)]
+
 
 class TestFibrationZeta:
     # from n = 3 on the anticanonical phi of F_n is not convex
@@ -137,6 +159,33 @@ class TestFibrationZeta:
         assert fz.heights == heights
         assert fz.n_points == count
         assert fz.value == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("lam", [(1, 1, 1, 2), (2, 1, 3, 1)])
+    def test_direct_equals_sign_expanded_reference(self, n, lam):
+        fan = hirzebruch_fan(n)
+        for B in (0.5, 1, 60, 147):
+            points = sign_expanded_terms(fan, lam, B)
+            assert direct_zeta_partial(fan, lam, B) == (
+                tuple(sorted(h for h, _t in points)),
+                math.fsum(t for _h, t in points), len(points))
+
+    @pytest.mark.parametrize("n,lam,a,B", [(0, (2, 2), 4, 300),
+                                           (2, (1, 2), 2, 200),
+                                           (2, (1, 2), 2, 1000)])
+    def test_tail_estimate_from_direct_octaves(self, n, lam, a, B):
+        # the geometric tail of the last two octaves of the cut height,
+        # summed over the points of F_n: a/2 on the base rays (1, 0) and
+        # (-1, n), the fiber class on (0, 1) and (0, -1)
+        fz = fibration_zeta_partial(TorsorSpec(n), lam, a, B)
+        fan_lam = (a // 2, lam[0], a // 2, lam[1])
+        points = sign_expanded_terms(hirzebruch_fan(n), fan_lam, B)
+        hi = math.fsum(t for h, t in points if h > Fraction(B, 2))
+        lo = math.fsum(t for h, t in points
+                       if Fraction(B, 4) < h <= Fraction(B, 2))
+        assert hi < lo
+        r = hi / lo
+        assert fz.tail_estimate == pytest.approx(hi * r / (1 - r), rel=1e-12)
 
     def test_orientation_pinned_by_asymmetric_class(self):
         # the anticanonical multiset cannot see the sign of the twist;
@@ -193,7 +242,43 @@ class TestFibrationZeta:
             fibration_zeta_partial(TorsorSpec(1), "tau", 2, 100)
 
 
+def arakelov_per_point(spec, ms, H):
+    """Per m of ms, the terms (H(b), inverse torsor character at b) of
+    the Arakelov sum over the base points b of height <= H, the two
+    boundary points first, each character from b's adelic offset."""
+    base = [(1, (1, 0)), (1, (0, 1))] + [
+        (max(abs(b0), abs(b1)), (b0, b1)) for b0, b1 in enumerate_base(H)]
+    offsets = [(h, torsor_class(spec, b)) for h, b in base]
+    unit = valuation_profile((1,))
+    return {m: [(h, character_pairing(spec.fiber_fan, (float(m),), unit,
+                                      offset=off).conjugate())
+                for h, off in offsets]
+            for m in ms}
+
+
 class TestArakelov:
+    @pytest.mark.parametrize("twist", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("section", ["x0", "x1"])
+    def test_closed_form_equals_per_point_sum(self, twist, section):
+        spec = TorsorSpec(twist, section)
+        for m, terms in arakelov_per_point(spec, range(3), 24).items():
+            for a, H in ((2.5, 24), (4, 23.5), (5.5, 1), (3, 2)):
+                # the boundary points enter with weight 1
+                parts = [chi * (h ** -float(a) if i > 1 else 1.0)
+                         for i, (h, chi) in enumerate(terms) if h <= H]
+                want = complex(math.fsum(t.real for t in parts),
+                               math.fsum(t.imag for t in parts))
+                got = arakelov_L_partial(spec, a, m, H)
+                assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_limit_is_zeta_ratio(self):
+        # sum_b H(b)^-s over P^1(Q) is 4 zeta(s-1)/zeta(s), s = a + i n m
+        for spec, m in ((TorsorSpec(1), 1), (TorsorSpec(2), 1),
+                        (TorsorSpec(0), 0), (TorsorSpec(-1), 2)):
+            s = mpmath.mpc(4, spec.twist * m)
+            limit = complex(4 * mpmath.zeta(s - 1) / mpmath.zeta(s))
+            assert abs(arakelov_L_partial(spec, 4, m, 300) - limit) < 1e-4
+
     def test_trivial_character_real_positive(self):
         val = arakelov_L_partial(TorsorSpec(1), 4, 0, 300.0)
         assert val.imag == pytest.approx(0.0, abs=1e-12)

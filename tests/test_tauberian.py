@@ -13,6 +13,7 @@ from manin_toric.tauberian import (
     PerronLine,
     PoleData,
     TauberianError,
+    _coeff_p1,
     _panel_edges,
     builtin_oracle,
     compare,
@@ -89,7 +90,12 @@ class TestOracles:
 
     def test_p1_counts_match_counting_module(self):
         fan = builtin_fan("p1")
-        for B in (1, 4, 9, 100, 1000):
+        # prefix sums of the coefficient table against the DFS, which
+        # does not read the P^1 height table
+        prefix = np.cumsum(_coeff_p1(1000))
+        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 99, 100, 999, 1000):
+            assert prefix[B] == count_points(fan, (1, 1), B,
+                                             force_general=True)
             assert P1O.phi_direct(float(B), 0) == count_points(fan, (1, 1), B)
 
     def test_vectorized_evaluator_matches_scalar(self):
