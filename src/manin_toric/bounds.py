@@ -1,10 +1,15 @@
 """Empirical verification sweeps for four families of integral bounds.
 
-Each kind integrates a left-hand side by adaptive quadrature over a
-geometric parameter grid and divides by the conjectured right-hand
-shape.  The sweep passes when every ratio is finite and the supremum
-does not grow as the grid is extended by further decades: the bound
-constants are never derived, only exhibited.
+Each kind integrates a left-hand side over a geometric parameter grid
+and divides by the conjectured right-hand shape.  The sweep passes when
+every ratio is finite and the supremum does not grow as the grid is
+extended by further decades: the bound constants are never derived,
+only exhibited.
+
+Every integral uses one fixed, non-adaptive rule: 24-node Gauss-Legendre
+on geometrically graded pieces.  A finite stretch [p, q] is cut at
+p + 10^j and q - 10^j (and the alpha kind also at its kink), and a tail
+[lo, inf) at lo + 10^j for j = 0..40.
 
 Kinds
 -----
@@ -25,7 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the tail rule ends at lo + 10^_TAIL_DECADES; every integrand here
+# decays at least like t^-1.5, so what lies beyond is about 1e-20 of
+# the integrand's scale or less
+_TAIL_DECADES = 40
 
 
 @dataclass
@@ -49,20 +59,11 @@ def _decades(kmax: int) -> list[float]:
     return [10.0 ** k for k in range(kmax + 1)]
 
 
-def _tail_quad(f, lo: float) -> float:
-    # int_lo^inf f(t) dt for algebraically decaying f, mapped to (0,1]
-    # by t = lo/s; the endpoint singularity s^(alpha-1) is integrable
-    # and adaptive quadrature resolves it far better than a slow tail.
-    val, _ = quad(lambda s: f(lo / s) * lo / (s * s), 0, 1, limit=300)
-    return val
-
-
-def _quad_multiscale(f, p: float, q: float, limit: int = 300) -> float:
-    """Quadrature over [p, q] with geometric cuts from both endpoints.
+def _graded_cuts(p: float, q: float) -> set[float]:
+    """p, q and the geometric cuts p + 10^j, q - 10^j up to the midpoint.
 
     Integrands here vary over many decades near the endpoints and are
-    flat in between; handing quad the whole stretch triggers spurious
-    convergence warnings, so split at p + 10^j and q - 10^j first.
+    flat in between, so the pieces grow geometrically away from both.
     """
     cuts = {p, q}
     step = 1.0
@@ -70,13 +71,24 @@ def _quad_multiscale(f, p: float, q: float, limit: int = 300) -> float:
         cuts.add(p + step)
         cuts.add(q - step)
         step *= 10.0
-    total = 0.0
-    ordered = sorted(cuts)
-    for a, b in zip(ordered, ordered[1:]):
-        if b > a:
-            piece, _ = quad(f, a, b, limit=limit)
-            total += piece
-    return total
+    return cuts
+
+
+def _tail_cuts(lo: float) -> set[float]:
+    # graded from lo itself rather than lo * 10^j: the nearest kink of
+    # an omega integrand sits one unit below lo
+    return {lo} | {lo + 10.0 ** j for j in range(_TAIL_DECADES + 1)}
+
+
+def _integrate(f, cuts: set[float]) -> float:
+    """Composite Gauss-Legendre sum of f over the pieces between cuts.
+
+    f is evaluated once, on the array of all nodes of all pieces.
+    """
+    edges = np.array(sorted(cuts))
+    half = np.diff(edges)[:, None] / 2
+    nodes = edges[:-1, None] + half * (1 + _GL_NODES)
+    return float(np.dot((half * _GL_WEIGHTS).ravel(), f(nodes.ravel())))
 
 
 def _rows_plus(kmax: int):
@@ -85,11 +97,10 @@ def _rows_plus(kmax: int):
     for alpha, beta in exponents:
         for A in _decades(kmax):
             for B in _decades(kmax):
-                def f(t, A=A, B=B, alpha=alpha, beta=beta):
-                    return (A + t) ** -alpha * (B + t) ** -beta
-
                 cut = 10.0 * max(A, B)
-                lhs = _quad_multiscale(f, 0.0, cut) + _tail_quad(f, cut)
+                lhs = _integrate(
+                    lambda t: (A + t) ** -alpha * (B + t) ** -beta,
+                    _graded_cuts(0.0, cut) | _tail_cuts(cut))
                 shape = min(A, B) / (A ** alpha * B ** beta)
                 if alpha == 1.0 and B > A:
                     shape *= 1 + math.log(B / A)
@@ -105,9 +116,8 @@ def _rows_minus(kmax: int):
             for B in _decades(kmax):
                 if B <= 1:
                     continue
-                lhs, _ = quad(
-                    lambda u: (A + u) ** -alpha / (B - u),
-                    0, B - 1, limit=300)
+                lhs = _integrate(lambda u: (A + u) ** -alpha / (B - u),
+                                 _graded_cuts(0.0, B - 1))
                 shape = (1 + math.log(A)) / A ** alpha
                 yield {"alpha": alpha, "A": A, "B": B,
                        "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
@@ -118,16 +128,15 @@ def _rows_alpha(kmax: int):
     for alpha in (0.5, 0.8, 1.0):
         for A in _decades(kmax):
             for a in offsets:
-                def f(t, A=A, a=a, alpha=alpha):
-                    return (A + abs(t + a)) ** -alpha / (1 + t)
-
-                kink = -a if a < 0 else None
                 mid = max(10.0, abs(a) * 4, A * 4)
-                if kink is not None and kink < mid:
-                    head, _ = quad(f, 0, mid, points=[kink], limit=400)
+                if a < 0:
+                    # kink of |t + a| at t = -a < mid
+                    cuts = _graded_cuts(0.0, -a) | _graded_cuts(-a, mid)
                 else:
-                    head, _ = quad(f, 0, mid, limit=400)
-                lhs = head + _tail_quad(f, mid)
+                    cuts = _graded_cuts(0.0, mid)
+                lhs = _integrate(
+                    lambda t: (A + np.abs(t + a)) ** -alpha / (1 + t),
+                    cuts | _tail_cuts(mid))
                 shape = (1 + math.log(A)) / A ** alpha
                 yield {"alpha": alpha, "A": A, "a": a,
                        "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
@@ -135,21 +144,19 @@ def _rows_alpha(kmax: int):
 
 def _omega_lhs(tvec, A, eps):
     def f(t):
-        val = (1 + A + abs(t)) ** -(1 - eps)
+        val = (1 + A + np.abs(t)) ** -(1 - eps)
         for tj in tvec:
-            val /= 1 + abs(t - tj)
+            val = val / (1 + np.abs(t - tj))
         return val
 
     pts = sorted(set([0.0] + list(tvec)))
     lo, hi = pts[0] - 1.0, pts[-1] + 1.0
-    total = 0.0
+    # both tails graded away from the outermost kinks
+    cuts = {-c for c in _tail_cuts(-lo)} | _tail_cuts(hi)
     segs = [lo] + pts + [hi]
     for p, q in zip(segs, segs[1:]):
-        if q > p:
-            total += _quad_multiscale(f, p, q)
-    total += _tail_quad(lambda u: f(-u), abs(lo))
-    total += _tail_quad(f, hi)
-    return total
+        cuts |= _graded_cuts(p, q)
+    return _integrate(f, cuts)
 
 
 def _rows_omega(kmax: int):

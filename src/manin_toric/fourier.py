@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .counting import _zeta_partials
 from .latticefan import Fan
@@ -260,14 +259,12 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
 
     # Beyond T the zeta product averages to zeta(la+lb) over long windows
     # (diagonal terms of the double Dirichlet series); the oscillatory
-    # remainder integrates to O(1/T^2).
+    # remainder integrates to O(1/T^2).  The archimedean factor left over
+    # integrates in closed form: int_T^inf Re(1/(la+it) + 1/(lb-it)) dt
+    # = atan(la/T) + atan(lb/T), for la, lb > 0.
     zs = float(zeta_line(la + lb).real)
     mean_f = (cf0 * zs).real
-    tail = 2.0 * quad(
-        lambda t: (1.0 / (la + 1j * t) + 1.0 / (lb - 1j * t)).real,
-        T,
-        np.inf,
-    )[0] * 2.0 * mean_f
+    tail = 4.0 * mean_f * (math.atan(la / T) + math.atan(lb / T))
 
     # conjugate-symmetry residual: evaluate both half-lines on a coarse
     # grid without assuming symmetry

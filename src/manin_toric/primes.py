@@ -20,21 +20,25 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (p, exponent)."""
+    """Prime factorization of n >= 1 as a sorted list of (p, exponent).
+
+    Trial division by 2, then by odd d while d * d <= m, m the cofactor
+    still to split.  No sieve: the callers factor one coordinate per
+    point.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
     m = n
-    for p in primes_up_to(int(n ** 0.5) + 1):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
             k = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 k += 1
-            out.append((p, k))
+            out.append((d, k))
+        d += 1 if d == 2 else 2
     if m > 1:
         out.append((m, 1))
     return out

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from manin_toric.bounds import verify_integral_bounds, _omega_lhs
@@ -35,11 +36,53 @@ def test_plus_closed_form_row():
 
 def test_minus_closed_form_row():
     # alpha=1: (1/(A+B)) * (log(A+B-1) - log(A/B)).
-    rep = verify_integral_bounds("minus", base_decades=2, extend_decades=0)
+    rep = verify_integral_bounds("minus", base_decades=8, extend_decades=0)
+    for A, B in ((10.0, 100.0), (10.0, 1e8)):
+        row = next(r for r in rep.rows
+                   if r["alpha"] == 1.0 and r["A"] == A and r["B"] == B)
+        exact = (math.log(A + B - 1) - math.log(A / B)) / (A + B)
+        assert row["lhs"] == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_plus_far_row_closed_form():
+    # A = B: int_0^inf (A+t)^-(alpha+beta) dt = A^(1-alpha-beta)/(alpha+beta-1)
+    rep = verify_integral_bounds("plus", base_decades=8, extend_decades=0)
     row = next(r for r in rep.rows
-               if r["alpha"] == 1.0 and r["A"] == 10.0 and r["B"] == 100.0)
-    exact = (math.log(109.0) - math.log(0.1)) / 110.0
-    assert abs(row["lhs"] - exact) < 1e-10
+               if r["alpha"] == 1.5 and r["beta"] == 1.0
+               and r["A"] == 1e8 and r["B"] == 1e8)
+    assert row["lhs"] == pytest.approx(1e8 ** -1.5 / 1.5, rel=1e-10,
+                                       abs=0.0)
+
+
+def test_alpha_kinked_row_against_mpmath():
+    # alpha=1, A=1e8, a=-1e5: the kink of |t+a| sits at t=1e5
+    rep = verify_integral_bounds("alpha", base_decades=8, extend_decades=0)
+    row = next(r for r in rep.rows
+               if r["alpha"] == 1.0 and r["A"] == 1e8 and r["a"] == -1e5)
+    with mp.workdps(25):
+        A, a = mp.mpf(10) ** 8, -mp.mpf(10) ** 5
+        ref = mp.quad(lambda t: 1 / ((A + abs(t + a)) * (1 + t)),
+                      [0, 1, 10, 100, 1e3, 1e4, -a, 1e6, 1e7, A, 1e9, 1e10,
+                       mp.inf])
+    assert float(ref) == pytest.approx(1.84170924259981e-07, rel=1e-13,
+                                       abs=0.0)
+    assert row["lhs"] == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+def test_omega_far_row_against_mpmath():
+    # eps=0.3, T=1e8, A=1e4, t=(0, T): kinks at 0 and T, one unit
+    # inside the tails
+    lhs = _omega_lhs((0.0, 1e8), 1e4, 0.3)
+    with mp.workdps(25):
+        T, A, e = mp.mpf(10) ** 8, mp.mpf(10) ** 4, mp.mpf("0.3")
+        ref = mp.quad(lambda t: (1 + A + abs(t)) ** (e - 1)
+                      / ((1 + abs(t)) * (1 + abs(t - T))),
+                      [-mp.inf, -1e9, -1e6, -1e4, -100, -1, 0, 1, 100, 1e4,
+                       1e6, T - 1e6, T - 100, T - 1, T, T + 1, T + 100,
+                       T + 1e6, 1e9, mp.inf])
+    assert float(ref) == pytest.approx(3.13171627582965e-10, rel=1e-13,
+                                       abs=0.0)
+    assert lhs == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
 def test_omega_example_bounded_at_zero_shift():

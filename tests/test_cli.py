@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,27 @@ class TestBoundsSweep:
         assert code == 0
         assert out.splitlines()[0] == \
             "kind,sup_base,sup_extended,stable,passed,n_rows"
+
+
+def test_cli_never_loads_scipy():
+    # scipy's import costs more than most CLI runs; the package must
+    # reach its quadratures without it, on the two subcommands that
+    # integrate numerically as well as at import
+    script = """
+import contextlib, io, sys
+from manin_toric import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["bounds-sweep", "--kind", "omega", "--base-decades",
+                    "1", "--extend-decades", "0"]) == 0
+    assert cli.run(["poisson-check", "--fan", "builtin:p1", "--T", "600",
+                    "--pmax", "150", "--B0", "800"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from manin_toric import fourier
 from manin_toric.fourier import (
@@ -204,6 +204,30 @@ class TestPoisson:
         sub = make_fan(1, [[1], [-1]], [[0], [1]], name="p1xp1[1]")
         assert rep.factors[1] == _poisson_line(sub, rep.factors[1].lam,
                                                100.0, 100, 100.0, 4.0)
+
+    def test_tail_closed_form_against_quadrature(self):
+        # int_T^inf Re(1/(la+it) + 1/(lb-it)) dt = atan(la/T) + atan(lb/T)
+        for la in (1.01, 1.5, 2.0, 3.7, 6.0):
+            for lb in (1.01, 2.0, 4.5, 6.0):
+                for T in (10.0, 97.0, 600.0, 2000.0):
+                    val, _ = quad(
+                        lambda t: (1.0 / (la + 1j * t)
+                                   + 1.0 / (lb - 1j * t)).real,
+                        T, np.inf, epsabs=0.0, epsrel=1e-13)
+                    closed = math.atan(la / T) + math.atan(lb / T)
+                    assert closed == pytest.approx(val, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [(2.0, 2.0), (1.5, 3.0), (3.0, 1.25)])
+    def test_tail_correction_is_closed_form(self, lam):
+        T, pmax = 150.0, 100
+        rep = poisson_check(P1, lam=lam, T=T, pmax=pmax, B0=100.0)
+        la = lam[P1.rays.index((1,))]
+        lb = lam[P1.rays.index((-1,))]
+        mean_f = (cf_extract(P1, lam, pmax) * zeta_line(la + lb).real).real
+        expected = (4.0 * mean_f * (math.atan(la / T) + math.atan(lb / T))
+                    / (2 * math.pi))
+        assert rep.tail_correction == pytest.approx(expected, rel=1e-12,
+                                                    abs=0.0)
 
     def test_unsupported_fan_rejected(self):
         with pytest.raises(FourierError):

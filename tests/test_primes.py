@@ -2,7 +2,7 @@
 
 import math
 
-from manin_toric.primes import divisor_count_table, totient_table
+from manin_toric.primes import divisor_count_table, factorize, totient_table
 
 N = 2000
 
@@ -13,6 +13,37 @@ def naive_divisor_count(k):
 
 def naive_totient(k):
     return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+def naive_factorize(n):
+    out, p = [], 2
+    while n > 1:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
+
+
+def test_factorize_matches_brute_force():
+    for n in range(1, 5001):
+        assert factorize(n) == naive_factorize(n)
+
+
+def test_factorize_prime_powers_and_large_semiprimes():
+    for p in (2, 3, 5, 97, 65521, 999983):
+        for k in range(1, 60):
+            if p ** k > 10**18:
+                break
+            assert factorize(p ** k) == [(p, k)]
+    # p * q near 1e12 with both (prime) factors close to 1e6, and a
+    # prime near 1e12 times 2
+    for p, q in ((999979, 999983), (999983, 1000003), (999961, 1000033)):
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+    assert factorize(2 * 999999000001) == [(2, 1), (999999000001, 1)]
 
 
 def test_tables_match_definitions_for_every_size():
