@@ -30,7 +30,7 @@ from .heights import INF, exact_height, global_height, local_height, \
 from .latticefan import (Fan, FanFormatError, FanValidationError, builtin_fan,
                          fan_from_json, validate_fan)
 from .tauberian import PerronLine, TauberianError, builtin_oracle, \
-    descend_k, predict
+    descend_k, descent_eta, predict
 from .toric import (PicardError, archimedean_volume, leading_constant,
                     picard_data)
 
@@ -185,10 +185,7 @@ def _exact_lambda(text: str, n_rays: int):
     Fraction."""
     if text.strip().lower() == "rho":
         return (1,) * n_rays
-    try:
-        parts = [Fraction(t.strip()) for t in text.split(",") if t.strip()]
-    except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"cannot parse lambda {text!r}: {e}") from None
+    parts = _parse_rationals(text, "lambda")
     if len(parts) != n_rays:
         raise CliError(f"lambda needs {n_rays} entries, got {len(parts)}")
     return tuple(int(f) if f.denominator == 1 else f for f in parts)
@@ -204,21 +201,36 @@ def _parse_lambda(text: str, n_rays: int):
     return _float_lambda(_exact_lambda(text, n_rays))
 
 
-def _parse_rationals(text: str):
+def _parse_rationals(text: str, what: str):
     try:
         return tuple(Fraction(t.strip()) for t in text.split(",") if t.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise CliError(f"cannot parse rational list {text!r}: {e}") from None
+        raise CliError(f"cannot parse {what} {text!r}: {e}") from None
 
 
-def _parse_floats(text: str):
+def _parse_floats(text: str, option: str):
     try:
         vals = tuple(float(t.strip()) for t in text.split(",") if t.strip())
     except ValueError as e:
-        raise CliError(f"cannot parse numeric list {text!r}: {e}") from None
+        raise CliError(f"cannot parse {option} {text!r}: {e}") from None
     if not vals:
         raise CliError("empty numeric list")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"{option} must be finite, got {text!r}")
     return vals
+
+
+_COUNT_OPTIONS = ("samples", "pmax", "base_decades", "extend_decades")
+
+
+def _check_options(args) -> None:
+    """Float options must be finite, and options that count nonnegative."""
+    for dest, value in vars(args).items():
+        option = "--" + dest.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{option} must be finite, got {value}")
+        if dest in _COUNT_OPTIONS and value < 0:
+            raise CliError(f"{option} must be nonnegative, got {value}")
 
 
 def _config(args, **extra) -> dict:
@@ -329,7 +341,7 @@ def _cmd_count(args):
     threads = _resolve_threads(args)
     # counting scales lambda to integers, so it needs the exact rationals
     lam = _exact_lambda(args.lam, len(fan.rays))
-    bounds = sorted(_parse_floats(args.bounds))
+    bounds = sorted(_parse_floats(args.bounds, "--bounds"))
     report = count_N(fan, lam, bounds, threads=threads, pmax=args.pmax)
     rows = [{"B": b, "N": n, "predicted": p, "ratio": r}
             for b, n, p, r in zip(report.bounds, report.counts,
@@ -354,7 +366,7 @@ def _cmd_count(args):
 def _cmd_height(args):
     fan = _resolve_fan(args.fan)
     lam = _parse_lambda(args.lam, len(fan.rays))
-    xs = _parse_rationals(args.x)
+    xs = _parse_rationals(args.x, "point")
     if len(xs) != fan.dim:
         raise CliError(f"point needs {fan.dim} coordinates, got {len(xs)}")
     if any(x == 0 for x in xs):
@@ -418,53 +430,41 @@ def _cmd_poisson(args):
 
 
 def _cmd_tauber(args):
-    try:
-        oracle = builtin_oracle(args.oracle)
-    except (ValueError, TauberianError) as e:
-        raise CliError(str(e)) from None
+    oracle = builtin_oracle(args.oracle)
     pole = oracle.pole
-    if args.k <= pole.kappa:
-        raise CliError(f"k = {args.k} must exceed the contour growth "
-                       f"exponent kappa = {pole.kappa}")
+    if pole is None:
+        raise CliError(f"oracle {oracle.name!r} has no pole to predict from")
     X, k = args.X, args.k
-    # the direct sums refuse an oversized X before any integral is taken
+    # the descent window refuses a small X, the line a bad k or T and the
+    # direct sums an oversized X, all before any integral is taken
+    eta = descent_eta(X)
+    line = PerronLine(oracle, pole, k, T=args.T, tol=args.tol)
     direct_km1, N = oracle.phi_direct(X, (k - 1, 0))
     try:
-        line = PerronLine(oracle, pole, k, T=args.T, tol=args.tol)
         phi_k = line(X)
-        lo, hi = descend_k(line, k, X)
+        lo, hi = descend_k(line, k, X, eta)
     except TauberianError as e:
         raise ToleranceFailure(str(e)) from None
     pred = predict(pole, X)
+    inside = lo <= direct_km1 <= hi
     result = {
         "config": _config(args),
         "oracle": oracle.name,
         "phi_k": phi_k,
-        "brackets": {"lower": lo, "upper": hi,
-                     "target": direct_km1,
-                     "contains_target": bool(lo <= direct_km1 <= hi)},
+        "brackets": {"lower": lo, "upper": hi, "target": direct_km1,
+                     "contains_target": inside},
         "N": N,
         "predict": pred,
         "residual": N - pred,
+        "status": "ok" if inside else "bracket-miss",
     }
-    code = 0 if lo <= direct_km1 <= hi else 3
-    if code == 3:
-        result["status"] = "bracket-miss"
-    else:
-        result["status"] = "ok"
-    return result, code
+    return result, 0 if inside else 3
 
 
 def _fibration_zeta(args):
-    spec = TorsorSpec(args.n)
-    raw = args.lam_fiber
-    if raw.strip().lower() == "rho":
-        mu = "rho"
-    else:
-        fracs = _parse_rationals(raw)
-        mu = tuple(int(f) if f.denominator == 1 else float(f)
-                   for f in fracs)
-    fz = fibration_zeta_partial(spec, mu, args.alpha_base, args.B)
+    mu = _parse_lambda(args.lam_fiber, 2)
+    fz = fibration_zeta_partial(TorsorSpec(args.n), mu, args.alpha_base,
+                                args.B)
     rows = [{"b0": b0, "b1": b1, "H1": h1, "points": cnt, "sum": s}
             for b0, b1, h1, cnt, s in fz.base_rows]
     result = {
@@ -595,10 +595,8 @@ def run(argv=None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
+        _check_options(args)
         result, code = _DISPATCH[args.cmd](args)
-    except FanJsonFailure as e:
-        sys.stderr.write(f"error: {e}\n")
-        return e.exit_code
     except ToleranceFailure as e:
         sys.stderr.write(f"tolerance failure: {e}\n")
         return e.exit_code

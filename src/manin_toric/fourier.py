@@ -214,11 +214,12 @@ class PoissonReport:
         )
 
 
-def _gauss_panels(T: float, width: float, order: int = 16):
+def _gauss_panels(T: float, edges: int, order: int):
+    """Order-point Gauss-Legendre on the edges - 1 equal panels of [0, T]."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, T, max(2, int(round(T / width)) + 1))
-    mid = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
+    edge = np.linspace(0.0, T, edges)
+    mid = (edge[:-1] + edge[1:]) / 2
+    half = (edge[1:] - edge[:-1]) / 2
     m = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * wts[None, :]).ravel()
     return m, w
@@ -249,7 +250,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0, 1)
 
     cf0 = cf_extract(fan, lam, pmax)
-    m, w = _gauss_panels(T, panel_width)
+    m, w = _gauss_panels(T, max(2, int(round(T / panel_width)) + 1), 16)
     arch = 1.0 / (la + 1j * m) + 1.0 / (lb - 1j * m)
     za = zeta_line(la + 1j * m)
     # zeta(lb - i m) = conj(zeta(lb + i m)), real coefficients
@@ -268,7 +269,8 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
 
     # conjugate-symmetry residual: evaluate both half-lines on a coarse
     # grid without assuming symmetry
-    mc, wc = _gauss_panels(min(T, 200.0), 25.0, order=8)
+    Tc = min(T, 200.0)
+    mc, wc = _gauss_panels(Tc, max(2, int(round(Tc / 25.0)) + 1), 8)
     def raw(mm):
         a = 1.0 / (la + 1j * mm) + 1.0 / (lb - 1j * mm)
         return 2.0 * a * cf0 * zeta_line(la + 1j * mm) * zeta_line(lb - 1j * mm)
@@ -322,6 +324,9 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         raise FourierError("one lambda value per ray required")
     if min(lam) <= 1.0:
         raise FourierError("poisson_check needs real lambda_j > 1")
+    for name, v in (("T", T), ("panel width", panel_width)):
+        if not v > 0:
+            raise FourierError(f"{name} = {v} must be positive")
 
     if fan.dim == 1:
         return _poisson_line(fan, lam, T, pmax, B0, panel_width)

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .counting import p1_height_counts
-from .fourier import zeta_line
+from .fourier import _gauss_panels, zeta_line
 from .primes import divisor_count_table
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "residue_shape",
     "contour_independence",
     "residue_consistency",
+    "descent_eta",
     "descend_k",
     "predict",
     "compare",
@@ -81,24 +81,22 @@ class PoleData:
 class DirichletOracle:
     """Evaluator plus coefficient access for one Dirichlet series.
 
-    The evaluator is a closed form valid for Re s > a - delta0 (so on both
-    sides of the pole line); coefficients feed brute-force cross-checks.
+    The evaluator is a closed form on 1-d complex arrays, valid for
+    Re s > a - delta0 off the pole (so on both sides of the pole line) and
+    |Im s| up to a few thousand, the range of `zeta_line`; coefficients
+    feed brute-force cross-checks.
     """
 
     name: str
     pole: PoleData | None
-    _evaluate: Callable[[complex], complex]
+    _evaluate: Callable[[np.ndarray], np.ndarray]
     _coefficients: Callable[[int], np.ndarray]
-    _evaluate_vec: Callable[[np.ndarray], np.ndarray] | None = None
 
     def evaluate(self, s) -> complex:
-        return complex(self._evaluate(complex(s)))
+        return complex(self.evaluate_line(s)[0])
 
     def evaluate_line(self, s: np.ndarray) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(s, dtype=complex))
-        if self._evaluate_vec is not None:
-            return self._evaluate_vec(arr)
-        return np.array([self._evaluate(complex(v)) for v in arr])
+        return self._evaluate(np.atleast_1d(np.asarray(s, dtype=complex)))
 
     def coefficients(self, N: int) -> np.ndarray:
         """c_1..c_N as arr[1..N]; arr[0] is unused padding."""
@@ -155,35 +153,28 @@ def _coeff_p1(N):
     return arr
 
 
-def _eval_p1(s):
-    return 4 * mp.zeta(2 * s - 1) / mp.zeta(2 * s) - 2
-
-
 _BUILTIN_ORACLES = {
-    "one": (None, lambda s: 1.0 + 0j, _coeff_one,
-            lambda s: np.ones_like(s)),
-    "zeta": (PoleData(1.0, 1, 1.0, 0.5, kappa=0.5),
-             lambda s: mp.zeta(s), _coeff_zeta, zeta_line),
+    "one": (None, np.ones_like, _coeff_one),
+    "zeta": (PoleData(1.0, 1, 1.0, 0.5, kappa=0.5), zeta_line, _coeff_zeta),
     "zeta2": (PoleData(1.0, 2, 1.0, 0.5, kappa=1.0),
-              lambda s: mp.zeta(s) ** 2, _coeff_zeta2,
-              lambda s: zeta_line(s) ** 2),
+              lambda s: zeta_line(s) ** 2, _coeff_zeta2),
     # 4*zeta(2s-1)/zeta(2s) - 2 stays bounded on Re s >= 1.2 and grows
     # slower than t^(1/4) on the left contour Re s = 7/8, so kappa = 1/4
     "p1": (PoleData(1.0, 1, 12 / math.pi**2, 0.25, kappa=0.25),
-           _eval_p1, _coeff_p1,
-           lambda s: 4 * zeta_line(2 * s - 1) / zeta_line(2 * s) - 2),
+           lambda s: 4 * zeta_line(2 * s - 1) / zeta_line(2 * s) - 2,
+           _coeff_p1),
 }
 
 
 def builtin_oracle(name: str) -> DirichletOracle:
     try:
-        pole, ev, co, vec = _BUILTIN_ORACLES[name]
+        pole, ev, co = _BUILTIN_ORACLES[name]
     except KeyError:
         raise TauberianError(
             f"unknown oracle {name!r}; have {sorted(_BUILTIN_ORACLES)}"
         ) from None
     return DirichletOracle(name=name, pole=pole, _evaluate=ev,
-                           _coefficients=co, _evaluate_vec=vec)
+                           _coefficients=co)
 
 
 def _panel_edges(T: float, X: float) -> int:
@@ -195,12 +186,7 @@ def _panel_edges(T: float, X: float) -> int:
 def _line_values(oracle: DirichletOracle, a_prime: float, T: float,
                  edges: int, order: int = 12):
     """Gauss-Legendre nodes s on a' + i[0, T], weights, and f(s)."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    edge = np.linspace(0.0, T, edges)
-    mid = (edge[:-1] + edge[1:]) / 2
-    half = (edge[1:] - edge[:-1]) / 2
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
+    t, w = _gauss_panels(T, edges, order)
     s = a_prime + 1j * t
     return s, w, oracle.evaluate_line(s)
 
@@ -243,13 +229,15 @@ class PerronLine:
         if pole and a_prime <= pole.abscissa:
             raise TauberianError("contour must pass right of the pole")
         if k <= kappa:
-            raise TauberianError(
-                "need k > kappa for an absolutely convergent tail")
+            raise TauberianError(f"k = {k} must exceed the contour growth "
+                                 f"exponent kappa = {kappa}")
+        if not T > 0:
+            raise TauberianError(f"truncation height T = {T} must be positive")
         self.oracle, self.k, self.kappa = oracle, k, kappa
         self.a_prime, self.T, self.tol = a_prime, T, tol
-        self._cf = 1.5 * max(
-            abs(oracle.evaluate(a_prime + 1j * (T * c))) * c**-kappa
-            for c in _TAIL_SAMPLES)
+        f = oracle.evaluate_line(a_prime + 1j * (T * np.array(_TAIL_SAMPLES)))
+        self._cf = 1.5 * max(abs(complex(v)) * c**-kappa
+                             for v, c in zip(f, _TAIL_SAMPLES))
         self._lines = {}  # panel edge count -> (s, w, f(s))
 
     def integral(self, X: float) -> float:
@@ -401,19 +389,26 @@ def residue_consistency(oracle: DirichletOracle, pole: PoleData | None,
     )
 
 
+def descent_eta(X: float, eps: float = 0.5) -> float:
+    """X^-eps, floored at 20/X so the window spans several jumps."""
+    if not X > 20:
+        raise TauberianError(f"X = {X:g} is too small for the descent "
+                             "window max(X^-eps, 20/X): need X > 20")
+    return max(X**-eps, 20.0 / X)
+
+
 def descend_k(sampler: Callable[[float], float], k: int, X: float,
               eta: float | None = None, eps: float = 0.5):
     """Bracket phi_(k-1)(X) from phi_k samples at X(1 -/+ eta).
 
     Since d(phi_k)/d(log X) = k phi_(k-1) and phi_(k-1) is nondecreasing,
     one-sided difference quotients of exact phi_k values enclose the
-    target.  eta defaults to the X^-eps schedule, floored so the window
-    spans several coefficient jumps.
+    target.  eta defaults to `descent_eta(X, eps)`.
     """
     if k < 1:
         raise TauberianError("descend needs k >= 1")
     if eta is None:
-        eta = max(X**-eps, 20.0 / X)
+        eta = descent_eta(X, eps)
     if not 0 < eta < 1:
         raise TauberianError("eta must lie in (0, 1)")
     f_lo = float(sampler(X * (1 - eta)))

@@ -43,6 +43,36 @@ class TestDispatch:
         assert run(["zeta", "--fan", "builtin:p1", "--lambda", "2,2",
                     "--B", "xyz"]) == 2
 
+    @pytest.mark.parametrize("argv, option", [
+        (["count", "--fan", "builtin:p1", "--bounds", "inf"], "--bounds"),
+        (["count", "--fan", "builtin:p1", "--bounds", "1e2,nan"],
+         "--bounds"),
+        (["zeta", "--fan", "builtin:p1", "--lambda", "2,2", "--B", "inf"],
+         "--B"),
+        (["fibration", "zeta", "--n", "1", "--B", "inf"], "--B"),
+        (["tauber", "--oracle", "zeta2", "--X", "nan", "--k", "3"], "--X"),
+        (["poisson-check", "--fan", "builtin:p1", "--T=-inf"], "--T"),
+    ], ids=["count-inf", "count-nan", "zeta-inf", "fibration-inf",
+            "tauber-nan", "poisson-minus-inf"])
+    def test_non_finite_float_refused(self, capsys, argv, option):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option} must be finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--fan", "builtin:p1", "--samples", "-3"],
+         "--samples must be nonnegative, got -3"),
+        (["bounds-sweep", "--base-decades", "-1"],
+         "--base-decades must be nonnegative, got -1"),
+        (["bounds-sweep", "--extend-decades", "-2"],
+         "--extend-decades must be nonnegative, got -2"),
+        (["constants", "--fan", "builtin:p1", "--pmax", "-5"],
+         "--pmax must be nonnegative, got -5"),
+    ], ids=["samples", "base-decades", "extend-decades", "pmax"])
+    def test_negative_count_refused(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestValidate:
     def test_builtin_valid(self, capsys):
@@ -194,6 +224,14 @@ class TestPoissonCheck:
         assert doc["status"] == "ok"
         assert doc["rel_error"] < 1e-4
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--T", "T = 0.0 must be positive"),
+        ("--panel-width", "panel width = 0.0 must be positive"),
+    ], ids=["T", "panel-width"])
+    def test_zero_width_refused(self, capsys, flag, message):
+        assert run(["poisson-check", "--fan", "builtin:p1", flag, "0"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_tolerance_failure_still_reports(self, tmp_path, capsys):
         dest = tmp_path / "poisson.json"
         code = run(["poisson-check", "--fan", "builtin:p1",
@@ -218,9 +256,33 @@ class TestTauber:
         assert run(["tauber", "--oracle", "zeta2", "--X", "1e3",
                     "--k", "1"]) == 2
 
+    def test_oracle_without_pole(self, capsys):
+        assert run(["tauber", "--oracle", "one", "--X", "1e3",
+                    "--k", "2"]) == 2
+        assert "'one' has no pole" in capsys.readouterr().err
+
     def test_unknown_oracle(self, capsys):
         assert run(["tauber", "--oracle", "lfunction", "--X", "1e3",
                     "--k", "2"]) == 2
+
+    @pytest.mark.parametrize("T", ["0", "-5"])
+    def test_nonpositive_truncation_refused(self, capsys, T):
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e3", "--k", "3",
+                    "--T", T]) == 2
+        assert f"T = {float(T)} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("X", ["0.5", "20"])
+    def test_small_X_refused(self, capsys, X):
+        # the default window max(X^-1/2, 20/X) is empty up to X = 20
+        assert run(["tauber", "--oracle", "zeta2", "--X", X, "--k", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"X = {X} is too small" in err
+        assert "tolerance failure" not in err
+
+    def test_X_just_above_the_window_edge(self, capsys):
+        doc = run_json(["tauber", "--oracle", "zeta2", "--X", "21",
+                        "--k", "3"], capsys)
+        assert doc["status"] == "ok"
 
     def test_truncation_too_short(self, capsys):
         assert run(["tauber", "--oracle", "p1", "--X", "5000",
@@ -318,9 +380,10 @@ class TestBoundsSweep:
 
 
 def test_cli_never_loads_scipy():
-    # scipy's import costs more than most CLI runs; the package must
-    # reach its quadratures without it, on the two subcommands that
-    # integrate numerically as well as at import
+    # scipy's import costs more than most CLI runs, and mpmath is only a
+    # test reference; the package must reach its quadratures and zeta
+    # values without either, on the three subcommands that integrate
+    # numerically as well as at import
     script = """
 import contextlib, io, sys
 from manin_toric import cli
@@ -329,7 +392,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                     "1", "--extend-decades", "0"]) == 0
     assert cli.run(["poisson-check", "--fan", "builtin:p1", "--T", "600",
                     "--pmax", "150", "--B0", "800"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    assert cli.run(["tauber", "--oracle", "p1", "--X", "2e3", "--k", "3",
+                    "--T", "150"]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "mpmath")))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)

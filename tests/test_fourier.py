@@ -173,6 +173,15 @@ class TestZetaLine:
 
 
 class TestPoisson:
+    @pytest.mark.parametrize("fan", [P1, P1XP1], ids=["p1", "p1xp1"])
+    @pytest.mark.parametrize("kw, message", [
+        ({"T": 0.0}, "T = 0.0"), ({"T": -1.0}, "T = -1.0"),
+        ({"panel_width": 0.0}, "panel width = 0.0"),
+    ], ids=["T-zero", "T-negative", "width-zero"])
+    def test_rejects_nonpositive_widths(self, fan, kw, message):
+        with pytest.raises(FourierError, match=message):
+            poisson_check(fan, **kw)
+
     def test_p1_identity(self):
         rep = poisson_check(P1)
         assert rep.rel_error < 1e-4

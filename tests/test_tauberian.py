@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,12 +14,14 @@ from manin_toric.tauberian import (
     PerronLine,
     PoleData,
     TauberianError,
+    _TAIL_SAMPLES,
     _coeff_p1,
     _panel_edges,
     builtin_oracle,
     compare,
     contour_independence,
     descend_k,
+    descent_eta,
     perron_phi_k,
     predict,
     residue_circle,
@@ -99,13 +102,26 @@ class TestOracles:
             assert P1O.phi_direct(float(B), 0) == count_points(fan, (1, 1), B)
 
     def test_vectorized_evaluator_matches_scalar(self):
-        pts = np.array([1.5 + 3j, 2.0 - 10j, 1.2 + 0.5j])
-        for orc in (ZETA, ZETA2, P1O):
+        # the closed forms in mpmath, independent of zeta_line; the points
+        # include the tail samples of lines at T = 150 and 300, where p1's
+        # zeta(2s - 1) reaches |Im| = 1560, and p1's left contour Re s = 7/8
+        reference = {
+            ZETA: mp.zeta,
+            ZETA2: lambda s: mp.zeta(s) ** 2,
+            P1O: lambda s: 4 * mp.zeta(2 * s - 1) / mp.zeta(2 * s) - 2,
+            ONE: lambda s: 1,
+        }
+        tails = [1.5 + 1j * T * c for T in (150.0, 300.0)
+                 for c in _TAIL_SAMPLES]
+        pts = np.array([1.5 + 3j, 2.0 - 10j, 1.2 + 0.5j, 0.875 + 40j,
+                        0.875 - 7j] + tails)
+        for orc, ref in reference.items():
             fast = orc.evaluate_line(pts)
+            assert fast.shape == pts.shape
             for s, v in zip(pts, fast):
-                assert abs(v - complex(orc.evaluate(complex(s)))) < 1e-10 * (
-                    abs(v) + 1
-                )
+                want = complex(ref(mp.mpc(s)))
+                assert abs(v - want) < 1e-10 * (abs(want) + 1)
+                assert abs(orc.evaluate(s) - want) < 1e-10 * (abs(want) + 1)
 
 
 class TestPerron:
@@ -169,6 +185,11 @@ class TestPerronLine:
                               "points": sum(12 * (e - 1) for e in edges),
                               "tail_samples": 4}
 
+    @pytest.mark.parametrize("T", [0.0, -150.0])
+    def test_rejects_nonpositive_T(self, T):
+        with pytest.raises(TauberianError, match="must be positive"):
+            PerronLine(ZETA2, None, 3, T=T)
+
     def test_rejects_k_before_evaluating(self):
         calls = []
 
@@ -176,8 +197,7 @@ class TestPerronLine:
             return lambda s: calls.append(s) or f(s)
 
         oracle = DirichletOracle("spy", ZETA2.pole, spy(ZETA2._evaluate),
-                                 ZETA2._coefficients,
-                                 spy(ZETA2._evaluate_vec))
+                                 ZETA2._coefficients)
         with pytest.raises(TauberianError, match="kappa"):
             PerronLine(oracle, None, 1)
         assert calls == []
@@ -272,6 +292,16 @@ class TestDescend:
     def test_rejects_bad_eta(self):
         with pytest.raises(TauberianError):
             descend_k(lambda Y: Y, 1, 100.0, eta=1.5)
+
+    def test_default_window_edge(self):
+        # max(X^-1/2, 20/X) lies in (0, 1) exactly when X > 20
+        assert descent_eta(20.5) == 20.0 / 20.5
+        assert descent_eta(1e4) == 0.01
+        for X in (20.0, 0.5, 0.0, -3.0):
+            with pytest.raises(TauberianError, match=f"X = {X:g} is too"):
+                descent_eta(X)
+            with pytest.raises(TauberianError, match="too small"):
+                descend_k(lambda Y: Y, 1, X)
 
     def test_detects_inverted_bracket(self):
         # a decreasing sampler violates the monotonicity premise
