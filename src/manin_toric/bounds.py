@@ -9,7 +9,8 @@ only exhibited.
 Every integral uses one fixed, non-adaptive rule: 24-node Gauss-Legendre
 on geometrically graded pieces.  A finite stretch [p, q] is cut at
 p + 10^j and q - 10^j (and the alpha kind also at its kink), and a tail
-[lo, inf) at lo + 10^j for j = 0..40.
+[lo, inf) at lo + 10^j for j = 0..40.  The minus kind integrates the
+half of [0, B-1] next to its singular end in v = B - u, cut at 1 + 10^j.
 
 Kinds
 -----
@@ -116,8 +117,17 @@ def _rows_minus(kmax: int):
             for B in _decades(kmax):
                 if B <= 1:
                     continue
-                lhs = _integrate(lambda u: (A + u) ** -alpha / (B - u),
-                                 _graded_cuts(0.0, B - 1))
+                # the half next to u = B - 1 is integrated in v = B - u:
+                # nodes u there would be floats of size B, and B - u of
+                # size 1 would carry their rounding of ulp(B)
+                half = (B - 1) / 2
+                # the cuts 10^j below the midpoint, as in _graded_cuts
+                steps = {10.0 ** j for j in range(kmax) if 10.0 ** j < half}
+                lhs = (_integrate(lambda u: (A + u) ** -alpha / (B - u),
+                                  {0.0, half} | steps)
+                       + _integrate(lambda v: (A + B - v) ** -alpha / v,
+                                    {1.0, 1.0 + half}
+                                    | {1.0 + x for x in steps}))
                 shape = (1 + math.log(A)) / A ** alpha
                 yield {"alpha": alpha, "A": A, "B": B,
                        "lhs": lhs, "rhs": shape, "ratio": lhs / shape}

@@ -103,6 +103,12 @@ def finite_transform(fan: Fan, lam, p: int, m=None) -> complex:
     return total
 
 
+def _check_pmax(pmax: int) -> None:
+    if pmax < 2:
+        raise FourierError(f"pmax = {pmax} must be at least 2: no prime "
+                           "below it to take the Euler product over")
+
+
 def cf_extract(fan: Fan, lam, pmax: int, m=None) -> complex:
     """Truncated correction factor of the finite transform.
 
@@ -112,6 +118,7 @@ def cf_extract(fan: Fan, lam, pmax: int, m=None) -> complex:
     """
     lam_c = _lam_complex(fan, lam, min_re=2.0 / 3.0)
     mv = _m_vector(fan, m)
+    _check_pmax(pmax)
     half = max(2, pmax // 2)
     value = 1.0 + 0j
     at_half = 1.0 + 0j
@@ -132,17 +139,59 @@ def cf_extract(fan: Fan, lam, pmax: int, m=None) -> complex:
     return value
 
 
-# Euler-Maclaurin correction: pairs (B_2k, 2k)
-_BERNOULLI = ((1 / 6, 2), (-1 / 30, 4), (1 / 42, 6), (-1 / 30, 8))
+# B_2k / (2k)! for k = 1..20, the Euler-Maclaurin correction coefficients
+# of zeta_line (rounded from the exact rationals; a test rebuilds them)
+_BERNOULLI = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32,
+)
+# a block of zeta_line holds at most this many rows and rows x N entries
+_BLOCK_ROWS = 512
+_BLOCK_ENTRIES = 1 << 19
+
+
+def _zeta_blocks(t):
+    """(lo, hi, N) blocks over ascending |Im s| values t.
+
+    Each block has at most _BLOCK_ROWS rows and, unless one row alone
+    needs more, at most _BLOCK_ENTRIES rows x N entries; N is the
+    Euler-Maclaurin cutoff of its last, largest row.
+    """
+    cut = np.maximum(16, np.ceil((t + 2 * len(_BERNOULLI)) / math.pi)
+                     ).astype(np.int64)
+    lo = 0
+    while lo < t.size:
+        hi = min(lo + _BLOCK_ROWS, t.size)
+        if (hi - lo) * cut[hi - 1] > _BLOCK_ENTRIES:
+            hi = lo + max(1, _BLOCK_ENTRIES // int(cut[hi - 1]))
+        yield lo, hi, int(cut[hi - 1])
+        lo = hi
 
 
 def zeta_line(s):
     """Riemann zeta on vertical segments, vectorized over numpy arrays.
 
-    Euler-Maclaurin with cutoff N past the largest |Im s|, so accuracy is
-    uniform along vertical segments; relative error is near 1e-12 for
-    |Im s| up to a few thousand.  The expansion continues zeta through
-    the strip, so any Re s > 0.05 away from the pole at s = 1 is fine.
+    Euler-Maclaurin summation (Edwards, Riemann's Zeta Function, 6.4):
+    zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
+              + sum_{k=1..K} B_2k/(2k)! s(s+1)...(s+2k-2) N^(-s-2k+1)
+    with K = 20 correction terms.  The points are sorted by |Im s| and
+    taken in blocks, and a block whose largest |Im s| is t uses the cutoff
+    N = max(16, ceil((t + 2K)/pi)).  Every factor |s + j| of the
+    correction terms is then at most about pi N, so the k-th term is at
+    most about N^(1-Re s) 2^(1-2k)/pi, and the remainder is at most
+    |s + 2K + 1|/(Re s + 2K + 1) times the first omitted term.  Against
+    30-digit mpmath for |Im s| <= 3000 the error is below 2e-13 |zeta(s)|
+    for Re s >= 1.5 and 2e-11 max(1, |zeta(s)|) down to Re s = 0.25,
+    where the rounding of t log n in each term dominates.  A block holds
+    at most 512 points and 2^19 complex terms (8 MiB), so memory stays
+    flat however large the array or |Im s|.  The expansion continues
+    zeta through the strip, so any Re s > 0.05 away from the pole at
+    s = 1 is fine.
     """
     scalar = np.isscalar(s)
     arr = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -150,21 +199,23 @@ def zeta_line(s):
         raise FourierError("zeta_line requires Re s > 0.05")
     if np.any(np.abs(arr - 1) < 1e-9):
         raise FourierError("zeta_line: s too close to the pole at 1")
-    tmax = float(np.max(np.abs(arr.imag)))
-    N = max(64, int(tmax) + 16)
-    out = np.zeros_like(arr)
-    ln = np.log(np.arange(1, N, dtype=float))
-    for lo in range(0, arr.size, 512):
-        block = arr[lo : lo + 512, None]
-        out[lo : lo + 512] = np.exp(-block * ln[None, :]).sum(axis=1)
-    Ns = np.exp(-arr * math.log(N))
-    out += Ns * N / (arr - 1) + Ns / 2
-    rising = arr.copy()
-    term = Ns / N
-    for b2k, k2 in _BERNOULLI:
-        out += (b2k / math.factorial(k2)) * rising * term
-        rising = rising * (arr + k2 - 1) * (arr + k2)
-        term = term / (N * N)
+    order = np.argsort(np.abs(arr.imag), kind="stable")
+    ss = arr[order]
+    out = np.empty_like(arr)
+    for lo, hi, N in _zeta_blocks(np.abs(ss.imag)):
+        b = ss[lo:hi]
+        terms = np.multiply.outer(-b, np.log(np.arange(1, N, dtype=float)))
+        np.exp(terms, out=terms)
+        val = terms.sum(axis=1)
+        del terms  # freed before the next block's terms are allocated
+        Ns = np.exp(-b * math.log(N))
+        val += Ns * N / (b - 1) + Ns / 2
+        # term = s(s+1)...(s+2k-2) N^(-s-2k+1), updated by its ratio
+        term = b * Ns / N
+        for k, coeff in enumerate(_BERNOULLI, start=1):
+            val += coeff * term
+            term *= (b + 2 * k - 1) * (b + 2 * k) / (N * N)
+        out[order[lo:hi]] = val
     return complex(out[0]) if scalar else out
 
 
@@ -324,9 +375,10 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         raise FourierError("one lambda value per ray required")
     if min(lam) <= 1.0:
         raise FourierError("poisson_check needs real lambda_j > 1")
-    for name, v in (("T", T), ("panel width", panel_width)):
+    for name, v in (("T", T), ("panel width", panel_width), ("B0", B0)):
         if not v > 0:
             raise FourierError(f"{name} = {v} must be positive")
+    _check_pmax(pmax)  # before the direct sums run
 
     if fan.dim == 1:
         return _poisson_line(fan, lam, T, pmax, B0, panel_width)

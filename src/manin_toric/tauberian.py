@@ -233,6 +233,8 @@ class PerronLine:
                                  f"exponent kappa = {kappa}")
         if not T > 0:
             raise TauberianError(f"truncation height T = {T} must be positive")
+        if not tol > 0:
+            raise TauberianError(f"tolerance tol = {tol} must be positive")
         self.oracle, self.k, self.kappa = oracle, k, kappa
         self.a_prime, self.T, self.tol = a_prime, T, tol
         f = oracle.evaluate_line(a_prime + 1j * (T * np.array(_TAIL_SAMPLES)))

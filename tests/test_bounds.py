@@ -44,6 +44,23 @@ def test_minus_closed_form_row():
         assert row["lhs"] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
+def test_minus_worst_row_against_mpmath():
+    # alpha=0.4, A=B=1e8, the least accurate minus row when the end near
+    # u = B - 1 was integrated in u: B - u there carried ulp(B) ~ 1.5e-8
+    rep = verify_integral_bounds("minus", base_decades=8, extend_decades=0)
+    row = next(r for r in rep.rows
+               if r["alpha"] == 0.4 and r["A"] == 1e8 and r["B"] == 1e8)
+    with mp.workdps(30):
+        A = B = mp.mpf(10) ** 8
+        # in v = B - u on [1, B], graded away from v = 1
+        ref = mp.quad(lambda v: (A + B - v) ** mp.mpf("-0.4") / v,
+                      [mp.mpf(1)] + [1 + mp.mpf(10) ** j
+                                     for j in range(-1, 8)] + [B])
+    assert float(ref) == pytest.approx(8.92740246859658e-03, rel=1e-13,
+                                       abs=0.0)
+    assert row["lhs"] == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
 def test_plus_far_row_closed_form():
     # A = B: int_0^inf (A+t)^-(alpha+beta) dt = A^(1-alpha-beta)/(alpha+beta-1)
     rep = verify_integral_bounds("plus", base_decades=8, extend_decades=0)

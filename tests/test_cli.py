@@ -224,13 +224,20 @@ class TestPoissonCheck:
         assert doc["status"] == "ok"
         assert doc["rel_error"] < 1e-4
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--T", "T = 0.0 must be positive"),
-        ("--panel-width", "panel width = 0.0 must be positive"),
-    ], ids=["T", "panel-width"])
-    def test_zero_width_refused(self, capsys, flag, message):
-        assert run(["poisson-check", "--fan", "builtin:p1", flag, "0"]) == 2
-        assert message in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", "0", "T = 0.0 must be positive"),
+        ("--panel-width", "0", "panel width = 0.0 must be positive"),
+        ("--B0", "-5", "B0 = -5.0 must be positive"),
+        ("--pmax", "0", "pmax = 0 must be at least 2"),
+        ("--pmax", "1", "pmax = 1 must be at least 2"),
+    ], ids=["T", "panel-width", "B0-negative", "pmax-zero", "pmax-one"])
+    def test_zero_width_refused(self, capsys, flag, value, message):
+        # an invalid request exits 2 without an artifact, rather than
+        # reporting a numeric miss
+        assert run(["poisson-check", "--fan", "builtin:p1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_tolerance_failure_still_reports(self, tmp_path, capsys):
         dest = tmp_path / "poisson.json"
@@ -270,6 +277,14 @@ class TestTauber:
         assert run(["tauber", "--oracle", "zeta2", "--X", "1e3", "--k", "3",
                     "--T", T]) == 2
         assert f"T = {float(T)} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_nonpositive_tolerance_refused(self, capsys, tol):
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e3", "--k", "3",
+                    "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert f"tol = {float(tol)} must be positive" in err
+        assert "raise T" not in err
 
     @pytest.mark.parametrize("X", ["0.5", "20"])
     def test_small_X_refused(self, capsys, X):

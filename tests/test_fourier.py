@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from manin_toric import fourier
@@ -137,6 +141,12 @@ class TestCfExtract:
         with pytest.raises(FourierError):
             cf_extract(P1, (0.5, 2.0), 100)
 
+    @pytest.mark.parametrize("pmax", [-3, 0, 1])
+    def test_rejects_pmax_without_primes(self, pmax):
+        # no prime p <= pmax: the product would be silently empty
+        with pytest.raises(FourierError, match=f"pmax = {pmax} must be"):
+            cf_extract(P1, (2.0, 2.0), pmax)
+
 
 class TestZetaLine:
     def test_against_mpmath(self):
@@ -146,17 +156,68 @@ class TestZetaLine:
         for s in pts:
             want = complex(mp.zeta(s))
             got = zeta_line(s)
-            assert abs(got - want) < 1e-11 * abs(want)
+            assert abs(got - want) < 1e-13 * abs(want)
 
     def test_critical_strip(self):
-        # truncation error of the correction series grows as Re s drops;
-        # left contours only need ~1e-8 here
+        # the rounding of t log n in each term, summed over N ~ t/pi terms
+        # of size n^-Re(s), dominates the error inside the strip
         mp.mp.dps = 25
         pts = [0.75 + 40j, 0.5 + 300j, 0.25 + 14.1j, 0.25 + 900j]
         for s in pts:
             want = complex(mp.zeta(s))
             got = zeta_line(s)
-            assert abs(got - want) < 1e-8 * abs(want)
+            assert abs(got - want) < 1e-11 * abs(want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(0.25, 4.0), st.floats(-3000.0, 3000.0))
+    def test_random_points_against_mpmath(self, sigma, t):
+        s = complex(sigma, t)
+        assume(abs(s - 1) > 1e-3)
+        with mp.workdps(30):
+            want = complex(mp.zeta(mp.mpc(sigma, t)))
+        # absolute below |zeta| = 1: zeta has zeros on Re s = 1/2
+        assert abs(zeta_line(s) - want) < 2e-11 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("size", [1, 2, 511, 513, 2000])
+    def test_value_independent_of_the_array(self, size):
+        # a point's block, and so its cutoff N, depends on the rest of
+        # the array; right of the strip the value does not
+        rng = np.random.default_rng(size)
+        pts = rng.uniform(1.5, 4.0, size) + 1j * rng.uniform(-3000, 3000,
+                                                            size)
+        pts[: size // 3] = pts[: size // 3].real  # a run on the real axis
+        rng.shuffle(pts)
+        got = zeta_line(pts)
+        for s, v in zip(pts, got):
+            want = zeta_line(complex(s))
+            assert abs(v - want) <= 1e-14 * abs(want)
+
+    def test_bernoulli_table_is_exact(self):
+        # B_m from sum_{j<=m} C(m+1, j) B_j = 0, then B_2k / (2k)!
+        bern = [Fraction(1)]
+        for m in range(1, 2 * len(fourier._BERNOULLI) + 1):
+            bern.append(-sum(math.comb(m + 1, j) * bern[j]
+                             for j in range(m)) / (m + 1))
+        exact = [float(bern[2 * k] / math.factorial(2 * k))
+                 for k in range(1, len(fourier._BERNOULLI) + 1)]
+        assert fourier._BERNOULLI == tuple(exact)
+
+    def test_block_stays_within_the_entry_budget(self):
+        # unblocked, 64 points at |Im s| = 1e5 would take 64 x N complex
+        # terms (N = 31,844), 32 MiB
+        pts = 1.5 + 1j * (1e5 - np.arange(64.0))
+        blocks = list(fourier._zeta_blocks(np.sort(np.abs(pts.imag))))
+        assert blocks[-1][2] == math.ceil((1e5 + 40) / math.pi)
+        assert all((hi - lo) * n <= fourier._BLOCK_ENTRIES
+                   for lo, hi, n in blocks)
+        assert sum(hi - lo for lo, hi, _ in blocks) == 64
+        tracemalloc.start()
+        try:
+            zeta_line(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * fourier._BLOCK_ENTRIES
 
     def test_array_shape(self):
         arr = zeta_line(np.array([2 + 0j, 2 + 5j]))
@@ -177,8 +238,18 @@ class TestPoisson:
     @pytest.mark.parametrize("kw, message", [
         ({"T": 0.0}, "T = 0.0"), ({"T": -1.0}, "T = -1.0"),
         ({"panel_width": 0.0}, "panel width = 0.0"),
-    ], ids=["T-zero", "T-negative", "width-zero"])
-    def test_rejects_nonpositive_widths(self, fan, kw, message):
+        ({"B0": -5.0}, "B0 = -5.0 must be positive"),
+        ({"B0": 0.0}, "B0 = 0.0 must be positive"),
+        ({"pmax": 0}, "pmax = 0 must be at least 2"),
+        ({"pmax": 1}, "pmax = 1 must be at least 2"),
+    ], ids=["T-zero", "T-negative", "width-zero", "B0-negative", "B0-zero",
+            "pmax-zero", "pmax-one"])
+    def test_rejects_nonpositive_widths(self, monkeypatch, fan, kw, message):
+        # refused before the direct sums run
+        def never(*args):
+            raise AssertionError("direct sums ran")
+
+        monkeypatch.setattr(fourier, "_zeta_partials", never)
         with pytest.raises(FourierError, match=message):
             poisson_check(fan, **kw)
 

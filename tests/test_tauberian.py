@@ -190,6 +190,11 @@ class TestPerronLine:
         with pytest.raises(TauberianError, match="must be positive"):
             PerronLine(ZETA2, None, 3, T=T)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(TauberianError, match=f"tol = {tol} must be"):
+            PerronLine(ZETA2, None, 3, tol=tol)
+
     def test_rejects_k_before_evaluating(self):
         calls = []
 
