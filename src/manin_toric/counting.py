@@ -49,14 +49,14 @@ def _lambda_ints(fan: Fan, lam):
     return ints, L
 
 
-def _is_symmetric(fan: Fan, lam_ints) -> bool:
+def _is_symmetric(fan: Fan, values) -> bool:
     # negation-invariant data: every ray's negative is a ray carrying
-    # the same lambda value
+    # the same value (integer lambda for counts, complex for zeta sums)
     index = {ray: j for j, ray in enumerate(fan.rays)}
     for j, ray in enumerate(fan.rays):
         neg = tuple(-c for c in ray)
         k = index.get(neg)
-        if k is None or lam_ints[k] != lam_ints[j]:
+        if k is None or values[k] != values[j]:
             return False
     return True
 
@@ -170,6 +170,17 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     the one cone s of -n already puts it above the largest bound: the
     term is at least -<m_s, v>, computed as the same float, so the bisect
     would reject the child and the DFS would not extend it.
+
+    The same bound stops a node's prime loop.  A child at log p with
+    candidate (phi, n, P, s) is skipped once log p (phi - P[s]) exceeds
+    budget + M[s], where budget = log B - log F + _MARGIN and M is the
+    node's carried vector.  Let k_s be the least phi - P[s] over the
+    table's candidates of cone s.  When every k_s > 0, every candidate is
+    skipped at every prime with log p > max_s (budget + M[s]) / k_s, so
+    the loop breaks at the first one.  The threshold carries _MARGIN of
+    slack: rounding would otherwise end some loops just before a child
+    within the margin of the bound that the skip test builds.  So the
+    children built, and their order, are the same as without the stop.
     """
     k = len(Bqs)
     logBs = [math.log(Bq.numerator) - math.log(Bq.denominator)
@@ -182,6 +193,20 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     arch = pl.arch
     cands = _candidates(pl, kmax) if kmax >= 1 else []
     half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
+
+    def stop_rates(table):
+        # (s, k_s) per cone of the table's candidates, or None when no
+        # stop applies; the max over s is taken per node, as each cone
+        # pairs with its own carried coordinate
+        if not convex or not table:
+            return None
+        ks = {}
+        for phi, _n, P, s in table:
+            ks[s] = min(ks.get(s, math.inf), phi - P[s])
+        return list(ks.items()) if min(ks.values()) > 0 else None
+
+    rates = stop_rates(cands)
+    half_rates = stop_rates(half_cands) if halve else rates
     c_min = cands[0][0] if cands else 1
     prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
     if prime_limit > _MAX_SIEVE:
@@ -200,10 +225,14 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     def rec(i0, F, logF, M, at_root):
         nonlocal built, skipped, accepted, redecided
         budget = logB - logF + _MARGIN
-        table = half_cands if (halve and at_root) else cands
+        root_half = halve and at_root
+        table = half_cands if root_half else cands
+        ks = half_rates if root_half else rates
+        stop = math.inf if ks is None else _MARGIN + max(
+            (budget + M[s]) / k for s, k in ks)
         for i in range(i0, nprimes):
             lq = logs[i]
-            if c_min * lq > budget:
+            if c_min * lq > budget or lq > stop:
                 break
             if at_root and root_filter is not None and not root_filter(i):
                 continue
@@ -400,11 +429,20 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
     return _zeta_partials(fan, lam, [B])[0]
 
 
-def _zeta_partials(fan: Fan, lam, Bs) -> list:
+def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
     """zeta_partial for every B of the ascending Bs, from one enumeration
-    at the largest.  Each profile's term is added, in enumeration order,
-    to the sum of every bound the profile satisfies, so each sum is
-    bit-identical to the one a separate enumeration at its bound makes."""
+    at the largest; its DFS counts are added into stats, if given.
+
+    When every ray's negative is a ray with the same lambda value (and
+    so with the same rho value), x and its negation have equal heights
+    and equal terms, and the walk is halved as the count path halves.
+    Each accepted profile's weighted term goes to the list of the first
+    bound it satisfies, and bound j's value is the exactly rounded sum
+    (math.fsum, real and imaginary parts apart) of the unit term and the
+    lists 0..j: doubling is exact and fsum does not depend on order, so
+    the halved sums equal the unhalved ones bit for bit, whatever the
+    order of the walk.  That holds one complex number per accepted
+    signless profile until the sums are taken."""
     values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     if len(values) != len(fan.rays):
         raise CountingError("one lambda value per ray required")
@@ -418,9 +456,7 @@ def _zeta_partials(fan: Fan, lam, Bs) -> list:
     low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
     k = len(Bqs) - low
 
-    total = [complex(2 ** d)] * k  # unit profile: height 1, 2^d points
-    npoints = [2 ** d] * k
-
+    terms = [[] for _ in range(k)]   # weighted terms, by first bound
     pl = PLFunction(fan, tuple(vals))
     pl_of = {}   # pl(n) per candidate n, for this enumeration
 
@@ -436,18 +472,21 @@ def _zeta_partials(fan: Fan, lam, Bs) -> list:
             for c in range(d):
                 v[c] += n[c] * lp
         expo += pl(tuple(-x for x in v))
-        term = 2 ** d * cmath.exp(-expo)
-        for j in range(first, k):
-            total[j] += weight * term
-            npoints[j] += weight * 2 ** d
+        terms[first].append(weight * 2 ** d * cmath.exp(-expo))
 
+    profiles = []
     if k:
-        _count_general(fan, rho, Bqs[low:], halve=False, visitor=visit)
+        profiles = _count_general(fan, rho, Bqs[low:],
+                                  halve=_is_symmetric(fan, vals),
+                                  visitor=visit, stats=stats)
 
     r = len(fan.rays) - d
     out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)
            for B in Bs[:low]]
+    re, im = [float(2 ** d)], []   # the unit profile: height 1, 2^d points
     for j, B in enumerate(Bs[low:]):
+        re += (z.real for z in terms[j])
+        im += (z.imag for z in terms[j])
         Bf = float(B)
         tail = 0.0
         t = Bf
@@ -456,6 +495,7 @@ def _zeta_partials(fan: Fan, lam, Bs) -> list:
             if t > Bf * 1e12:
                 break
             t *= 2.0
-        out.append(ZetaPartial(value=total[j], B=Bf, n_points=npoints[j],
+        out.append(ZetaPartial(value=complex(math.fsum(re), math.fsum(im)),
+                               B=Bf, n_points=profiles[j] * 2 ** d,
                                tail_estimate=tail))
     return out

@@ -196,6 +196,12 @@ class FibrationZeta:
         return out
 
 
+def _float_first(h):
+    # sort key for exact heights: float() of a Fraction is monotone, so
+    # the order is the exact one, and Fractions are compared on ties only
+    return float(h), h
+
+
 def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
                            B) -> FibrationZeta:
     """Sum of H_base(b)^-alpha * H_fiber(lam, g_b x)^-1 over all torus
@@ -280,7 +286,7 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
         tail = 0.0
     else:
         tail = math.inf
-    heights.sort()
+    heights.sort(key=_float_first)
     return FibrationZeta(
         twist=spec.twist, section=spec.section, lam_fiber=mu,
         alpha_base=a, B=float(B), value=value, n_points=n_points,
@@ -309,7 +315,7 @@ def direct_zeta_partial(fan: Fan, lam, B):
             term = 1.0 / float(hsum)
         heights.append(hcut)
         terms.append(term)
-    heights.sort()
+    heights.sort(key=_float_first)
     return tuple(heights), math.fsum(terms), len(heights)
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counting import _zeta_partials
+from .counting import _STATS, _add_stats, _zeta_partials
 from .latticefan import Fan
 from .primes import primes_up_to
 
@@ -257,6 +257,10 @@ class PoissonReport:
     B_grid: tuple
     lhs_partials: tuple
     factors: tuple = ()
+    # the DFS counts (counting._STATS) of the direct sums: the walk
+    # behind lhs, plus, for a product, the walks of its factors, each
+    # distinct factor once
+    stats: dict = field(default_factory=dict)
 
     def summary(self) -> str:
         return (
@@ -276,11 +280,13 @@ def _gauss_panels(T: float, edges: int, order: int):
     return m, w
 
 
-def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int):
-    """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums."""
+def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int,
+                        stats=None):
+    """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums; the
+    DFS counts of the sums are added into stats, if given."""
     smin = min(float(v) for v in lam)
     Bs = [B0 * 4.0**k for k in range(n_terms + 1)]
-    Ss = [z.value.real for z in _zeta_partials(fan, lam, Bs)]
+    Ss = [z.value.real for z in _zeta_partials(fan, lam, Bs, stats=stats)]
     rows = []
     for B in Bs:
         decay = B ** (1.0 - smin)
@@ -298,7 +304,8 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     la = float(lam[plus[0]])
     lb = float(lam[minus[0]])
 
-    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0, 1)
+    stats = dict.fromkeys(_STATS, 0)
+    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0, 1, stats=stats)
 
     cf0 = cf_extract(fan, lam, pmax)
     m, w = _gauss_panels(T, max(2, int(round(T / panel_width)) + 1), 16)
@@ -341,6 +348,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
         pmax=pmax,
         B_grid=Bs,
         lhs_partials=Ss,
+        stats=stats,
     )
 
 
@@ -391,6 +399,7 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
     from .latticefan import make_fan
 
     factors = []
+    stats = dict.fromkeys(_STATS, 0)
     for axis, (jp, jm) in enumerate(split):
         name = f"{fan.name or 'product'}[{axis}]"
         pair = (lam[jp], lam[jm])
@@ -400,7 +409,8 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
             continue
         sub = make_fan(1, [[1], [-1]], [[0], [1]], name=name)
         factors.append(_poisson_line(sub, pair, T, pmax, B0, panel_width))
-    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0 / 4.0, 2)
+        _add_stats(stats, factors[-1].stats)
+    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0 / 4.0, 2, stats=stats)
     rhs = factors[0].rhs * factors[1].rhs
     rel = abs(lhs - rhs) / abs(lhs)
     return PoissonReport(
@@ -416,4 +426,5 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         B_grid=Bs,
         lhs_partials=Ss,
         factors=tuple(factors),
+        stats=stats,
     )

@@ -442,6 +442,52 @@ class TestEngineStats:
                     "100,1000"]) == 0
         assert "skipped" not in capsys.readouterr().out
 
+    # count_N(fan, rho, [B / 10, B], pmax=1000) without the prime-loop
+    # stop: B, built, accepted, redecided, counts and skipped
+    WITHOUT_STOP = [
+        (P2, 10 ** 4, 10386, 7860, 204, [3364, 31444], 247131),
+        (P1XP1, 10 ** 4, 55145, 17968, 480, [10372, 143748], 348189),
+        (F1, 3000, 12720, 6654, 8, [2012, 26620], 135488),
+        (P3, 1000, 1158, 606, 0, [632, 4856], 32196),
+    ]
+
+    @pytest.mark.parametrize("fan,B,built,accepted,redecided,counts,skipped",
+                             WITHOUT_STOP,
+                             ids=["p2", "p1xp1", "hirzebruch-1", "p3"])
+    def test_prime_stop_builds_the_same_children(self, fan, B, built,
+                                                 accepted, redecided, counts,
+                                                 skipped):
+        report = count_N(fan, (1,) * len(fan.rays), [B / 10, B], pmax=1000)
+        stats = report.stats
+        assert (stats["built"], stats["accepted"], stats["redecided"]) == (
+            built, accepted, redecided)
+        assert report.counts == counts
+        # the stop ends prime loops whose remaining children would all
+        # be skipped
+        assert stats["skipped"] < skipped
+
+    @pytest.mark.parametrize("fan,built,count", [(P1XP1, 350, 1252),
+                                                 (F1, 395, 996)],
+                             ids=["p1xp1", "hirzebruch-1"])
+    def test_prime_stop_keeps_borderline_children(self, fan, built, count):
+        # 169 = 13^2 is about 1e-9 relative above this bound, so the
+        # one-cone bound of a child at 13 lies within rounding of the
+        # stop; the walk must still build it and re-decide it exactly, as
+        # it does without the stop
+        stats = {}
+        assert _count_grid(fan, (1, 1, 1, 1), [168.99999983099917],
+                           stats=stats) == [count]
+        assert (stats["built"], stats["redecided"]) == (built, 2)
+
+    def test_zeta_walk_reports_stats(self, monkeypatch):
+        lam = (2, 2, 2, 2)
+        halved, full = {}, {}
+        _zeta_partials(P1XP1, lam, [175, 700, 2800], stats=halved)
+        monkeypatch.setattr(counting, "_is_symmetric", lambda *args: False)
+        _zeta_partials(P1XP1, lam, [175, 700, 2800], stats=full)
+        assert (halved["accepted"], full["accepted"]) == (4212, 8424)
+        assert 0 < halved["built"] < full["built"]
+
 
 # lambda >= 1 on every ray gives H_lambda >= H_rho pointwise, since ray
 # coordinates are nonnegative; every point of these fans with
@@ -505,6 +551,48 @@ class TestValidation:
         assert sieved == []
         # the closed form needs no sieve and still answers
         assert count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217) > 0
+
+
+# symmetric fans with lambda invariant under negation: the zeta walk halves
+HALVED = [(P1, (2, 2)), (P1XP1, (2, 2, 2, 2)), (P1XP1, (2.3, 2.7, 2.3, 2.7)),
+          (P1XP1, (2.3 + 1j, 2.7, 2.3 + 1j, 2.7)), (P1, (1.7 + 3j, 1.7 + 3j))]
+FULL = [(P1, (2, 3)), (P1XP1, (2, 2, 3, 2)), (P1XP1, (2 + 1j, 2, 2 - 1j, 2)),
+        (P2, (2, 2, 2)), (F1, (2, 2, 2, 2))]
+
+
+def _halve_flags(monkeypatch):
+    seen = []
+    engine = counting._count_general
+
+    def spy(*args, halve, **kwargs):
+        seen.append(halve)
+        return engine(*args, halve=halve, **kwargs)
+
+    monkeypatch.setattr(counting, "_count_general", spy)
+    return seen
+
+
+class TestZetaHalving:
+    @pytest.mark.parametrize("fan,lam", HALVED,
+                             ids=[f"{f.name}-{lam}" for f, lam in HALVED])
+    def test_halved_sums_equal_full_walk(self, monkeypatch, fan, lam):
+        Bs = (0.5, 9, 175, 700, 2800)
+        seen = _halve_flags(monkeypatch)
+        halved = _zeta_partials(fan, lam, Bs)
+        monkeypatch.setattr(counting, "_is_symmetric", lambda *args: False)
+        full = _zeta_partials(fan, lam, Bs)
+        assert seen == [True, False]
+        for h, f in zip(halved, full):
+            assert h.value.real.hex() == f.value.real.hex()
+            assert h.value.imag.hex() == f.value.imag.hex()
+            assert h.n_points == f.n_points
+
+    @pytest.mark.parametrize("fan,lam", FULL,
+                             ids=[f"{f.name}-{lam}" for f, lam in FULL])
+    def test_full_walk_without_symmetry(self, monkeypatch, fan, lam):
+        seen = _halve_flags(monkeypatch)
+        _zeta_partials(fan, lam, [100])
+        assert seen == [False]
 
 
 class TestZetaPartial:

@@ -15,6 +15,7 @@ from scipy.integrate import dblquad, quad
 from manin_toric import fourier
 from manin_toric.fourier import (
     FourierError,
+    _extrapolate_direct,
     _poisson_line,
     arch_transform,
     cf_extract,
@@ -266,6 +267,20 @@ class TestPoisson:
         assert len(rep.factors) == 2
         assert rep.rhs == pytest.approx(rep.factors[0].rhs * rep.factors[1].rhs)
         assert rep.lhs == pytest.approx(2.4425061413**2, rel=1e-4)
+
+    def test_stats_sum_the_direct_walks(self, capsys):
+        rep = poisson_check(P1XP1, T=400.0, B0=700.0)
+        line, product = {}, {}
+        _extrapolate_direct(P1, (2.0, 2.0), 700.0, 1, stats=line)
+        _extrapolate_direct(P1XP1, (2.0,) * 4, 175.0, 2, stats=product)
+        assert rep.factors[0].stats == rep.factors[1].stats == line
+        # the second factor reuses the first one's sums: one line walk
+        assert rep.stats == {k: line[k] + product[k] for k in line}
+        assert rep.stats["accepted"] > 0
+        from manin_toric.cli import run
+        assert run(["poisson-check", "--fan", "builtin:p1", "--B0", "100",
+                    "--T", "100"]) == 0
+        assert "accepted" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("lam,lines", [(None, 1), ((2, 3, 2.5, 2), 2)])
     def test_product_evaluates_each_lambda_pair_once(self, monkeypatch, lam,
