@@ -64,9 +64,9 @@ def _is_symmetric(fan: Fan, values) -> bool:
 def _candidates(pl: PLFunction, kmax: int):
     """All n in Z^d \\ {0} with phi(n) <= kmax, as (phi, n, pairings, s)
     sorted by phi then lexicographically; pairings = pl.pairings(n), what
-    n adds per unit of log p to the vector the DFS carries, and, for
-    convex phi, s is the cone of -n, where <m_s, n> is smallest (0
-    otherwise)."""
+    n adds per unit of log p to the vector the DFS carries, and s is the
+    first vertex m_s of P_lambda where <m_s, n> is smallest (for convex
+    phi, the cone of -n)."""
     fan = pl.fan
     d = fan.dim
     found = {}
@@ -84,7 +84,7 @@ def _candidates(pl: PLFunction, kmax: int):
     out = []
     for phi, n in sorted((phi, n) for n, phi in found.items()):
         P = pl.pairings(n)
-        s = min(range(len(P)), key=P.__getitem__) if pl.is_convex else 0
+        s = min(range(len(P)), key=P.__getitem__)
         out.append((phi, n, P, s))
     return out
 
@@ -141,8 +141,9 @@ _MARGIN = 1e-9
 # would need gigabytes and hours, so it is refused before any allocation
 _MAX_SIEVE = 10 ** 8
 # what _count_general counts: children whose carried vector it built,
-# children skipped by the one-cone archimedean bound, accepted nodes and
-# exact re-decisions of nodes within _MARGIN of a bound
+# children skipped by the one-vertex archimedean bound, accepted nodes and
+# exact re-decisions: of nodes within _MARGIN of a bound and, for
+# non-convex phi, of every child that the hull admits
 _STATS = ("built", "skipped", "accepted", "redecided")
 
 
@@ -162,20 +163,26 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     symmetric data).  The counts of _STATS are added into stats, a dict,
     if given.
 
-    The archimedean term phi(-v) of v = sum_p n_p log p is kept
-    incrementally: each node adds log p times the candidate's pairings
-    to its parent's carried vector, whose archimedean term is
-    -min_sigma <m_sigma, v> when phi is convex and pl.arch otherwise.
-    For convex phi a child is skipped before its vector is built when
-    the one cone s of -n already puts it above the largest bound: the
-    term is at least -<m_s, v>, computed as the same float, so the bisect
-    would reject the child and the DFS would not extend it.
+    The archimedean term phi(-v) of v = sum_p n_p log p is bounded
+    below incrementally: each node adds log p times the candidate's
+    pairings to its parent's carried vector <m_t, v> over the vertices
+    m_t of P_lambda, and psi(-v) = -min_t <m_t, v> is at most phi(-v),
+    equal to it when phi is convex.  psi is sublinear and psi <= phi, so
+    log F + psi(-v) never decreases along an extension of a profile, and
+    a child whose bound lies above the largest bound is not extended.
+    When phi is convex the bound is the height and decides the bin, with
+    exact re-decisions within _MARGIN; otherwise every child that the
+    bound admits is binned by its exact height.  A child is skipped
+    before its vector is built when the one vertex s of its candidate
+    already puts it above the largest bound: psi(-v) is at least
+    -<m_s, v>, computed as the same float, so the bisect would reject
+    the child and the DFS would not extend it.
 
     The same bound stops a node's prime loop.  A child at log p with
     candidate (phi, n, P, s) is skipped once log p (phi - P[s]) exceeds
     budget + M[s], where budget = log B - log F + _MARGIN and M is the
     node's carried vector.  Let k_s be the least phi - P[s] over the
-    table's candidates of cone s.  When every k_s > 0, every candidate is
+    table's candidates of vertex s.  When every k_s > 0, every candidate is
     skipped at every prime with log p > max_s (budget + M[s]) / k_s, so
     the loop breaks at the first one.  The threshold carries _MARGIN of
     slack: rounding would otherwise end some loops just before a child
@@ -190,15 +197,14 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     kmax = intB.bit_length() - 1   # max phi with 2^phi <= B
     pl = PLFunction(fan, lam_ints)
     convex = pl.is_convex
-    arch = pl.arch
     cands = _candidates(pl, kmax) if kmax >= 1 else []
     half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
 
     def stop_rates(table):
-        # (s, k_s) per cone of the table's candidates, or None when no
-        # stop applies; the max over s is taken per node, as each cone
+        # (s, k_s) per vertex of the table's candidates, or None when no
+        # stop applies; the max over s is taken per node, as each vertex
         # pairs with its own carried coordinate
-        if not convex or not table:
+        if not table:
             return None
         ks = {}
         for phi, _n, P, s in table:
@@ -244,18 +250,21 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                 if Fc > intB:
                     continue
                 logFc = logF + phi * lq
-                if convex and logFc - (M[s] + lq * P[s]) - _MARGIN > logB:
+                if logFc - (M[s] + lq * P[s]) - _MARGIN > logB:
                     skipped += 1
                     continue
                 built += 1
                 Mc = [m + lq * x for m, x in zip(M, P)]
-                logH = logFc - min(Mc) if convex else logFc + arch(Mc)
+                logH = logFc - min(Mc)
                 stack.append((p, n))
                 # bounds below lo fail and bounds from hi on hold; the
-                # ones in between are within the margin, decided exactly
+                # ones in between are decided exactly: those within the
+                # margin, and for non-convex phi all from lo on, since
+                # logH is then only a lower bound
                 lo = bisect_left(logBs, logH - _MARGIN)
                 if lo < k:
-                    hi = bisect_left(logBs, logH + _MARGIN, lo)
+                    hi = (bisect_left(logBs, logH + _MARGIN, lo) if convex
+                          else k)
                     j = lo
                     if lo < hi:
                         redecided += 1
@@ -266,9 +275,6 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                         bins[j] += weight
                         if visitor is not None:
                             visitor(tuple(stack), weight, j)
-                # lo < k: within the largest bound; extensions of a
-                # profile above it can still qualify only for non-convex phi
-                if lo < k or not convex:
                     rec(i + 1, Fc, logFc, Mc, False)
                 stack.pop()
 

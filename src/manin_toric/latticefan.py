@@ -22,13 +22,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import chain, combinations
 from typing import Sequence
 
-from .ratlinalg import det_fraction
+from .ratlinalg import det_fraction, solve_fraction
 
 
 class FanFormatError(ValueError):
@@ -45,29 +45,16 @@ Vector = tuple[int, ...]
 def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """Inverse of an integer matrix with det +-1, as integer rows."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise FanValidationError("singular cone matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise FanValidationError("cone matrix is not unimodular")
-            row.append(int(v))
-        inv.append(tuple(row))
-    return tuple(inv)
+    cols = list(zip(*mat))
+    try:
+        # column j of the inverse solves mat x = unit vector j
+        inv_cols = [solve_fraction(cols, [int(i == j) for i in range(n)])
+                    for j in range(n)]
+    except ValueError:
+        raise FanValidationError("singular cone matrix") from None
+    if any(x.denominator != 1 for col in inv_cols for x in col):
+        raise FanValidationError("cone matrix is not unimodular")
+    return tuple(tuple(int(col[i]) for col in inv_cols) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -132,10 +119,10 @@ class PLFunction:
     """A piecewise linear function on a fan, determined by its ray values.
 
     The one kernel for phi_lambda: cone location, exact and float
-    evaluation, the dual monomials of the cones, convexity, the per-cone
-    float data of the enumeration's archimedean term and exact heights
-    of valuation profiles, with per-cone data cached on the instance.
-    Values may be int, Fraction, float or complex.
+    evaluation, the dual monomials of the cones, convexity, the vertices
+    of P_lambda whose pairings bound the enumeration's archimedean term,
+    and exact heights of valuation profiles, with per-cone data cached
+    on the instance.  Values may be int, Fraction, float or complex.
     """
 
     fan: Fan
@@ -203,48 +190,42 @@ class PLFunction:
         return sum(c * self.values[j]
                    for c, j in zip(coords, self.fan.max_cones[s]))
 
-    def pairings(self, n: Sequence[int]) -> tuple[float, ...]:
-        """What the lattice vector n adds, per unit of log p, to the float
-        vector the valuation-profile DFS carries for v = sum_p n_p log p:
-        the pairings <m_sigma, n> of every cone when phi is convex, and
-        otherwise n followed by the ray coordinates inv_sigma n of every
-        cone.  Requires integral lambda."""
-        if self.is_convex:
-            return tuple(float(sum(m * x for m, x in zip(mono, n)))
-                         for mono in self.monomials)
-        out = [float(x) for x in n]
-        for inv in self.fan.cone_inverses:
-            out.extend(float(sum(r * x for r, x in zip(row, n)))
-                       for row in inv)
-        return tuple(out)
-
     @cached_property
-    def arch(self):
-        """phi(-v) as a function of the carried vector of v (see
-        pairings), built once for the DFS: -min_sigma <m_sigma, v> when
-        phi is convex, otherwise <m_sigma, -v> on the cone chosen as in
-        locate, with coordinates left unclamped."""
-        if self.is_convex:
-            return lambda carried: -min(carried)
-        d = self.fan.dim
-        cones = [(d * (s + 1), d * (s + 2),
-                  [float(self.values[j]) for j in cone])
-                 for s, cone in enumerate(self.fan.max_cones)]
+    def vertices(self) -> tuple[tuple, ...]:
+        """The vertices m_t of P_lambda = {m : <m, e_j> <= lambda_j on
+        every ray e_j}: the solutions of <m, e_j> = lambda_j on d
+        independent rays that satisfy every inequality, the maximal cones
+        first in max_cones order, then the other sets of d rays, repeats
+        dropped.  When phi is convex these are the cone monomials in cone
+        order.  Entries are int where integral and float otherwise.
+        Requires real lambda."""
+        fan = self.fan
+        lam = [Fraction(v) for v in self.values]
+        maximal = set(map(frozenset, fan.max_cones))
+        rest = (c for c in combinations(range(len(fan.rays)), fan.dim)
+                if frozenset(c) not in maximal)
+        found = {}
+        for idx in chain(fan.max_cones, rest):
+            cols = [[fan.rays[j][k] for j in idx] for k in range(fan.dim)]
+            try:
+                m = solve_fraction(cols, [lam[j] for j in idx])
+            except ValueError:
+                continue   # dependent rays
+            if all(sum(a * x for a, x in zip(m, ray)) <= l
+                   for ray, l in zip(fan.rays, lam)):
+                found.setdefault(tuple(m), None)
+        return tuple(tuple(int(x) if x.denominator == 1 else float(x)
+                           for x in m) for m in found)
 
-        def arch(carried):
-            # -v is in a cone when every coordinate of v there is <= tol
-            tol = _TOL * (1.0 + sum(map(abs, carried[:d])))
-            best_m = math.inf
-            for lo, hi, lams in cones:
-                coords = carried[lo:hi]
-                m = max(coords)
-                if m <= tol:
-                    return -sum(map(mul, coords, lams))
-                if m < best_m:
-                    best_m, best = m, (coords, lams)
-            return -sum(map(mul, *best))
-
-        return arch
+    def pairings(self, n: Sequence[int]) -> tuple[float, ...]:
+        """The pairings <m_t, n> with the vertices of P_lambda: what the
+        lattice vector n adds, per unit of log p, to the float vector the
+        valuation-profile DFS carries for v = sum_p n_p log p.  Minus the
+        least entry of that vector is psi(-v) = max_t <m_t, -v>, the
+        sublinear hull of phi at -v: at most phi(-v), equal to it when
+        phi is convex."""
+        return tuple(float(sum(m * x for m, x in zip(vert, n)))
+                     for vert in self.vertices)
 
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile

@@ -349,6 +349,15 @@ class TestFibration:
         assert cc["rel_error"] <= 1e-10
         assert doc["n_points"] == cc["direct_points"]
 
+    def test_non_convex_direct_route(self, capsys):
+        # the direct reference enumerates F_3 by rho, which is not
+        # convex there
+        doc = run_json(["fibration", "zeta", "--n", "3", "--alpha-base",
+                        "6", "--B", "2000"], capsys)
+        cc = doc["cross_check"]
+        assert cc["status"] == "ok"
+        assert cc["multiset_equal"]
+
     def test_csv_rows_are_base_points(self, capsys):
         code = run(["fibration", "--n", "1", "--B", "100",
                     "--format", "csv"])

@@ -479,6 +479,18 @@ class TestEngineStats:
                            stats=stats) == [count]
         assert (stats["built"], stats["redecided"]) == (built, 2)
 
+    def test_non_convex_walk_skips_and_stops(self):
+        # phi is not convex here; the walk bounds the archimedean term by
+        # the vertices of P_lambda, so it skips children and stops prime
+        # loops as the convex walk does, with the same counts as a walk
+        # that builds every child (832,284 of them at B = 2e4)
+        report = count_N(F1, (1, 5, 1, 1), [2e3, 2e4], pmax=1000)
+        stats = report.stats
+        assert report.counts == [3548, 39916]
+        assert stats["accepted"] == 9978
+        assert stats["skipped"] > 0
+        assert stats["built"] < 2 * stats["accepted"]
+
     def test_zeta_walk_reports_stats(self, monkeypatch):
         lam = (2, 2, 2, 2)
         halved, full = {}, {}

@@ -15,6 +15,7 @@ from manin_toric.latticefan import (
     FanFormatError,
     FanValidationError,
     PLFunction,
+    _inverse_unimodular,
     builtin_fan,
     fan_from_json,
     fan_to_json,
@@ -23,6 +24,7 @@ from manin_toric.latticefan import (
     pl_evaluate,
     validate_fan,
 )
+from manin_toric.ratlinalg import rank_fraction
 
 
 def test_builtin_fans_validate():
@@ -246,7 +248,61 @@ def test_kernel_exact_and_float_agree(data):
         carried = [m + lq * x for m, x in zip(carried, pl.pairings(n))]
         w = [a - Fraction(lq) * x for a, x in zip(w, n)]
     tol = 1e-9 * (1 + sum(abs(float(x)) for x in w))
-    assert abs(pl.arch(carried) - float(pl(tuple(w)))) <= tol
+    # minus its least entry is the sublinear hull psi(w) = max_t <m_t, w>
+    # over the vertices of P_lambda, at most phi(w), equal for convex phi
+    hull = max(sum(a * float(x) for a, x in zip(m, w)) for m in pl.vertices)
+    phi_w = float(pl(tuple(w)))
+    assert abs(-min(carried) - hull) <= tol
+    assert hull <= phi_w + tol
+    if pl.is_convex:
+        assert abs(hull - phi_w) <= tol
+
+
+def test_vertices_of_convex_kernels_are_the_monomials():
+    for name in ("p2", "p1xp1"):
+        fan = builtin_fan(name)
+        pl = PLFunction(fan, (1,) * len(fan.rays))
+        assert pl.vertices == pl.monomials
+
+
+def test_vertices_of_hirzebruch_kernels():
+    # F_2 with rho is convex, and two cones share the monomial (1, 1)
+    f2 = PLFunction(builtin_fan("hirzebruch-2"), (1, 1, 1, 1))
+    assert f2.is_convex and len(f2.vertices) == 3
+    assert set(f2.vertices) == set(f2.monomials)
+    # non-convex: the monomials (1, 5) and (4, 5) leave P_lambda, and the
+    # rays (1, 0) and (-1, 1), in no common cone, meet at a vertex
+    f1 = PLFunction(builtin_fan("hirzebruch-1"), (1, 5, 1, 1))
+    assert not f1.is_convex
+    assert f1.vertices == ((-2, -1), (1, -1), (1, 2))
+    f3 = PLFunction(builtin_fan("hirzebruch-3"), (1, 1, 1, 1))
+    assert set(f3.vertices) == {(-4, -1), (1, -1), (1, 2 / 3)}
+    assert [type(x) for m in f3.vertices for x in m].count(float) == 1
+
+
+@kernel_settings
+@given(st.data())
+def test_kernel_vertices_are_tight_and_feasible(data):
+    pl = data.draw(kernels())
+    fan = pl.fan
+    for m in pl.vertices:
+        slack = [l - sum(a * x for a, x in zip(m, ray))
+                 for ray, l in zip(fan.rays, pl.values)]
+        assert min(slack) >= -1e-12
+        tight = [ray for ray, t in zip(fan.rays, slack) if abs(t) <= 1e-12]
+        assert rank_fraction(tight) == fan.dim
+    if pl.is_convex:
+        assert set(pl.vertices) == set(pl.monomials)
+
+
+def test_inverse_unimodular():
+    mat = ((2, 1), (1, 1))
+    assert _inverse_unimodular(mat) == ((1, -1), (-1, 2))
+    with pytest.raises(FanValidationError, match="singular cone matrix"):
+        _inverse_unimodular(((1, 2), (2, 4)))
+    with pytest.raises(FanValidationError,
+                       match="cone matrix is not unimodular"):
+        _inverse_unimodular(((1, 1), (0, 2)))
 
 
 @kernel_settings
