@@ -426,6 +426,10 @@ def _cmd_poisson(args):
         "B_grid": list(report.B_grid),
         "status": "ok" if ok else "tolerance-exceeded",
     }
+    if not ok:
+        sys.stderr.write(
+            f"tolerance failure: rel_error = {report.rel_error!r} exceeds "
+            f"tol = {args.tol!r} by {report.rel_error - args.tol!r}\n")
     return result, 0 if ok else 3
 
 

@@ -157,7 +157,9 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     """DFS engine for any dimension.  One pass, sized by the largest of
     the ascending bounds Bqs (all >= 1), serves them all: each accepted
     profile goes to the bin of the first bound it satisfies, and the
-    visitor, if any, gets that bin's index.  Returns per bound the
+    visitor, if any, gets its stack ((p, n_p), ...), weight, bin index
+    and carried vector (below; a fresh list, never mutated after the
+    call).  Returns per bound the
     accepted profile count, with lex-positive first vectors counted
     double when halve is set (profile negation preserves heights for
     symmetric data).  The counts of _STATS are added into stats, a dict,
@@ -274,7 +276,7 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                         accepted += 1
                         bins[j] += weight
                         if visitor is not None:
-                            visitor(tuple(stack), weight, j)
+                            visitor(tuple(stack), weight, j, Mc)
                     rec(i + 1, Fc, logFc, Mc, False)
                 stack.pop()
 
@@ -285,6 +287,17 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
         _add_stats(stats, dict(zip(_STATS, (built, skipped, accepted,
                                             redecided))))
     return list(accumulate(bins))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def _is_p1_like(fan: Fan) -> bool:
@@ -347,12 +360,9 @@ def enumerate_bounded(fan: Fan, lam, B):
     Bq = Fraction(B) ** L
     d = fan.dim
     collected = []
-
-    def visit(stack, _weight, _bin):
-        collected.append(stack)
-
     if Bq >= 1:
-        _count_general(fan, lam_ints, [Bq], halve=False, visitor=visit)
+        _count_general(fan, lam_ints, [Bq], halve=False,
+                       visitor=lambda stack, *_: collected.append(stack))
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
             yield ValuationProfile(dim=d, support=(), signs=signs)
@@ -437,7 +447,16 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
 
 def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
     """zeta_partial for every B of the ascending Bs, from one enumeration
-    at the largest; its DFS counts are added into stats, if given.
+    at the largest; its DFS counts are added into stats, if given, with
+    "located", the accepted profiles whose cone was found by locate.
+
+    With s the cone of -v, v = sum_p n_p log p, and m_s = inv_s^T
+    lambda_s its monomial, phi(-v) = -sum_p log p <m_s, n_p>, so the
+    exponent is sum_p log p row_n_p[s], row_n[t] = phi(n) - <m_t, n>
+    cached per n.  For strictly convex rho (one vertex per cone: the
+    monomials) s is the least entry of the walk's carried vector, cones
+    tied on a wall giving equal terms; otherwise (hirzebruch-2, whose
+    cones 1 and 2 share a monomial, or non-convex rho) locate finds s.
 
     When every ray's negative is a ray with the same lambda value (and
     so with the same rho value), x and its negation have equal heights
@@ -464,20 +483,27 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
 
     terms = [[] for _ in range(k)]   # weighted terms, by first bound
     pl = PLFunction(fan, tuple(vals))
-    pl_of = {}   # pl(n) per candidate n, for this enumeration
+    cut = PLFunction(fan, rho)
+    strict = cut.is_convex and len(cut.vertices) == len(fan.max_cones)
+    monos = [[sum(inv[i][c] * vals[j] for i, j in enumerate(cone))
+              for c in range(d)]
+             for inv, cone in zip(fan.cone_inverses, fan.max_cones)]
+    rows = _Memo(lambda n: [pl(n) - sum(m * x for m, x in zip(mono, n))
+                            for mono in monos])
+    logs = _Memo(math.log)
+    located = 0
 
-    def visit(stack, weight, first):
+    def visit(stack, weight, first, M):
+        nonlocal located
+        if strict:
+            s = M.index(min(M))
+        else:
+            located += 1
+            s = pl.locate([-sum(n[c] * logs[p] for p, n in stack)
+                           for c in range(d)])[0]
         expo = 0j
-        v = [0.0] * d
         for p, n in stack:
-            lp = math.log(p)
-            f = pl_of.get(n)
-            if f is None:
-                f = pl_of[n] = pl(n)
-            expo += f * lp
-            for c in range(d):
-                v[c] += n[c] * lp
-        expo += pl(tuple(-x for x in v))
+            expo += logs[p] * rows[n][s]
         terms[first].append(weight * 2 ** d * cmath.exp(-expo))
 
     profiles = []
@@ -485,6 +511,8 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
         profiles = _count_general(fan, rho, Bqs[low:],
                                   halve=_is_symmetric(fan, vals),
                                   visitor=visit, stats=stats)
+        if stats is not None:
+            _add_stats(stats, {"located": located})
 
     r = len(fan.rays) - d
     out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)

@@ -257,9 +257,9 @@ class PoissonReport:
     B_grid: tuple
     lhs_partials: tuple
     factors: tuple = ()
-    # the DFS counts (counting._STATS) of the direct sums: the walk
-    # behind lhs, plus, for a product, the walks of its factors, each
-    # distinct factor once
+    # the DFS counts (counting._STATS, and "located" of _zeta_partials)
+    # of the direct sums: the walk behind lhs, plus, for a product, the
+    # walks of its factors, each distinct factor once
     stats: dict = field(default_factory=dict)
 
     def summary(self) -> str:

@@ -227,6 +227,12 @@ class PLFunction:
         return tuple(float(sum(m * x for m, x in zip(vert, n)))
                      for vert in self.vertices)
 
+    @cached_property
+    def cone_of(self) -> dict:
+        """n -> index of the maximal cone of the integer vector n, as
+        locate(n) finds it; profile_height fills it on first use."""
+        return {}
+
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile
         ((p, n_p), ...): prod_p p^(phi(n_p) - <m_sigma, n_p>), where sigma
@@ -242,7 +248,9 @@ class PLFunction:
             raise FanValidationError("no cone contains the archimedean vector")
         num = den = 1
         for p, n in support:
-            t, _coords = self.locate(n)
+            t = self.cone_of.get(n)
+            if t is None:
+                t = self.cone_of[n] = self.locate(n)[0]
             e = sum((a - b) * x for a, b, x in zip(mono[t], mono[s], n))
             if e > 0:
                 num *= p ** e

@@ -247,6 +247,29 @@ class TestPoissonCheck:
         doc = json.loads(dest.read_text())
         assert doc["status"] == "tolerance-exceeded"
 
+    def test_tolerance_failure_names_the_quantity(self, capsys):
+        code = run(["poisson-check", "--fan", "builtin:p1",
+                    "--tol", "1e-15"] + self.FAST)
+        captured = capsys.readouterr()
+        assert code == 3
+        doc = json.loads(captured.out)
+        rel = doc["rel_error"]
+        assert captured.err == (
+            f"tolerance failure: rel_error = {rel!r} exceeds tol = 1e-15 "
+            f"by {rel - 1e-15!r}\n")
+        # the line goes to stderr only: the artifact is the one a passing
+        # tolerance writes, but for its config echo and status
+        assert run(["poisson-check", "--fan", "builtin:p1",
+                    "--tol", "1"] + self.FAST) == 0
+        passing = capsys.readouterr()
+        assert passing.err == ""
+        ok = json.loads(passing.out)
+        assert ok.pop("status") == "ok"
+        assert ok.pop("config")["tol"] == 1.0
+        assert doc.pop("status") == "tolerance-exceeded"
+        assert doc.pop("config")["tol"] == 1e-15
+        assert doc == ok
+
 
 class TestTauber:
     def test_zeta2_report(self, capsys):

@@ -7,6 +7,7 @@ computed from cone monomials, and (for products) a fiberwise convolution
 of the d=1 oracle.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -32,7 +33,7 @@ from manin_toric.counting import (
 from manin_toric.fibration import hirzebruch_fan
 from manin_toric.fourier import _extrapolate_direct
 from manin_toric.heights import global_height
-from manin_toric.latticefan import builtin_fan
+from manin_toric.latticefan import PLFunction, builtin_fan
 from manin_toric.primes import factorize, totient_table
 
 P1 = builtin_fan("p1")
@@ -41,6 +42,7 @@ P1XP1 = builtin_fan("p1xp1")
 F1 = builtin_fan("hirzebruch-1")
 F2 = builtin_fan("hirzebruch-2")
 P3 = builtin_fan("p3")
+F3 = builtin_fan("hirzebruch-3")
 
 ZETA3 = 1.2020569031595942854
 
@@ -635,6 +637,71 @@ class TestZetaPartial:
         for lam in ((1, 2), (2, 1.0), (0.5 + 3j, 2)):
             with pytest.raises(CountingError):
                 zeta_partial(P1, lam, 100)
+
+
+def zeta_reference(fan, lam, B):
+    """The partial zeta sum of H_lambda^-1 over H_rho <= B, and its number
+    of points, built apart from _zeta_partials: enumerate_bounded's points
+    summed with exponent sum_p log p phi(n_p) + phi(-v), v = sum_p n_p
+    log p, both through PLFunction.__call__."""
+    pl = PLFunction(fan, tuple(complex(v) for v in lam))
+    re, im = [], []
+    for prof in enumerate_bounded(fan, (1,) * len(fan.rays), B):
+        expo = 0j
+        v = [0.0] * fan.dim
+        for p, n in prof.support:
+            expo += pl(n) * math.log(p)
+            v = [c + x * math.log(p) for c, x in zip(v, n)]
+        z = cmath.exp(-(expo + pl(tuple(-c for c in v))))
+        re.append(z.real)
+        im.append(z.imag)
+    return complex(math.fsum(re), math.fsum(im)), len(re)
+
+
+def assert_matches_reference(fan, lam, Bs):
+    for got, B in zip(_zeta_partials(fan, lam, Bs), Bs):
+        want, n_points = zeta_reference(fan, lam, B)
+        assert abs(got.value - want) <= 1e-13 * abs(want)
+        assert got.n_points == n_points
+
+
+# rho is convex but not strictly on hirzebruch-2 (two cones share the
+# monomial (1, 1)) and not convex on hirzebruch-3, so the zeta walk finds
+# the cone of -v with locate there; lambda_2 != 2 lambda_1 - lambda_0 makes
+# phi_lambda differ on the two cones of that monomial
+LOCATED = [(F2, (2.5, 3, 2.2, 2)), (F3, (2, 2, 2, 2)),
+           (F3, (2.5 + 1j, 2, 3 - 2j, 2.2))]
+CONE_READ = [P1, P1XP1]
+
+
+class TestZetaConeRead:
+    @pytest.mark.parametrize("fan,lam", LOCATED,
+                             ids=[f"{f.name}-{lam}" for f, lam in LOCATED])
+    def test_located_fans_match_reference(self, fan, lam):
+        assert_matches_reference(fan, lam, (9, 100, 400))
+        stats = {}
+        _zeta_partials(fan, lam, [400], stats=stats)
+        assert stats["located"] == stats["accepted"] > 0
+
+    @pytest.mark.parametrize("fan", CONE_READ, ids=["p1", "p1xp1"])
+    def test_strictly_convex_fans_locate_nothing(self, fan):
+        stats = {}
+        _zeta_partials(fan, (2,) * len(fan.rays), [400], stats=stats)
+        assert stats["accepted"] > 0
+        assert stats["located"] == 0
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              database=None)
+    @given(fan=st.sampled_from([P2, P3, P1XP1, F1]),
+           re=st.lists(st.floats(1.2, 4, exclude_min=True,
+                                 exclude_max=True), min_size=4, max_size=4),
+           im=st.lists(st.floats(-5, 5), min_size=4, max_size=4),
+           B=st.integers(1, 500))
+    # a lambda invariant under negation: the halved walk
+    @example(fan=P1XP1, re=[2.5, 1.5, 2.5, 1.5], im=[1, -2, 1, -2], B=500)
+    def test_cone_read_matches_reference(self, fan, re, im, B):
+        lam = [complex(a, b) for a, b in zip(re, im)][:len(fan.rays)]
+        assert_matches_reference(fan, lam, (B / 4, B))
 
 
 class TestReportAndFit:
