@@ -462,6 +462,11 @@ def _cmd_tauber(args):
         "residual": N - pred,
         "status": "ok" if inside else "bracket-miss",
     }
+    if not inside:
+        gap = lo - direct_km1 if direct_km1 < lo else direct_km1 - hi
+        sys.stderr.write(
+            f"bracket-miss: target = {direct_km1!r} lies outside lower = "
+            f"{lo!r}, upper = {hi!r} by {gap!r}\n")
     return result, 0 if inside else 3
 
 

@@ -178,8 +178,9 @@ def builtin_oracle(name: str) -> DirichletOracle:
 
 
 def _panel_edges(T: float, X: float) -> int:
-    # at least three panels per oscillation period 2*pi/log X
-    width = min(0.5, 2 * math.pi / max(math.log(X), 1.0) / 3)
+    # at least three panels per oscillation period 2*pi/log X; log X is
+    # rounded up so that the X of a descent window share one node set
+    width = min(0.5, 2 * math.pi / max(math.ceil(math.log(X)), 1) / 3)
     return max(2, int(math.ceil(T / width)) + 1)
 
 
@@ -212,10 +213,12 @@ class PerronLine:
 
     Calling the line on X returns phi_k(X) and raises when the bound on
     the integral beyond |Im s| = T exceeds tol * (|phi_k| + 1).  The
-    quadrature nodes depend on X only through their panel count, and the
-    tail bound only through X^a_prime, so a line evaluates the series once
-    per distinct node set and samples it for the tail once, however many
-    X it is called on.  `stats` reports that work.
+    quadrature nodes depend on X only through ceil(log X), which sets
+    their panel count, and the tail bound only through X^a_prime, so a
+    line evaluates the series once per distinct node set and samples it
+    for the tail once, however many X it is called on.  The X(1 -/+ eta)
+    and X of a descent window share one node set unless the window
+    straddles an integer of log X.  `stats` reports that work.
     """
 
     def __init__(self, oracle: DirichletOracle, pole: PoleData | None,
@@ -259,10 +262,12 @@ class PerronLine:
     def __call__(self, X: float) -> float:
         value = self.integral(X)
         bound = self.tail(X)
-        if bound > self.tol * (abs(value) + 1):
+        limit = self.tol * (abs(value) + 1)
+        if bound > limit:
             raise TauberianError(
-                f"tail bound {bound:.3g} exceeds tolerance at T={self.T}; "
-                "raise T"
+                f"tail_bound = {bound!r} exceeds tol * (|phi_k| + 1) = "
+                f"{limit!r} by {bound - limit!r} at X = {X!r}, "
+                f"T = {self.T!r}; raise T"
             )
         return value
 

@@ -16,7 +16,8 @@ from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
 from manin_toric.tauberian import (MAX_DIRECT_TERMS, DirichletOracle,
-                                   builtin_oracle, descend_k, perron_phi_k)
+                                   PerronLine, builtin_oracle, descend_k,
+                                   perron_phi_k)
 
 
 def run_json(argv, capsys, expect=0):
@@ -325,6 +326,35 @@ class TestTauber:
     def test_truncation_too_short(self, capsys):
         assert run(["tauber", "--oracle", "p1", "--X", "5000",
                     "--k", "2", "--T", "60"]) == 3
+        out, err = capsys.readouterr()
+        line = PerronLine(builtin_oracle("p1"), None, 2, T=60.0)
+        bound = line.tail(5000.0)
+        limit = 1e-3 * (abs(line.integral(5000.0)) + 1)
+        assert out == ""
+        assert err == (
+            f"tolerance failure: tail_bound = {bound!r} exceeds tol * "
+            f"(|phi_k| + 1) = {limit!r} by {bound - limit!r} at "
+            "X = 5000.0, T = 60.0; raise T\n")
+
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (1e9, 2e9)],
+                             ids=["below-target", "above-target"])
+    def test_bracket_miss_names_the_target(self, capsys, monkeypatch,
+                                           bracket):
+        lo, hi = bracket
+        monkeypatch.setattr(cli, "descend_k", lambda *args: bracket)
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e3",
+                    "--k", "3"]) == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        target = builtin_oracle("zeta2").phi_direct(1e3, 2)
+        assert doc["status"] == "bracket-miss"
+        assert doc["brackets"] == {"lower": lo, "upper": hi,
+                                   "target": target,
+                                   "contains_target": False}
+        gap = target - hi if target > hi else lo - target
+        assert err == (
+            f"bracket-miss: target = {target!r} lies outside lower = "
+            f"{lo!r}, upper = {hi!r} by {gap!r}\n")
 
     def test_values_equal_fresh_calls(self, capsys):
         doc = run_json(["tauber", "--oracle", "zeta2", "--X", "1e3",

@@ -179,6 +179,35 @@ class TestZetaLine:
         # absolute below |zeta| = 1: zeta has zeros on Re s = 1/2
         assert abs(zeta_line(s) - want) < 2e-11 * max(1.0, abs(want))
 
+    def test_beyond_the_random_range(self):
+        # the rounding of t log p enters each term once per prime factor
+        for s in (0.5 + 1e5j, 1.5 + 1e5j, 0.75 + 2e4j):
+            with mp.workdps(30):
+                want = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+            assert abs(zeta_line(s) - want) < 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("N", [16, 17, 968, 31844])
+    def test_factor_plan_fills_every_column_from_earlier_ones(self, N):
+        # replay the kernel's column order on integers: a block with
+        # cutoff N, and one with a smaller cutoff taking the prefixes
+        primes, logp, layers = fourier._factor_plan(N)
+        assert np.array_equal(logp, np.log(primes))
+        for cut in (N, N // 2 + 1):
+            P = sum(p < cut for p in primes)
+            cols = list(primes[:P])
+            prev = 0  # first column of the layer before
+            for ns, i, j in layers:
+                count = sum(n < cut for n in ns)
+                assert list(ns[:count]) == sorted(ns[:count])
+                start = len(cols)
+                for n, a, b in zip(ns[:count], i, j):
+                    assert a < P and prev + b < start  # filled earlier
+                    assert cols[a] * cols[prev + b] == n
+                    cols.append(n)
+                prev = start
+            # with n = 1 the constant term, every n < cut exactly once
+            assert sorted(cols) == list(range(2, cut))
+
     @pytest.mark.parametrize("size", [1, 2, 511, 513, 2000])
     def test_value_independent_of_the_array(self, size):
         # a point's block, and so its cutoff N, depends on the rest of

@@ -185,6 +185,27 @@ class TestPerronLine:
                               "points": sum(12 * (e - 1) for e in edges),
                               "tail_samples": 4}
 
+    @pytest.mark.parametrize("pct", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("oracle, X", [(P1O, 2e3), (ZETA2, 1e5)],
+                             ids=["p1", "zeta2"])
+    def test_descent_window_shares_one_node_set(self, oracle, X, pct):
+        # the tauber jobs of the benchmark, at each of its jitters
+        X = X * (100 + pct) / 100
+        line = PerronLine(oracle, None, 3, T=150.0)
+        line(X)
+        descend_k(line, 3, X)
+        assert line.stats["node_sets"] == 1
+
+    def test_window_straddling_an_integer_of_log_X(self):
+        X = 2981.0  # log X = 8.00001: X(1 - eta) lies below e^8
+        line = PerronLine(P1O, None, 3, T=150.0)
+        phi = line(X)
+        bracket = descend_k(line, 3, X)
+        assert line.stats["node_sets"] == 2
+        assert phi == perron_phi_k(P1O, None, X, 3, T=150.0)
+        assert bracket == descend_k(
+            lambda Y: perron_phi_k(P1O, None, Y, 3, T=150.0), 3, X)
+
     @pytest.mark.parametrize("T", [0.0, -150.0])
     def test_rejects_nonpositive_T(self, T):
         with pytest.raises(TauberianError, match="must be positive"):
