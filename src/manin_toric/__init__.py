@@ -16,7 +16,7 @@ from .counting import (CountingError, CountReport, ZetaPartial, count_N,
                        zeta_partial)
 from .fibration import (FibrationConstant, FibrationError, FibrationPicard,
                         FibrationZeta, TorsorSpec, arakelov_L_partial,
-                        direct_zeta_partial, enumerate_base, fibration_picard,
+                        direct_zeta_partial, fibration_picard,
                         fibration_predicted_constant, fibration_zeta_partial,
                         hirzebruch_fan, hirzebruch_match, torsor_class,
                         twisted_fiber_height)
@@ -54,9 +54,9 @@ __all__ = [
     "cf_extract", "char_evaluate", "char_function", "character_pairing",
     "compare", "cone_monomials", "contour_independence", "count_N",
     "count_points", "count_points_mod_p", "descend_k",
-    "direct_zeta_partial", "dual_cone", "enumerate_base",
-    "enumerate_bounded", "euler_product_spec", "exact_height",
-    "fan_from_json", "fan_to_json", "fibration_picard",
+    "direct_zeta_partial", "dual_cone", "enumerate_bounded",
+    "euler_product_spec", "exact_height", "fan_from_json", "fan_to_json",
+    "fibration_picard",
     "fibration_predicted_constant", "fibration_zeta_partial",
     "finite_transform", "fit_asymptotic", "global_height",
     "hirzebruch_fan", "hirzebruch_match", "leading_constant",

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -74,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "when omitted")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count; falls back to MANIN_TORIC_THREADS")
+                       help="upper bound on worker processes (default 1); "
+                       "every command runs in one")
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check fan axioms")
@@ -150,13 +150,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("MANIN_TORIC_THREADS", "1"))
+    n = 1 if args.threads is None else args.threads
     if n < 1:
         raise CliError("thread count must be at least 1")
     return n
+
+
+def _parse_fit(text: str):
+    """--fit a,b: two integers, b >= 1."""
+    try:
+        a, b = (int(t) for t in text.split(","))
+        if b >= 1:
+            return a, b
+    except ValueError:
+        pass
+    raise CliError(f"--fit takes two integers a,b with b >= 1, got {text!r}")
 
 
 def _resolve_fan(spec: str) -> Fan:
@@ -224,12 +232,13 @@ _COUNT_OPTIONS = ("samples", "pmax", "base_decades", "extend_decades")
 
 
 def _check_options(args) -> None:
-    """Float options must be finite, and options that count nonnegative."""
+    """Float options must be finite; options that count, and --tol,
+    nonnegative."""
     for dest, value in vars(args).items():
         option = "--" + dest.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise CliError(f"{option} must be finite, got {value}")
-        if dest in _COUNT_OPTIONS and value < 0:
+        if dest in _COUNT_OPTIONS + ("tol",) and value < 0:
             raise CliError(f"{option} must be nonnegative, got {value}")
 
 
@@ -342,7 +351,8 @@ def _cmd_count(args):
     # counting scales lambda to integers, so it needs the exact rationals
     lam = _exact_lambda(args.lam, len(fan.rays))
     bounds = sorted(_parse_floats(args.bounds, "--bounds"))
-    report = count_N(fan, lam, bounds, threads=threads, pmax=args.pmax)
+    fit = None if args.fit is None else _parse_fit(args.fit)
+    report = count_N(fan, lam, bounds, pmax=args.pmax)
     rows = [{"B": b, "N": n, "predicted": p, "ratio": r}
             for b, n, p, r in zip(report.bounds, report.counts,
                                   report.predicted, report.ratios)]
@@ -356,8 +366,8 @@ def _cmd_count(args):
         result["theta"] = report.constant.theta
         result["a"] = report.constant.a
         result["b"] = report.constant.b
-    if args.fit:
-        fa, fb = (int(t) for t in args.fit.split(","))
+    if fit is not None:
+        fa, fb = fit
         result["fit"] = {"a": fa, "b": fb,
                          "coefficients": fit_asymptotic(report, fa, fb)}
     return result, 0
@@ -504,7 +514,13 @@ def _fibration_zeta(args):
             hirzebruch_fan(args.n), lam_direct, args.B)
         rel = (abs(fz.value - value) / abs(value)) if value else 0.0
         same_multiset = fz.heights == heights
-        ok = same_multiset and rel <= args.tol
+        failures = []
+        if not rel <= args.tol:
+            failures.append(f"rel_error = {rel!r} exceeds tol = "
+                            f"{args.tol!r} by {rel - args.tol!r}")
+        if not same_multiset:
+            failures.append(f"multiset_equal is false: {fz.n_points} "
+                            f"fibration points against {n_pts} direct")
         result["cross_check"] = {
             "performed": True,
             "lam_direct": list(lam_direct),
@@ -512,9 +528,9 @@ def _fibration_zeta(args):
             "direct_points": n_pts,
             "rel_error": rel,
             "multiset_equal": same_multiset,
-            "status": "ok" if ok else "mismatch",
+            "status": "mismatch" if failures else "ok",
         }
-        return result, 0 if ok else 3
+        return result, _mismatch_code(failures)
     result["cross_check"] = {
         "performed": False,
         "status": "skipped",
@@ -531,7 +547,14 @@ def _fibration_constants(args):
     lc = leading_constant(hirzebruch_fan(args.n), pmax=args.pmax)
     alpha_equal = fc.alpha == lc.alpha
     overlap = max(fc.lower, lc.lower) <= min(fc.upper, lc.upper)
-    ok = alpha_equal and overlap
+    failures = []
+    if not alpha_equal:
+        failures.append(f"alpha_equal is false: fibration alpha = "
+                        f"{fc.alpha} against direct alpha = {lc.alpha}")
+    if not overlap:
+        failures.append(f"tau_intervals_overlap is false: fibration "
+                        f"[{fc.lower!r}, {fc.upper!r}] against direct "
+                        f"[{lc.lower!r}, {lc.upper!r}]")
     result = {
         "config": _config(args),
         "twist": args.n,
@@ -543,9 +566,18 @@ def _fibration_constants(args):
                    "a": lc.a, "b": lc.b},
         "alpha_equal": alpha_equal,
         "tau_intervals_overlap": overlap,
-        "status": "ok" if ok else "mismatch",
+        "status": "mismatch" if failures else "ok",
     }
-    return result, 0 if ok else 3
+    return result, _mismatch_code(failures)
+
+
+def _mismatch_code(failures) -> int:
+    """Exit code of a cross-check: 0 when nothing failed, else 3 after
+    one stderr line naming each failed quantity."""
+    if not failures:
+        return 0
+    sys.stderr.write("mismatch: " + "; ".join(failures) + "\n")
+    return 3
 
 
 def _cmd_fibration(args):

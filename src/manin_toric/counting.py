@@ -153,7 +153,7 @@ def _add_stats(into: dict, part: dict) -> None:
 
 
 def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
-                   root_filter=None, visitor=None, stats=None):
+                   visitor=None, stats=None):
     """DFS engine for any dimension.  One pass, sized by the largest of
     the ascending bounds Bqs (all >= 1), serves them all: each accepted
     profile goes to the bin of the first bound it satisfies, and the
@@ -242,8 +242,6 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
             lq = logs[i]
             if c_min * lq > budget or lq > stop:
                 break
-            if at_root and root_filter is not None and not root_filter(i):
-                continue
             p = primes[i]
             for phi, n, P, s in table:
                 if phi * lq > budget:
@@ -280,8 +278,7 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
                     rec(i + 1, Fc, logFc, Mc, False)
                 stack.pop()
 
-    if root_filter is None:
-        bins[0] += 1   # the unit profile, height 1
+    bins[0] += 1   # the unit profile, height 1
     rec(0, 1, 0.0, pl.pairings((0,) * fan.dim), True)
     if stats is not None:
         _add_stats(stats, dict(zip(_STATS, (built, skipped, accepted,
@@ -304,52 +301,28 @@ def _is_p1_like(fan: Fan) -> bool:
     return fan.dim == 1 and set(fan.rays) == {(1,), (-1,)}
 
 
-def _worker(args):
-    fan, lam_ints, Bqs, nworkers, k = args
-    stats = {}
-    bins = _count_general(fan, lam_ints, Bqs,
-                          halve=_is_symmetric(fan, lam_ints),
-                          root_filter=lambda i: i % nworkers == k,
-                          stats=stats)
-    return bins, stats
-
-
-def _count_grid(fan: Fan, lam, bounds, threads: int = 1,
-                force_general: bool = False, stats=None) -> list:
+def _count_grid(fan: Fan, lam, bounds, stats=None) -> list:
     """N(B) for every B of the ascending bounds, from one enumeration, or
-    on P^1 from the closed form unless force_general is set; with
-    threads > 1 the root primes of the enumeration are split over one
-    worker pool.  The DFS counts are added into stats, if given."""
+    on P^1 from the closed form.  The DFS counts are added into stats,
+    if given."""
     lam_ints, L = _lambda_ints(fan, lam)
     Bqs = [Fraction(B) ** L for B in bounds]
     low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
     Bqs = Bqs[low:]
     if not Bqs:
         return [0] * low
-    if _is_p1_like(fan) and not force_general:
+    if _is_p1_like(fan):
         profiles = _count_dim1(lam_ints, Bqs)
-    elif threads <= 1:
+    else:
         profiles = _count_general(fan, lam_ints, Bqs,
                                   halve=_is_symmetric(fan, lam_ints),
                                   stats=stats)
-    else:
-        import multiprocessing as mp
-        jobs = [(fan, lam_ints, Bqs, threads, k) for k in range(threads)]
-        with mp.Pool(threads) as pool:
-            parts = pool.map(_worker, jobs)
-        # the unit profile is counted here, not by the workers
-        profiles = [1 + sum(col) for col in zip(*(b for b, _ in parts))]
-        if stats is not None:
-            for _, part in parts:
-                _add_stats(stats, part)
     return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
-def count_points(fan: Fan, lam, B, threads: int = 1,
-                 force_general: bool = False) -> int:
+def count_points(fan: Fan, lam, B) -> int:
     """N(B): the number of x in (Q*)^d with H_lambda(x) <= B."""
-    return _count_grid(fan, lam, [B], threads=threads,
-                       force_general=force_general)[0]
+    return _count_grid(fan, lam, [B])[0]
 
 
 def enumerate_bounded(fan: Fan, lam, B):
@@ -381,8 +354,8 @@ class CountReport:
     predicted: list
     ratios: list
     constant: LeadingConstant | None = None
-    # the enumeration's _STATS counts, summed over workers; all 0 when
-    # the P^1 closed form counts
+    # the enumeration's _STATS counts; all 0 when the P^1 closed form
+    # counts
     stats: dict = field(default_factory=dict)
 
     def rows(self):
@@ -391,8 +364,7 @@ class CountReport:
             yield {"B": B, "N": N, "predicted": pred, "ratio": ratio}
 
 
-def count_N(fan: Fan, lam, bounds, threads: int = 1,
-            pmax: int = 100000) -> CountReport:
+def count_N(fan: Fan, lam, bounds, pmax: int = 100000) -> CountReport:
     """Exact counts over a grid of height bounds, from one enumeration at
     the largest, with the main-term prediction
     Theta*B*(log B)^(b-1)/(b-1)! attached."""
@@ -400,7 +372,7 @@ def count_N(fan: Fan, lam, bounds, threads: int = 1,
     bs = sorted(float(b) for b in bounds)
     lc = leading_constant(fan, pmax=pmax)
     stats = dict.fromkeys(_STATS, 0)
-    counts = _count_grid(fan, lam, bs, threads=threads, stats=stats)
+    counts = _count_grid(fan, lam, bs, stats=stats)
     predicted = [lc.predict(B) for B in bs]
     ratios = [(n / p if p > 0 else math.inf) for n, p in
               zip(counts, predicted)]

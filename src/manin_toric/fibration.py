@@ -40,7 +40,6 @@ __all__ = [
     "FibrationConstant",
     "fibration_predicted_constant",
     "hirzebruch_fan",
-    "enumerate_base",
 ]
 
 
@@ -146,13 +145,6 @@ def base_points(m: int) -> list:
         if gcd(k, m) == 1:
             batch += [(m, -k), (m, k), (k, -m), (k, m)]
     return sorted(batch)
-
-
-def enumerate_base(Hmax: int):
-    """Coprime (b0, b1), b0 >= 1, b1 != 0, max|.| <= Hmax, ordered by
-    height then lexicographically: the Farey-style deterministic walk."""
-    for m in range(1, int(Hmax) + 1):
-        yield from base_points(m)
 
 
 def _fiber_lambda(lam) -> tuple:

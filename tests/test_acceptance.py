@@ -35,11 +35,11 @@ EULER_GAMMA = 0.5772156649015329
 def test_criterion_1_p1_manin_count():
     fan = builtin_fan("p1")
     # exact small values
-    assert count_points(fan, (1, 1), 1, threads=1) == 2
-    assert count_points(fan, (1, 1), 4, threads=1) == 6
-    assert count_points(fan, (1, 1), 9, threads=1) == 14
+    assert count_points(fan, (1, 1), 1) == 2
+    assert count_points(fan, (1, 1), 4) == 6
+    assert count_points(fan, (1, 1), 9) == 14
     t0 = time.perf_counter()
-    N = count_points(fan, (1, 1), 1e6, threads=1)
+    N = count_points(fan, (1, 1), 1e6)
     elapsed = time.perf_counter() - t0
     # Farey oracle: (2 / zeta(2)) T^2 with T = sqrt(B)
     target = (2 / ZETA2) * 1e6

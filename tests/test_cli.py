@@ -1,5 +1,6 @@
 """Exit codes, artifact shapes, and reproducibility of the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -153,11 +154,49 @@ class TestCount:
         assert code == 0
         assert dest.read_text().startswith("B,N,predicted,ratio")
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
+    def test_threads_env_ignored(self, capsys, monkeypatch):
+        # --threads alone sets the echoed bound; no variable falls in
         monkeypatch.setenv("MANIN_TORIC_THREADS", "2")
         doc = run_json(["count", "--fan", "builtin:p1", "--bounds", "1e2"],
                        capsys)
-        assert doc["config"]["threads"] == 2
+        assert doc["config"]["threads"] == 1
+
+    def test_threads_start_no_pool(self, capsys):
+        # --threads bounds the worker processes from above; the count
+        # runs in one, and only the config echo tells the runs apart
+        argv = ["count", "--fan", "builtin:p2", "--bounds", "2500"]
+        report = json.loads(_fresh_python(f"""
+import contextlib, io, json, sys
+from manin_toric import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.run({argv + ["--threads", "2"]!r})
+print(json.dumps({{"code": code, "artifact": out.getvalue(),
+                  "pool": "multiprocessing" in sys.modules}}))
+"""))
+        assert report["code"] == 0
+        assert report["pool"] is False
+        two = json.loads(report["artifact"])
+        one = run_json(argv + ["--threads", "1"], capsys)
+        assert two["config"].pop("threads") == 2
+        assert one["config"].pop("threads") == 1
+        assert two == one
+
+    @pytest.mark.parametrize("fit", ["1", "1,0", "1,-2", "1,2,3", "a,b",
+                                     "1.5,1", ""])
+    def test_bad_fit_refused(self, capsys, fit):
+        assert run(["count", "--fan", "builtin:p1", "--bounds", "1e2,1e3",
+                    "--fit", fit]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --fit takes two integers a,b with "
+                                f"b >= 1, got {fit!r}\n")
+        assert captured.out == ""
+
+    def test_fit_reports_coefficients(self, capsys):
+        doc = run_json(["count", "--fan", "builtin:p1", "--bounds",
+                        "1e2,1e3,1e4", "--fit", "1,1"], capsys)
+        assert doc["fit"]["a"] == 1 and doc["fit"]["b"] == 1
+        assert len(doc["fit"]["coefficients"]) == 1
 
     def test_rational_lambda_counted_exactly(self, capsys, monkeypatch):
         # a float 1/3 would scale lambda by 2^54 and the bound 10 to
@@ -302,12 +341,15 @@ class TestTauber:
                     "--T", T]) == 2
         assert f"T = {float(T)} must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["-1", "0"])
-    def test_nonpositive_tolerance_refused(self, capsys, tol):
+    @pytest.mark.parametrize("tol, message", [
+        ("-1", "--tol must be nonnegative, got -1.0"),
+        ("0", "tol = 0.0 must be positive"),
+    ], ids=["-1", "0"])
+    def test_nonpositive_tolerance_refused(self, capsys, tol, message):
         assert run(["tauber", "--oracle", "zeta2", "--X", "1e3", "--k", "3",
                     "--tol", tol]) == 2
         err = capsys.readouterr().err
-        assert f"tol = {float(tol)} must be positive" in err
+        assert message in err
         assert "raise T" not in err
 
     @pytest.mark.parametrize("X", ["0.5", "20"])
@@ -437,6 +479,93 @@ class TestFibration:
     def test_constants_negative_twist(self, capsys):
         assert run(["fibration", "constants", "--n", "-1"]) == 2
 
+    def test_zero_tolerance_allowed(self, capsys):
+        # the two routes agree exactly here, so tol = 0 passes
+        doc = run_json(["fibration", "--n", "1", "--B", "100", "--tol", "0"],
+                       capsys)
+        assert doc["cross_check"]["rel_error"] == 0.0
+        assert doc["cross_check"]["status"] == "ok"
+
+    def test_value_mismatch_names_rel_error(self, capsys, monkeypatch):
+        direct = cli.direct_zeta_partial
+
+        def shifted(*args):
+            heights, value, n_pts = direct(*args)
+            return heights, value * (1 + 1e-6), n_pts
+
+        monkeypatch.setattr(cli, "direct_zeta_partial", shifted)
+        assert run(["fibration", "--n", "1", "--B", "100"]) == 3
+        captured = capsys.readouterr()
+        cc = json.loads(captured.out)["cross_check"]
+        assert cc["status"] == "mismatch" and cc["multiset_equal"]
+        rel = cc["rel_error"]
+        assert captured.err == (
+            f"mismatch: rel_error = {rel!r} exceeds tol = 1e-10 by "
+            f"{rel - 1e-10!r}\n")
+
+    def test_multiset_mismatch_names_both_counts(self, capsys, monkeypatch):
+        direct = cli.direct_zeta_partial
+
+        def extra_point(*args):
+            heights, value, n_pts = direct(*args)
+            return heights + (heights[-1],), value, n_pts + 1
+
+        monkeypatch.setattr(cli, "direct_zeta_partial", extra_point)
+        assert run(["fibration", "--n", "1", "--B", "100"]) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        n = doc["n_points"]
+        assert doc["cross_check"]["direct_points"] == n + 1
+        assert captured.err == (
+            f"mismatch: multiset_equal is false: {n} fibration points "
+            f"against {n + 1} direct\n")
+
+    def test_constants_mismatch_names_both_sides(self, capsys, monkeypatch):
+        predicted = cli.fibration_predicted_constant
+
+        def off(*args, **kwargs):
+            fc = predicted(*args, **kwargs)
+            return dataclasses.replace(fc, alpha=fc.alpha * 2,
+                                       lower=fc.upper + 1,
+                                       upper=fc.upper + 2)
+
+        monkeypatch.setattr(cli, "fibration_predicted_constant", off)
+        assert run(["fibration", "constants", "--n", "1",
+                    "--pmax", "2000"]) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        fib, direct = doc["fibration"], doc["direct"]
+        assert doc["status"] == "mismatch"
+        assert captured.err == (
+            f"mismatch: alpha_equal is false: fibration alpha = "
+            f"{fib['alpha']} against direct alpha = {direct['alpha']}; "
+            f"tau_intervals_overlap is false: fibration "
+            f"[{fib['theta_lo']!r}, {fib['theta_hi']!r}] against direct "
+            f"[{direct['theta_lo']!r}, {direct['theta_hi']!r}]\n")
+        # a passing check writes nothing to stderr
+        monkeypatch.setattr(cli, "fibration_predicted_constant", predicted)
+        assert run(["fibration", "constants", "--n", "1",
+                    "--pmax", "2000"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, job", [
+    (["poisson-check", "--fan", "builtin:p1"], "poisson_check"),
+    (["fibration", "zeta", "--n", "1"], "fibration_zeta_partial"),
+    (["fibration", "constants", "--n", "1"],
+     "fibration_predicted_constant"),
+], ids=["poisson-check", "fibration-zeta", "fibration-constants"])
+def test_negative_tolerance_refused_before_work(capsys, monkeypatch, argv,
+                                                job):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, job, no_work)
+    assert run(argv + ["--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol must be nonnegative, got -1.0" in captured.err
+    assert captured.out == ""
+
 
 class TestBoundsSweep:
     def test_all_kinds_pass(self, capsys):
@@ -454,6 +583,19 @@ class TestBoundsSweep:
         assert code == 0
         assert out.splitlines()[0] == \
             "kind,sup_base,sup_extended,stable,passed,n_rows"
+
+
+def _fresh_python(script: str) -> str:
+    """Stripped stdout of script run in a new interpreter on this
+    package's source, which must exit 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def test_cli_never_loads_scipy():
@@ -474,11 +616,4 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("scipy", "mpmath")))
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(script) == "[]"

@@ -57,6 +57,19 @@ def n1_oracle(B):
     return 2 * (2 * totient_summatory(T) - 1) if T >= 1 else 0
 
 
+def dfs_counts(fan, lam, bounds):
+    """N(B) for every B of the ascending bounds from the DFS alone, also
+    on P^1, where the engine counts from a closed form that the DFS is
+    the reference for."""
+    lam_ints, L = counting._lambda_ints(fan, lam)
+    Bqs = [Fraction(B) ** L for B in bounds]
+    low = sum(Bq < 1 for Bq in Bqs)
+    profiles = counting._count_general(
+        fan, lam_ints, Bqs[low:],
+        halve=counting._is_symmetric(fan, lam_ints)) if Bqs[low:] else []
+    return [0] * low + [n * 2 ** fan.dim for n in profiles]
+
+
 def cone_monomials(fan, lam):
     # dual functional of each maximal cone; integral since cones are unimodular
     out = []
@@ -208,7 +221,7 @@ class TestProjectiveLine:
         for B in (100, 5000, 10**4):
             want = n1_oracle(B)
             assert count_points(P1, (1, 1), B) == want
-            assert count_points(P1, (1, 1), B, force_general=True) == want
+            assert dfs_counts(P1, (1, 1), [B]) == [want]
 
     def test_asymmetric_lambda(self):
         # lambda (2,1) gives height max(|a|,b)^3 on a/b in lowest terms
@@ -218,7 +231,7 @@ class TestProjectiveLine:
                 want_T -= 1
             want = 2 * (2 * totient_summatory(want_T) - 1)
             assert count_points(P1, (2, 1), B) == want
-            assert count_points(P1, (2, 1), B, force_general=True) == want
+            assert dfs_counts(P1, (2, 1), [B]) == [want]
 
     def test_fractional_lambda_rescales(self):
         lam = (Fraction(1, 2), Fraction(1, 4))
@@ -302,16 +315,14 @@ class TestSurfaces:
             last = n
 
 
-class TestParallel:
-    def test_thread_counts_agree(self):
-        jobs = (
-            (P1, (1, 1), 5000, 5974),
-            (P2, (1, 1, 1), 500, 1228),
-            (P1XP1, (1, 1, 1, 1), 300, 2692),
-        )
-        for fan, lam, B, frozen in jobs:
-            for threads in (1, 2, 3):
-                assert count_points(fan, lam, B, threads=threads) == frozen
+def test_frozen_counts():
+    jobs = (
+        (P1, (1, 1), 5000, 5974),
+        (P2, (1, 1, 1), 500, 1228),
+        (P1XP1, (1, 1, 1, 1), 300, 2692),
+    )
+    for fan, lam, B, frozen in jobs:
+        assert count_points(fan, lam, B) == frozen
 
 
 # grids around heights that points attain (B-1, B, B repeated, B+1), so
@@ -335,16 +346,13 @@ class TestOnePass:
         fan = builtin_fan(name)
         want = [count_points(fan, lam, B) for B in grid]
         assert count_N(fan, lam, grid, pmax=1000).counts == want
-        assert count_N(fan, lam, grid, threads=2, pmax=1000).counts == want
 
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
     def test_p1_grid_both_engines(self, lam):
-        for force in (False, True):
-            want = [count_points(P1, lam, B, force_general=force)
-                    for B in P1_GRID]
-            assert _count_grid(P1, lam, P1_GRID, force_general=force) == want
-            assert _count_grid(P1, lam, P1_GRID, threads=2,
-                               force_general=force) == want
+        want = [count_points(P1, lam, B) for B in P1_GRID]
+        assert _count_grid(P1, lam, P1_GRID) == want
+        assert [dfs_counts(P1, lam, [B])[0] for B in P1_GRID] == want
+        assert dfs_counts(P1, lam, P1_GRID) == want
         assert count_N(P1, lam, P1_GRID, pmax=1000).counts == want
 
     @pytest.mark.parametrize("fan", [P1, P1XP1], ids=["p1", "p1xp1"])
@@ -391,20 +399,7 @@ class TestClosedFormP1:
                       if B ** L <= 10**6)
         assert len(grid) >= 10
         for B in grid:
-            assert (count_points(P1, lam, B)
-                    == count_points(P1, lam, B, force_general=True))
-
-    def test_threads_start_no_pool(self, monkeypatch):
-        import multiprocessing
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        want = _count_grid(P1, (1, 1), P1_GRID)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-        assert _count_grid(P1, (1, 1), P1_GRID, threads=2) == want
-        assert count_N(P1, (1, 1), P1_GRID, threads=2,
-                       pmax=1000).counts == want
+            assert [count_points(P1, lam, B)] == dfs_counts(P1, lam, [B])
 
 
 class TestEngineStats:
@@ -426,13 +421,6 @@ class TestEngineStats:
             "redecided"] > 0
         assert count_N(P2, (1, 1, 1), [126], pmax=1000).stats[
             "redecided"] == 0
-
-    def test_workers_sum_to_serial(self):
-        for fan, B in ((P2, 1000), (F1, 300)):
-            lam = (1,) * len(fan.rays)
-            serial = count_N(fan, lam, [B], pmax=1000).stats
-            assert count_N(fan, lam, [B], threads=2,
-                           pmax=1000).stats == serial
 
     def test_closed_form_builds_nothing(self):
         assert count_N(P1, (1, 1), [1000], pmax=1000).stats == {
@@ -560,8 +548,7 @@ class TestValidation:
         sieved = []
         monkeypatch.setattr(counting, "primes_up_to", sieved.append)
         with pytest.raises(CountingError, match=r"2217373924.*B\^L"):
-            count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217,
-                         force_general=True)
+            dfs_counts(P1, (Fraction(1, 2), Fraction(1, 4)), [217])
         assert sieved == []
         # the closed form needs no sieve and still answers
         assert count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217) > 0

@@ -1,13 +1,14 @@
 """Perron integrals, residues, the descent bracket, count-vs-prediction."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from manin_toric.latticefan import builtin_fan
-from manin_toric.counting import count_points
+from manin_toric.counting import _count_general, count_points
 from manin_toric.tauberian import (
     EULER_GAMMA,
     DirichletOracle,
@@ -96,9 +97,12 @@ class TestOracles:
         # prefix sums of the coefficient table against the DFS, which
         # does not read the P^1 height table
         prefix = np.cumsum(_coeff_p1(1000))
-        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 99, 100, 999, 1000):
-            assert prefix[B] == count_points(fan, (1, 1), B,
-                                             force_general=True)
+        Bs = (1, 2, 3, 4, 8, 9, 10, 24, 25, 99, 100, 999, 1000)
+        # the DFS counts signless profiles, 2 points (x and -x) each
+        walked = _count_general(fan, (1, 1), [Fraction(B) for B in Bs],
+                                halve=True)
+        for B, n in zip(Bs, walked):
+            assert prefix[B] == 2 * n
             assert P1O.phi_direct(float(B), 0) == count_points(fan, (1, 1), B)
 
     def test_vectorized_evaluator_matches_scalar(self):
