@@ -149,13 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_threads(args) -> int:
-    n = 1 if args.threads is None else args.threads
-    if n < 1:
-        raise CliError("thread count must be at least 1")
-    return n
-
-
 def _parse_fit(text: str):
     """--fit a,b: two integers, b >= 1."""
     try:
@@ -233,13 +226,15 @@ _COUNT_OPTIONS = ("samples", "pmax", "base_decades", "extend_decades")
 
 def _check_options(args) -> None:
     """Float options must be finite; options that count, and --tol,
-    nonnegative."""
+    nonnegative; --threads, when given, at least 1."""
     for dest, value in vars(args).items():
         option = "--" + dest.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise CliError(f"{option} must be finite, got {value}")
         if dest in _COUNT_OPTIONS + ("tol",) and value < 0:
             raise CliError(f"{option} must be nonnegative, got {value}")
+    if args.threads is not None and args.threads < 1:
+        raise CliError("thread count must be at least 1")
 
 
 def _config(args, **extra) -> dict:
@@ -347,20 +342,19 @@ def _cmd_constants(args):
 
 def _cmd_count(args):
     fan = _resolve_fan(args.fan)
-    threads = _resolve_threads(args)
     # counting scales lambda to integers, so it needs the exact rationals
     lam = _exact_lambda(args.lam, len(fan.rays))
     bounds = sorted(_parse_floats(args.bounds, "--bounds"))
     fit = None if args.fit is None else _parse_fit(args.fit)
+    if fit is not None and len(bounds) < fit[1] + 1:
+        raise CliError(f"--fit {args.fit} needs at least {fit[1] + 1} "
+                       f"bounds, got {len(bounds)}")
     report = count_N(fan, lam, bounds, pmax=args.pmax)
-    rows = [{"B": b, "N": n, "predicted": p, "ratio": r}
-            for b, n, p, r in zip(report.bounds, report.counts,
-                                  report.predicted, report.ratios)]
     result = {
-        "config": _config(args, threads=threads,
+        "config": _config(args, threads=args.threads or 1,
                           lam=list(_float_lambda(lam))),
         "fan": fan.name,
-        "rows": rows,
+        "rows": list(report.rows()),
     }
     if report.constant is not None:
         result["theta"] = report.constant.theta

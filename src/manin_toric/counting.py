@@ -457,11 +457,8 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
     pl = PLFunction(fan, tuple(vals))
     cut = PLFunction(fan, rho)
     strict = cut.is_convex and len(cut.vertices) == len(fan.max_cones)
-    monos = [[sum(inv[i][c] * vals[j] for i, j in enumerate(cone))
-              for c in range(d)]
-             for inv, cone in zip(fan.cone_inverses, fan.max_cones)]
     rows = _Memo(lambda n: [pl(n) - sum(m * x for m, x in zip(mono, n))
-                            for mono in monos])
+                            for mono in pl.monomials])
     logs = _Memo(math.log)
     located = 0
 

@@ -177,8 +177,7 @@ def global_height(fan: Fan, lam, x, offset=None):
 def cone_monomials(fan: Fan, lam) -> tuple:
     """Dual monomial m_sigma of each maximal cone: <m_sigma, e_j> = lam_j.
 
-    Requires integral lambda; regularity of the fan makes every
-    exponent an integer."""
+    Integral for integral lambda, by regularity of the fan."""
     return _kernel(fan, lam).monomials
 
 

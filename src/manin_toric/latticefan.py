@@ -133,17 +133,12 @@ class PLFunction:
             raise ValueError("one value per ray required")
 
     @cached_property
-    def monomials(self) -> tuple[Vector, ...]:
+    def monomials(self) -> tuple[tuple, ...]:
         """Dual monomial m_sigma of each maximal cone, <m_sigma, e_j> = lam_j
-        on the rays e_j of sigma: m_sigma = inv_sigma^T lam_sigma, integral
-        by unimodularity.  Requires integral lambda."""
-        lam = []
-        for v in self.values:
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise ValueError("integral lambda required")
-            lam.append(int(f))
+        on the rays e_j of sigma: m_sigma = inv_sigma^T lam_sigma, in the
+        type of the values (int for integral lambda, by unimodularity)."""
         d = self.fan.dim
+        lam = self.values
         return tuple(
             tuple(sum(inv[i][k] * lam[j] for i, j in enumerate(cone))
                   for k in range(d))
@@ -239,7 +234,8 @@ class PLFunction:
         is the cone of the archimedean vector -sum_p n_p log p.  A ray
         coordinate -sum_p c_p log p of that vector is >= 0 iff
         prod_p p^(c_p) <= 1, so sigma is found by exact sign tests.
-        Requires integral lambda."""
+        Raises ValueError when an exponent is not an integer, which
+        integral lambda rules out."""
         mono = self.monomials
         for s, inv in enumerate(self.fan.cone_inverses):
             if all(_log_nonpositive(row, support) for row in inv):
@@ -252,6 +248,9 @@ class PLFunction:
             if t is None:
                 t = self.cone_of[n] = self.locate(n)[0]
             e = sum((a - b) * x for a, b, x in zip(mono[t], mono[s], n))
+            if e != int(e):
+                raise ValueError("integral lambda required")
+            e = int(e)
             if e > 0:
                 num *= p ** e
             elif e < 0:

@@ -40,62 +40,22 @@ def det_fraction(rows: Sequence[Sequence]) -> Fraction:
     return det
 
 
-def rank_fraction(rows: Sequence[Sequence]) -> int:
-    a = to_fraction_rows(rows)
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
+def _rref(a: list[list[Fraction]], ncols: int | None = None) -> list[int]:
+    """Reduce the rows of a in place to reduced row echelon form and
+    return the pivot columns.
+
+    Pivots are sought in the first ncols columns only (all by default);
+    later columns, such as an augmented right-hand side, are carried
+    along.  Row i then has its leading 1 in column pivots[i].
+    """
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
         if row == m:
             break
-    return rank
-
-
-def solve_fraction(columns: Sequence[Sequence], b: Sequence) -> list[Fraction]:
-    """Solve sum_j x_j * columns[j] = b exactly; raises on singular."""
-    n = len(b)
-    k = len(columns)
-    if k != n or any(len(c) != n for c in columns):
-        raise ValueError("solve_fraction needs a square system")
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(b[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def nullspace_fraction(rows: Sequence[Sequence]) -> list[Vec]:
-    """Basis of {x : rows @ x = 0}, reduced echelon parameterization."""
-    a = to_fraction_rows(rows)
-    if not a:
-        raise ValueError("nullspace of empty matrix is ambiguous")
-    m, n = len(a), len(a[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
         piv = next((r for r in range(row, m) if a[r][col] != 0), None)
         if piv is None:
             continue
@@ -107,9 +67,33 @@ def nullspace_fraction(rows: Sequence[Sequence]) -> list[Vec]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
+    return pivots
+
+
+def rank_fraction(rows: Sequence[Sequence]) -> int:
+    return len(_rref(to_fraction_rows(rows)))
+
+
+def solve_fraction(columns: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+    """Solve sum_j x_j * columns[j] = b exactly; raises on singular."""
+    n = len(b)
+    k = len(columns)
+    if k != n or any(len(c) != n for c in columns):
+        raise ValueError("solve_fraction needs a square system")
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(b[i])]
+           for i in range(n)]
+    if len(_rref(aug, n)) < n:
+        raise ValueError("singular system")
+    return [aug[i][n] for i in range(n)]
+
+
+def nullspace_fraction(rows: Sequence[Sequence]) -> list[Vec]:
+    """Basis of {x : rows @ x = 0}, reduced echelon parameterization."""
+    a = to_fraction_rows(rows)
+    if not a:
+        raise ValueError("nullspace of empty matrix is ambiguous")
+    n = len(a[0])
+    pivots = _rref(a)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -139,27 +123,8 @@ def primitive_vector(v: Sequence) -> tuple[int, ...]:
 def echelon_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Canonical primitive integer basis of the row span (sorted echelon)."""
     a = to_fraction_rows(rows)
-    a = [r for r in a if any(x != 0 for x in r)]
-    if not a:
-        return ()
-    m, n = len(a), len(a[0])
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        row += 1
-        if row == m:
-            break
-    out = [primitive_vector(r) for r in a[:row]]
-    return tuple(out)
+    rank = len(_rref(a))
+    return tuple(primitive_vector(r) for r in a[:rank])
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]):

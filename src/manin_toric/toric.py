@@ -1,7 +1,7 @@
 """Arithmetic invariants of a complete regular fan.
 
-Picard lattice by Smith normal form, the alpha constant as a quotient
-characteristic function of the coordinate orthant, cell point counts
+Picard lattice by Smith normal form, the alpha constant as the
+characteristic function of the effective cone in it, cell point counts
 over F_p, the archimedean anticanonical volume, and the Tamagawa
 number as a truncated Euler product with an exact tail interval.
 """
@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import (PolyhedralCone, char_evaluate, char_function, dual_cone,
-                    make_cone, quotient_char)
+from .cones import PolyhedralCone, char_function, dual_cone, make_cone
 from .latticefan import Fan, PLFunction, _inverse_unimodular
 from .primes import primes_up_to
 from .ratlinalg import smith_normal_form
@@ -101,21 +100,14 @@ def alpha_constant(fan: Fan) -> Fraction:
     """X_{Lambda_eff}(-K): the effective-cone characteristic function
     at the anticanonical class, with the quotient lattice measure.
 
-    Computed by pushing the coordinate orthant of Z^J through the
-    quotient by the image of M; the orthant meets that subspace only
-    at the origin because the fan is complete.
+    The projection of picard_data maps Z^J onto Z^rank with kernel M,
+    so the quotient lattice measure is the standard one on Z^rank.
     """
     pic = picard_data(fan)
     if not _strictly_interior(pic.effective_cone, pic.anticanonical):
         raise PicardError("anticanonical class is not interior to the "
                           "effective cone")
-    J = len(fan.rays)
-    orthant = make_cone([tuple(int(i == j) for i in range(J))
-                         for j in range(J)], J)
-    m_basis = [tuple(ray[i] for ray in fan.rays) for i in range(fan.dim)]
-    q = quotient_char(orthant, m_basis)
-    val = q(tuple([1] * J))
-    return Fraction(val) if not isinstance(val, Fraction) else val
+    return char_function(pic.effective_cone)(pic.anticanonical)
 
 
 def count_points_mod_p(fan: Fan, p: int) -> int:
@@ -207,9 +199,6 @@ class TamagawaResult:
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
-
-    def overlaps(self, other: "TamagawaResult") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
 
 
 _BLOCK = 100000

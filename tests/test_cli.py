@@ -75,6 +75,27 @@ class TestDispatch:
         assert run(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--fan", "builtin:p1"],
+        ["constants", "--fan", "builtin:p1"],
+        ["count", "--fan", "builtin:p1", "--bounds", "1e2"],
+        ["height", "--fan", "builtin:p1", "--x", "3"],
+        ["zeta", "--fan", "builtin:p1", "--lambda", "2,2", "--B", "100"],
+        ["poisson-check", "--fan", "builtin:p1"],
+        ["tauber", "--oracle", "zeta2", "--X", "100", "--k", "3"],
+        ["fibration", "--n", "1"],
+        ["bounds-sweep"],
+    ], ids=lambda argv: argv[0])
+    def test_threads_below_one_refused(self, capsys, monkeypatch, argv,
+                                       threads):
+        # refused from the argv, before the subcommand does any work
+        monkeypatch.setitem(cli._DISPATCH, argv[0], None)
+        assert run(argv + ["--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: thread count must be at least 1\n"
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_builtin_valid(self, capsys):
@@ -192,6 +213,18 @@ print(json.dumps({{"code": code, "artifact": out.getvalue(),
                                 f"b >= 1, got {fit!r}\n")
         assert captured.out == ""
 
+    def test_fit_needs_enough_bounds(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before refusing --fit")
+
+        monkeypatch.setattr(cli, "count_N", no_count)
+        assert run(["count", "--fan", "builtin:p2", "--bounds", "3e4",
+                    "--fit", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --fit 1,1 needs at least 2 bounds, "
+                                "got 1\n")
+        assert captured.out == ""
+
     def test_fit_reports_coefficients(self, capsys):
         doc = run_json(["count", "--fan", "builtin:p1", "--bounds",
                         "1e2,1e3,1e4", "--fit", "1,1"], capsys)
@@ -213,10 +246,6 @@ print(json.dumps({{"code": code, "artifact": out.getvalue(),
         assert doc["rows"][0]["N"] == count_points(builtin_fan("p1"),
                                                    (1, 1), 1000)
         assert doc["config"]["lam"] == [1 / 3, 1 / 3]
-
-    def test_bad_thread_count(self, capsys):
-        assert run(["count", "--fan", "builtin:p1", "--bounds", "1e2",
-                    "--threads", "0"]) == 2
 
 
 class TestHeight:

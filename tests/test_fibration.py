@@ -315,9 +315,9 @@ class TestArakelov:
 
 
 class TestFibrationPicard:
-    @pytest.mark.parametrize("n,alpha", [(0, Fraction(1, 4)),
-                                         (1, Fraction(1, 6)),
-                                         (2, Fraction(1, 8))])
+    # alpha(F_n) = 1 / (2n + 4); F_0 is p1xp1
+    @pytest.mark.parametrize("n,alpha", [(n, Fraction(1, 2 * n + 4))
+                                         for n in range(9)])
     def test_alpha_matches_direct(self, n, alpha):
         fp = fibration_picard(TorsorSpec(n))
         assert fp.alpha == alpha

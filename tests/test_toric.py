@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from manin_toric.cones import char_function
+from manin_toric.cones import make_cone, quotient_char
 from manin_toric.latticefan import Fan, builtin_fan, make_fan
 from manin_toric.toric import (EulerProductSpec, PicardError,
                                alpha_constant, archimedean_volume,
@@ -65,33 +65,41 @@ def test_alpha_exact_values():
     assert alpha_constant(builtin_fan("hirzebruch-2")) == Fraction(1, 8)
 
 
+ALPHA_FANS = ["p1", "p2", "p3", "p1xp1"] + [f"hirzebruch-{n}"
+                                            for n in range(9)]
+
+
+def relabeled(fan, perm):
+    """The same fan with ray perm[i] moved to index i."""
+    inv = {old: new for new, old in enumerate(perm)}
+    return make_fan(fan.dim, [fan.rays[i] for i in perm],
+                    [sorted(inv[i] for i in c) for c in fan.max_cones])
+
+
 def test_alpha_two_routes_agree():
-    # quotient-pushforward route vs characteristic function of the
-    # effective cone in the chosen Picard basis
-    for name in ("p1", "p2", "p1xp1", "hirzebruch-1", "hirzebruch-2"):
+    # reference: the coordinate orthant of Z^J pushed through the
+    # quotient by M, the image of the character lattice, at (1, ..., 1)
+    for name in ALPHA_FANS:
         fan = builtin_fan(name)
-        pic = picard_data(fan)
-        form = char_function(pic.effective_cone)
-        direct = form(pic.anticanonical)
-        assert direct == alpha_constant(fan)
+        J = len(fan.rays)
+        orthant = make_cone([[int(i == j) for i in range(J)]
+                             for j in range(J)])
+        m_basis = [[ray[i] for ray in fan.rays] for i in range(fan.dim)]
+        reference = quotient_char(orthant, m_basis)((1,) * J)
+        alpha = alpha_constant(fan)
+        assert isinstance(alpha, Fraction)
+        assert alpha == reference, name
 
 
 def test_alpha_ray_relabeling_invariance():
-    fan = builtin_fan("p2")
-    perm = [2, 0, 1]
-    rays = [fan.rays[i] for i in perm]
-    inv = {old: new for new, old in enumerate(perm)}
-    cones = [tuple(sorted(inv[i] for i in c)) for c in fan.max_cones]
-    shuffled = make_fan(2, rays, cones)
-    assert alpha_constant(shuffled) == alpha_constant(fan)
-
+    for name in ALPHA_FANS:
+        fan = builtin_fan(name)
+        J = len(fan.rays)
+        for perm in (list(range(J))[::-1], list(range(1, J)) + [0]):
+            shuffled = relabeled(fan, perm)
+            assert alpha_constant(shuffled) == alpha_constant(fan), name
     fan = builtin_fan("hirzebruch-2")
-    perm = [3, 1, 0, 2]
-    rays = [fan.rays[i] for i in perm]
-    inv = {old: new for new, old in enumerate(perm)}
-    cones = [tuple(sorted(inv[i] for i in c)) for c in fan.max_cones]
-    shuffled = make_fan(2, rays, cones)
-    assert alpha_constant(shuffled) == alpha_constant(fan)
+    assert alpha_constant(relabeled(fan, [3, 1, 0, 2])) == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
