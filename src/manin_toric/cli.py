@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -61,7 +62,10 @@ class FanJsonFailure(CliError):
 # argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, never mutated,
+    and every parse_args call fills a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="manin-toric",
         description="Heights, constants, and point counts on split toric "

@@ -9,6 +9,12 @@ point with a borderline margin; candidates inside the margin are
 re-decided in exact rational arithmetic (heights of rational points
 are rational numbers, and cone membership of -log|x| reduces to
 comparing rational products against 1).
+
+P^n and the Hirzebruch surfaces F_n (P^1 x P^1 is F_0), recognized by
+the shape of their fans, are counted in Cox coordinates instead when
+lambda is a multiple of rho (on P^1, for any lambda): a box count of
+coprime tuples by Moebius inversion, with no walk.  The enumeration stays
+the general route and the cross-check.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product as _iproduct
+from itertools import (accumulate, combinations, permutations,
+                       product as _iproduct)
 
 import numpy as np
 
 from .heights import ValuationProfile
 from .latticefan import Fan, PLFunction
-from .primes import primes_up_to, totient_table
+from .primes import mobius_table, primes_up_to, totient_table
+from .ratlinalg import det_fraction
 from .toric import LeadingConstant, leading_constant
 
 
@@ -96,17 +104,18 @@ def _lex_positive(n) -> bool:
     return False
 
 
-def _int_nth_root(Bq: Fraction, s: int) -> int:
-    """Largest integer T with T^s <= Bq."""
-    if Bq < 1:
+def _int_nth_root(x, s: int) -> int:
+    """Largest integer T >= 0 with T^s <= x, for a rational x >= 0: Newton's
+    iteration on the integer floor(x), from above, exact at any size."""
+    n = math.floor(x)
+    if n < 1:
         return 0
-    T = int(round(float(Bq) ** (1.0 / s)))
-    T = max(T, 1)
-    while Fraction(T) ** s > Bq:
-        T -= 1
-    while Fraction(T + 1) ** s <= Bq:
-        T += 1
-    return T
+    T = 1 << -(-n.bit_length() // s)   # 2^ceil(bits / s) > n^(1/s)
+    while True:
+        nxt = ((s - 1) * T + n // T ** (s - 1)) // s
+        if nxt >= T:
+            return T
+        T = nxt
 
 
 def p1_height_counts(T: int) -> np.ndarray:
@@ -120,20 +129,184 @@ def p1_height_counts(T: int) -> np.ndarray:
     return c
 
 
-def _count_dim1(lam_ints, Bqs):
-    """Closed-form count for d = 1 fans (rays +1 and -1).
+# The Cox-coordinate count.  A torus point of P^n is a primitive tuple of
+# nonzero Cox coordinates up to sign, and a torus point of the Hirzebruch
+# surface F_n = P(O + O(n)) is a torus point b of the base P^1 with a
+# primitive pair of fiber coordinates up to sign.  For lambda = c rho the
+# height is a power of a box condition on those coordinates, so coprime
+# tuples in a box are counted by Moebius inversion, without a walk.
 
-    The height of a/b in lowest terms is max(|a|, |b|)^(l+ + l-), so the
-    points within a bound are those of max-norm height at most T_i, and
-    half of them are signless profiles (the one-dimensional case of the
-    Moebius-inverted torsor count).  Returns, per bound of the ascending
-    Bqs (all >= 1), the number of signless profiles; each corresponds to
-    2 points.
-    """
-    s = sum(lam_ints)
+# largest table the Cox-coordinate count builds (Moebius values up to the
+# largest Cox coordinate): a bound whose table is larger is refused before
+# any allocation
+_MAX_TABLE = 10 ** 7
+# entries per vectorized block: base heights, or the d of a long Moebius
+# sum
+_CHUNK = 1 << 16
+
+
+def _magnitude(x) -> str:
+    """A positive rational for a message, also beyond the float range."""
+    x = Fraction(x)
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return f"10^{math.log10(x.numerator) - math.log10(x.denominator):.6g}"
+
+
+def _check_table(size: int, Bq: Fraction) -> None:
+    if size > _MAX_TABLE:
+        raise CountingError(
+            f"Cox-coordinate count would build a table of "
+            f"{_magnitude(size)} entries (B^L = {_magnitude(Bq)}), over the "
+            f"limit of {_MAX_TABLE}")
+
+
+def _unimodular(fan: Fan) -> bool:
+    # for the shapes below, every maximal cone has the determinant of the
+    # first up to sign
+    return abs(det_fraction(fan.cone_matrices[0])) == 1
+
+
+def _projective_index(fan: Fan):
+    """n when fan is the fan of P^n in some basis of Z^n: n + 1 rays that
+    sum to 0, every n of them spanning a unimodular maximal cone; else
+    None."""
+    n = fan.dim
+    if (len(fan.rays) != n + 1 or any(map(sum, zip(*fan.rays)))
+            or sorted(tuple(sorted(c)) for c in fan.max_cones)
+            != list(combinations(range(n + 1), n))
+            or not _unimodular(fan)):
+        return None
+    return n
+
+
+def _hirzebruch_index(fan: Fan):
+    """n >= 0 when fan is the fan of F_n in some basis of Z^2: rays
+    labelled v1..v4 with v2 = -v4, v1 + v3 = n v2 and unimodular maximal
+    cones {v1, v2}, {v2, v3}, {v3, v4}, {v4, v1}; else None.  F_0 is
+    P^1 x P^1."""
+    rays = fan.rays
+    if fan.dim != 2 or len(rays) != 4 or len(fan.max_cones) != 4:
+        return None
+    cones = {frozenset(c) for c in fan.max_cones}
+    for b, e in permutations(range(4), 2):
+        a, c = (j for j in range(4) if j not in (b, e))
+        vb = rays[b]
+        s = [x + y for x, y in zip(rays[a], rays[c])]
+        if (rays[e] == tuple(-x for x in vb) and s[0] * vb[1] == s[1] * vb[0]
+                and cones == {frozenset(p) for p in
+                              ((a, b), (b, c), (c, e), (e, a))}
+                and _unimodular(fan)):
+            n = (s[0] * vb[0] + s[1] * vb[1]) // (vb[0] ** 2 + vb[1] ** 2)
+            if n >= 0:
+                return n
+    return None
+
+
+def _torsor_counter(fan: Fan, lam_ints):
+    """The Cox-coordinate count of fan under the integer lambda, as a
+    function of ascending scaled bounds (all >= 1) returning N(B) for
+    each, or None where it does not apply: on P^n (n + 1 rays summing to
+    0) for lambda = c rho, and any lambda on P^1; on F_n for lambda =
+    c rho."""
+    constant = len(set(lam_ints)) == 1
+    n = _projective_index(fan)
+    if n is not None and (constant or n == 1):
+        return lambda Bqs: _projective_counts(n, sum(lam_ints), Bqs)
+    n = _hirzebruch_index(fan)
+    if n is not None and constant:
+        return lambda Bqs: _hirzebruch_counts(n, lam_ints[0], Bqs)
+    return None
+
+
+def _primitive_tuples(T: int, k: int, mertens) -> int:
+    """#{x in [1, T]^k : gcd(x) = 1} = sum_d mu(d) floor(T/d)^k, summed
+    over the O(sqrt T) runs of d with one quotient floor(T/d), from the
+    partial sums mertens[m] = sum_{d <= m} mu(d); exact Python ints."""
+    total, d = 0, 1
+    while d <= T:
+        q = T // d
+        top = T // q
+        total += int(mertens[top] - mertens[d - 1]) * q ** k
+        d = top + 1
+    return total
+
+
+def _projective_counts(n: int, s: int, Bqs) -> list:
+    """N(B) on P^n, where the height of primitive Cox coordinates x is
+    max|x_i|^s under the scaled lambda (s = (n + 1) c for lambda = c rho,
+    l+ + l- on P^1): each of the primitive positive tuples of max-norm at
+    most T, T^s <= B^L, stands for 2^(n+1) sign patterns, two per point."""
     Ts = [_int_nth_root(Bq, s) for Bq in Bqs]
-    N = np.cumsum(p1_height_counts(Ts[-1]))
-    return [int(N[T]) // 2 for T in Ts]
+    _check_table(Ts[-1], Bqs[-1])
+    mertens = np.cumsum(mobius_table(Ts[-1]))
+    return [2 ** n * _primitive_tuples(T, n + 1, mertens) for T in Ts]
+
+
+def _isqrt_array(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of a nonnegative int64 array below 2^53.  The float
+    square root of an exactly represented x is correctly rounded, so it
+    is never below an integer root and at most one above floor(sqrt x)."""
+    r = np.sqrt(x).astype(np.int64)
+    return r - (r * r > x)
+
+
+def _coprime_pairs(U: np.ndarray, W: np.ndarray, mu) -> np.ndarray:
+    """#{(u, w) : 1 <= u <= U_i, 1 <= w <= W_i, gcd(u, w) = 1} for each i,
+    as sum_{d <= U_i} mu(d) floor(U_i/d) floor(W_i/d), for U nonincreasing
+    and U <= W, with mu = mobius_table(m) for some m >= U_0.  With j the
+    first row where U_j <= j (else the last) and D = U_j, each d <= D is
+    added over the rows U_i >= d, a prefix, and the d > D of the rows
+    before j, row by row: about 2j vectorized steps."""
+    Ul = U.tolist()
+    j = next((i for i, u in enumerate(Ul) if u <= i), len(Ul) - 1)
+    D = Ul[j]
+    ascending = Ul[::-1]
+    rows = [len(Ul) - bisect_left(ascending, d) for d in range(D + 2)]
+    out = np.zeros(len(U), dtype=np.int64)
+    for d in range(1, D + 1):
+        if mu[d]:
+            r = rows[d]
+            out[:r] += int(mu[d]) * (U[:r] // d) * (W[:r] // d)
+    for i in range(rows[D + 1]):
+        u, w = Ul[i], int(W[i])
+        for lo in range(D + 1, u + 1, _CHUNK):
+            d = np.arange(lo, min(lo + _CHUNK, u + 1))
+            out[i] += int(mu[d] @ ((u // d) * (w // d)))
+    return out
+
+
+def _hirzebruch_counts(n: int, k: int, Bqs) -> list:
+    """N(B) on F_n for the scaled lambda k rho.
+
+    A point is a base point of max-norm height H, one of c(H) =
+    p1_height_counts(H), with a coprime fiber pair (u, w) >= 1 and a
+    sign; its rho-height is H^2 max(S u^2, w^2 / S), S = H^n, the bounds
+    fibration_zeta_partial walks.  With Q = B^(L/k) and R = floor(Q), the
+    height is at most Q when u <= U = isqrt(floor(R / H^(n+2))) and w <= W
+    = isqrt(floor(Q H^(n-2))), and N(B) = sum_H 2 c(H) #{coprime pairs in
+    [1, U] x [1, W]} over H^(n+2) <= R, where U >= 1."""
+    Rs = [_int_nth_root(Bq, k) for Bq in Bqs]
+    _check_table(math.isqrt(Rs[-1]), Bqs[-1])
+    c = p1_height_counts(_int_nth_root(Rs[-1], n + 2))
+    mu = mobius_table(math.isqrt(Rs[-1]))   # U <= isqrt(R)
+    out = []
+    for Bq, R in zip(Bqs, Rs):
+        top = _int_nth_root(R, n + 2)   # the base heights where U >= 1
+        total = 0
+        for h0 in range(1, top + 1, _CHUNK):
+            H = np.arange(h0, min(h0 + _CHUNK, top + 1), dtype=np.int64)
+            U = _isqrt_array(R // H ** (n + 2))
+            if n <= 2:
+                W = _isqrt_array(R // H ** (2 - n))
+            else:   # Q H^(n-2) may outgrow int64: exact, per base height
+                W = np.array([math.isqrt(_int_nth_root(
+                    Bq * h ** (k * (n - 2)), k)) for h in H.tolist()],
+                    dtype=np.int64)
+            total += int(c[H] @ _coprime_pairs(U, W, mu))
+        out.append(2 * total)
+    return out
 
 
 _MARGIN = 1e-9
@@ -220,7 +393,7 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     if prime_limit > _MAX_SIEVE:
         raise CountingError(
             f"enumeration would sieve the primes up to {prime_limit} "
-            f"(B^L = {float(Bqs[-1]):.6g}), over the limit of {_MAX_SIEVE}")
+            f"(B^L = {_magnitude(Bqs[-1])}), over the limit of {_MAX_SIEVE}")
     primes = [int(p) for p in primes_up_to(prime_limit)]
     logs = [math.log(p) for p in primes]
     nprimes = len(primes)
@@ -297,32 +470,32 @@ class _Memo(dict):
         return value
 
 
-def _is_p1_like(fan: Fan) -> bool:
-    return fan.dim == 1 and set(fan.rays) == {(1,), (-1,)}
-
-
-def _count_grid(fan: Fan, lam, bounds, stats=None) -> list:
-    """N(B) for every B of the ascending bounds, from one enumeration, or
-    on P^1 from the closed form.  The DFS counts are added into stats,
-    if given."""
+def _count_grid(fan: Fan, lam, bounds, stats=None):
+    """(engine, counts): N(B) for every B of the ascending bounds, from the
+    Cox-coordinate count where it applies (engine "torsor"), otherwise
+    from one enumeration (engine "dfs"), whose counts are added into
+    stats, if given."""
     lam_ints, L = _lambda_ints(fan, lam)
+    counter = _torsor_counter(fan, lam_ints)
+    engine = "dfs" if counter is None else "torsor"
     Bqs = [Fraction(B) ** L for B in bounds]
     low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
     Bqs = Bqs[low:]
     if not Bqs:
-        return [0] * low
-    if _is_p1_like(fan):
-        profiles = _count_dim1(lam_ints, Bqs)
+        counts = []
+    elif counter is not None:
+        counts = counter(Bqs)
     else:
         profiles = _count_general(fan, lam_ints, Bqs,
                                   halve=_is_symmetric(fan, lam_ints),
                                   stats=stats)
-    return [0] * low + [n * 2 ** fan.dim for n in profiles]
+        counts = [n * 2 ** fan.dim for n in profiles]
+    return engine, [0] * low + counts
 
 
 def count_points(fan: Fan, lam, B) -> int:
     """N(B): the number of x in (Q*)^d with H_lambda(x) <= B."""
-    return _count_grid(fan, lam, [B])[0]
+    return _count_grid(fan, lam, [B])[1][0]
 
 
 def enumerate_bounded(fan: Fan, lam, B):
@@ -354,9 +527,11 @@ class CountReport:
     predicted: list
     ratios: list
     constant: LeadingConstant | None = None
-    # the enumeration's _STATS counts; all 0 when the P^1 closed form
-    # counts
+    # the enumeration's _STATS counts; all 0 when the Cox-coordinate
+    # count counts
     stats: dict = field(default_factory=dict)
+    # "torsor" (the Cox-coordinate count) or "dfs" (the enumeration)
+    engine: str = ""
 
     def rows(self):
         for B, N, pred, ratio in zip(self.bounds, self.counts,
@@ -365,20 +540,21 @@ class CountReport:
 
 
 def count_N(fan: Fan, lam, bounds, pmax: int = 100000) -> CountReport:
-    """Exact counts over a grid of height bounds, from one enumeration at
-    the largest, with the main-term prediction
+    """Exact counts over a grid of height bounds, from the Cox-coordinate
+    count or one enumeration at the largest, with the main-term prediction
     Theta*B*(log B)^(b-1)/(b-1)! attached."""
     lam_values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     bs = sorted(float(b) for b in bounds)
     lc = leading_constant(fan, pmax=pmax)
     stats = dict.fromkeys(_STATS, 0)
-    counts = _count_grid(fan, lam, bs, stats=stats)
+    engine, counts = _count_grid(fan, lam, bs, stats=stats)
     predicted = [lc.predict(B) for B in bs]
     ratios = [(n / p if p > 0 else math.inf) for n, p in
               zip(counts, predicted)]
     return CountReport(fan_name=fan.name or "fan", lam=lam_values,
                        bounds=bs, counts=counts, predicted=predicted,
-                       ratios=ratios, constant=lc, stats=stats)
+                       ratios=ratios, constant=lc, stats=stats,
+                       engine=engine)
 
 
 def fit_asymptotic(report: CountReport, a: int, b: int):

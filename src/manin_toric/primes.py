@@ -54,6 +54,16 @@ def totient_table(n: int) -> np.ndarray:
     return phi
 
 
+def mobius_table(n: int) -> np.ndarray:
+    """mu(k) for 0 <= k <= n (mu[0] = 0)."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in primes_up_to(n):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
 def divisor_count_table(n: int) -> np.ndarray:
     """d(k) = number of divisors, for 0 <= k <= n (d[0] = 0)."""
     # each divisor pair (k, m/k) of m with k <= sqrt(m), counted once

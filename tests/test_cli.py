@@ -40,6 +40,23 @@ class TestDispatch:
         assert run(["--help"]) == 0
         assert "manin-toric" in capsys.readouterr().out
 
+    def test_one_parser_no_leak_between_runs(self, capsys):
+        # the parser is built once per process; each run parses afresh
+        assert cli._build_parser() is cli._build_parser()
+        fitted = run_json(["count", "--fan", "builtin:p1", "--bounds",
+                           "1e2,1e3", "--fit", "1,1", "--pmax", "500",
+                           "--format", "json"], capsys)
+        plain = run_json(["count", "--fan", "builtin:p1", "--bounds", "1e2"],
+                         capsys)
+        zeta = run_json(["zeta", "--fan", "builtin:p1", "--lambda", "2,2",
+                         "--B", "100"], capsys)
+        assert fitted["config"]["fit"] == "1,1" and "fit" in fitted
+        assert fitted["config"]["pmax"] == 500
+        assert plain["config"]["fit"] is None and "fit" not in plain
+        assert plain["config"]["pmax"] == 100000
+        assert "bounds" not in zeta["config"] and "fit" not in zeta["config"]
+        assert zeta["config"]["subcommand"] == "zeta"
+
     def test_bad_flag_value(self, capsys):
         # argparse validation failures exit 2
         assert run(["zeta", "--fan", "builtin:p1", "--lambda", "2,2",
@@ -246,6 +263,18 @@ print(json.dumps({{"code": code, "artifact": out.getvalue(),
         assert doc["rows"][0]["N"] == count_points(builtin_fan("p1"),
                                                    (1, 1), 1000)
         assert doc["config"]["lam"] == [1 / 3, 1 / 3]
+
+    @pytest.mark.parametrize("fan", ["p1", "p1xp1"])
+    def test_oversized_table_refused(self, capsys, fan):
+        # 1e30 asks for Moebius values up to 10^15: refused with exit 2
+        # before any table is built, not a MemoryError from numpy
+        assert run(["count", "--fan", f"builtin:{fan}", "--bounds",
+                    "1e30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: Cox-coordinate count would build a table of 1e+15 "
+            "entries (B^L = 1e+30), over the limit of 10000000\n")
+        assert captured.out == ""
 
 
 class TestHeight:

@@ -11,6 +11,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from manin_toric.counting import (
 from manin_toric.fibration import hirzebruch_fan
 from manin_toric.fourier import _extrapolate_direct
 from manin_toric.heights import global_height
-from manin_toric.latticefan import PLFunction, builtin_fan
+from manin_toric.latticefan import PLFunction, builtin_fan, make_fan
 from manin_toric.primes import factorize, totient_table
 
 P1 = builtin_fan("p1")
@@ -57,16 +58,16 @@ def n1_oracle(B):
     return 2 * (2 * totient_summatory(T) - 1) if T >= 1 else 0
 
 
-def dfs_counts(fan, lam, bounds):
+def dfs_counts(fan, lam, bounds, stats=None):
     """N(B) for every B of the ascending bounds from the DFS alone, also
-    on P^1, where the engine counts from a closed form that the DFS is
-    the reference for."""
+    where count_N takes the Cox-coordinate count, which the DFS is the
+    reference for; the walk's counts are added into stats, if given."""
     lam_ints, L = counting._lambda_ints(fan, lam)
     Bqs = [Fraction(B) ** L for B in bounds]
     low = sum(Bq < 1 for Bq in Bqs)
     profiles = counting._count_general(
-        fan, lam_ints, Bqs[low:],
-        halve=counting._is_symmetric(fan, lam_ints)) if Bqs[low:] else []
+        fan, lam_ints, Bqs[low:], halve=counting._is_symmetric(fan, lam_ints),
+        stats=stats) if Bqs[low:] else []
     return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
@@ -205,7 +206,10 @@ def check_against_brute(fan, lam, B, coord_bound, height=exact_height):
     )
     assert sat < coord_bound
     assert got == brute_set(fan, lam, B, coord_bound, height)
+    # the engine's count (Cox coordinates where they apply) and the DFS
+    # count, which halves the walk where enumerate_bounded does not
     assert count_points(fan, lam, B) == len(got)
+    assert dfs_counts(fan, lam, [B]) == [len(got)]
     return got
 
 
@@ -350,7 +354,7 @@ class TestOnePass:
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1)])
     def test_p1_grid_both_engines(self, lam):
         want = [count_points(P1, lam, B) for B in P1_GRID]
-        assert _count_grid(P1, lam, P1_GRID) == want
+        assert _count_grid(P1, lam, P1_GRID) == ("torsor", want)
         assert [dfs_counts(P1, lam, [B])[0] for B in P1_GRID] == want
         assert dfs_counts(P1, lam, P1_GRID) == want
         assert count_N(P1, lam, P1_GRID, pmax=1000).counts == want
@@ -365,7 +369,8 @@ class TestOnePass:
 
     def test_one_enumeration_per_call(self, monkeypatch):
         calls = []
-        for name in ("_count_general", "_count_dim1"):
+        for name in ("_count_general", "_projective_counts",
+                     "_hirzebruch_counts"):
             engine = getattr(counting, name)
 
             def counted(*args, _engine=engine, _name=name, **kwargs):
@@ -373,11 +378,17 @@ class TestOnePass:
                 return _engine(*args, **kwargs)
 
             monkeypatch.setattr(counting, name, counted)
-        count_N(P2, (1, 1, 1), [10, 100, 1000], pmax=1000)
-        assert calls == ["_count_general"]
-        calls.clear()
-        count_N(P1, (1, 1), [10, 100, 1000], pmax=1000)
-        assert calls == ["_count_dim1"]
+        grid = [10, 100, 1000]
+        for fan, lam, engine in [
+                (P2, (1, 1, 2), "_count_general"),
+                (F1, (1, 5, 1, 1), "_count_general"),
+                (P2, (1, 1, 1), "_projective_counts"),
+                (P1, (1, 1), "_projective_counts"),
+                (P1XP1, (1, 1, 1, 1), "_hirzebruch_counts")]:
+            calls.clear()
+            assert dfs_counts(fan, lam, grid) == count_N(fan, lam, grid,
+                                                         pmax=1000).counts
+            assert calls == ["_count_general", engine]
         calls.clear()
         _extrapolate_direct(P1XP1, (2, 2, 2, 2), 50.0, 2)
         assert calls == ["_count_general"]
@@ -406,34 +417,39 @@ class TestEngineStats:
     def test_skip_fires_and_counts_add_up(self):
         for fan in (P2, P1XP1):
             lam = (1,) * len(fan.rays)
-            report = count_N(fan, lam, [100, 1000], pmax=1000)
-            stats = report.stats
+            stats = {}
+            counts = dfs_counts(fan, lam, [100, 1000], stats)
             assert stats["skipped"] > 0
             assert stats["built"] > stats["accepted"] > 0
             # each accepted node stands for 2^d points, twice that when
             # the symmetric data let the DFS halve
             weight = 2 if fan is P1XP1 else 1
-            assert report.counts[-1] == 2 ** fan.dim * (
+            assert counts[-1] == 2 ** fan.dim * (
                 1 + weight * stats["accepted"])
 
     def test_redecision_fires_at_attained_height(self):
-        assert count_N(P2, (1, 1, 1), [125], pmax=1000).stats[
-            "redecided"] > 0
-        assert count_N(P2, (1, 1, 1), [126], pmax=1000).stats[
-            "redecided"] == 0
+        for B, redecided in ((125, True), (126, False)):
+            stats = {}
+            dfs_counts(P2, (1, 1, 1), [B], stats)
+            assert (stats["redecided"] > 0) is redecided
 
     def test_closed_form_builds_nothing(self):
-        assert count_N(P1, (1, 1), [1000], pmax=1000).stats == {
-            "built": 0, "skipped": 0, "accepted": 0, "redecided": 0}
+        for fan in (P1, P2, P3, P1XP1, F1, F3):
+            report = count_N(fan, (1,) * len(fan.rays), [1000], pmax=1000)
+            assert report.engine == "torsor"
+            assert report.stats == {
+                "built": 0, "skipped": 0, "accepted": 0, "redecided": 0}
 
     def test_stats_stay_out_of_the_artifact(self, capsys):
         from manin_toric.cli import run
-        assert run(["count", "--fan", "builtin:p2", "--bounds",
-                    "100,1000"]) == 0
-        assert "skipped" not in capsys.readouterr().out
+        for lam in ("rho", "1,1,2"):
+            assert run(["count", "--fan", "builtin:p2", "--lambda", lam,
+                        "--bounds", "100,1000"]) == 0
+            out = capsys.readouterr().out
+            assert "skipped" not in out and "engine" not in out
 
-    # count_N(fan, rho, [B / 10, B], pmax=1000) without the prime-loop
-    # stop: B, built, accepted, redecided, counts and skipped
+    # the DFS under rho over [B / 10, B] without the prime-loop stop: B,
+    # built, accepted, redecided, counts and skipped
     WITHOUT_STOP = [
         (P2, 10 ** 4, 10386, 7860, 204, [3364, 31444], 247131),
         (P1XP1, 10 ** 4, 55145, 17968, 480, [10372, 143748], 348189),
@@ -447,11 +463,11 @@ class TestEngineStats:
     def test_prime_stop_builds_the_same_children(self, fan, B, built,
                                                  accepted, redecided, counts,
                                                  skipped):
-        report = count_N(fan, (1,) * len(fan.rays), [B / 10, B], pmax=1000)
-        stats = report.stats
+        stats = {}
+        got = dfs_counts(fan, (1,) * len(fan.rays), [B / 10, B], stats)
         assert (stats["built"], stats["accepted"], stats["redecided"]) == (
             built, accepted, redecided)
-        assert report.counts == counts
+        assert got == counts
         # the stop ends prime loops whose remaining children would all
         # be skipped
         assert stats["skipped"] < skipped
@@ -465,8 +481,8 @@ class TestEngineStats:
         # stop; the walk must still build it and re-decide it exactly, as
         # it does without the stop
         stats = {}
-        assert _count_grid(fan, (1, 1, 1, 1), [168.99999983099917],
-                           stats=stats) == [count]
+        assert dfs_counts(fan, (1, 1, 1, 1), [168.99999983099917],
+                          stats) == [count]
         assert (stats["built"], stats["redecided"]) == (built, 2)
 
     def test_non_convex_walk_skips_and_stops(self):
@@ -476,6 +492,7 @@ class TestEngineStats:
         # that builds every child (832,284 of them at B = 2e4)
         report = count_N(F1, (1, 5, 1, 1), [2e3, 2e4], pmax=1000)
         stats = report.stats
+        assert report.engine == "dfs"
         assert report.counts == [3548, 39916]
         assert stats["accepted"] == 9978
         assert stats["skipped"] > 0
@@ -550,8 +567,149 @@ class TestValidation:
         with pytest.raises(CountingError, match=r"2217373924.*B\^L"):
             dfs_counts(P1, (Fraction(1, 2), Fraction(1, 4)), [217])
         assert sieved == []
-        # the closed form needs no sieve and still answers
+        # the Cox-coordinate count needs no prime sieve and still answers
         assert count_points(P1, (Fraction(1, 2), Fraction(1, 4)), 217) > 0
+
+    @pytest.mark.parametrize("fan,size", [(P1, "1e+15"), (P1XP1, "1e+15"),
+                                          (P2, "1e+10"), (F3, "1e+15")],
+                             ids=["p1", "p1xp1", "p2", "hirzebruch-3"])
+    def test_oversized_table_refused_before_allocation(self, monkeypatch, fan,
+                                                       size):
+        built = []
+        for name in ("mobius_table", "totient_table", "primes_up_to"):
+            monkeypatch.setattr(counting, name, built.append)
+        with pytest.raises(CountingError, match=(
+                rf"table of {re.escape(size)} entries \(B\^L = 1e\+30\), "
+                r"over the limit of 10000000")):
+            count_points(fan, (1,) * len(fan.rays), 1e30)
+        assert built == []
+
+    def test_table_limit_beyond_the_float_range(self):
+        # B^L = 10^600 has no float; the message still names it
+        with pytest.raises(CountingError, match=r"1e\+300 entries "
+                                                r"\(B\^L = 10\^600\)"):
+            count_points(P1, (Fraction(1, 2), Fraction(1, 2)), 1e300)
+
+
+def projective_fan(n):
+    """The fan of P^n: e_1, ..., e_n, -(e_1 + ... + e_n), every n of them
+    a maximal cone."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append((-1,) * n)
+    return make_fan(n, rays, itertools.combinations(range(n + 1), n))
+
+
+def disguise(fan, order, ops, flip):
+    """fan in another labelling and basis: ray m of the result is
+    A rays[order[m]], with A the product of the row operations
+    row_i += k row_j of ops (indices mod dim) and, if flip, the negation
+    of the first coordinate: a matrix of GL(Z)."""
+    d = fan.dim
+    A = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, j, k in ops:
+        i, j = i % d, j % d
+        if i != j:
+            A[i] = [a + k * b for a, b in zip(A[i], A[j])]
+    if flip:
+        A[0] = [-a for a in A[0]]
+    order = [m for m in order if m < len(fan.rays)]
+    where = {old: new for new, old in enumerate(order)}
+    rays = [tuple(sum(a * x for a, x in zip(row, fan.rays[old]))
+                  for row in A) for old in order]
+    cones = [[where[j] for j in cone] for cone in fan.max_cones]
+    return make_fan(d, rays, cones), order
+
+
+TORSOR_FANS = ([("P", n) for n in range(1, 5)]
+               + [("F", n) for n in range(5)])
+
+
+class TestTorsorRoute:
+    """The Cox-coordinate count against the DFS, exactly, on P^1..P^4 and
+    F_0..F_4 in random ray labellings and bases of Z^d."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(shape=st.sampled_from(TORSOR_FANS),
+           order=st.permutations(range(5)),
+           ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.integers(-2, 2)), max_size=4),
+           flip=st.booleans(),
+           c=st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 2))),
+           p1_lam=st.tuples(*[st.sampled_from((1, 2, 3, Fraction(1, 2)))] * 2),
+           bounds=st.lists(st.integers(1, 700), min_size=1, max_size=3),
+           shift=st.sampled_from((0, -1, 1)))
+    # attained heights and their neighbours: 125 = 5^3 on P^2, and
+    # 169 = 13^2 about 1e-9 relative above the bound on P^1 x P^1 and F_1
+    @example(shape=("P", 2), order=range(5), ops=[], flip=False, c=1,
+             p1_lam=(1, 1), bounds=[124, 125, 126], shift=0)
+    @example(shape=("F", 0), order=range(5), ops=[], flip=False, c=1,
+             p1_lam=(1, 1), bounds=[168.99999983099917, 169], shift=0)
+    @example(shape=("F", 1), order=range(5), ops=[], flip=False, c=1,
+             p1_lam=(1, 1), bounds=[168.99999983099917, 169], shift=0)
+    def test_equals_dfs(self, shape, order, ops, flip, c, p1_lam, bounds,
+                        shift):
+        kind, n = shape
+        base = projective_fan(n) if kind == "P" else hirzebruch_fan(n)
+        fan, order = disguise(base, order, ops, flip)
+        lam = ((c,) * len(fan.rays) if shape != ("P", 1)
+               else tuple(p1_lam[m] for m in order))
+        # bounds b + shift under rho are b^c under lambda = c rho, floats
+        # (so within rounding of b) when c is not an integer
+        grid = sorted(Fraction(b + shift) ** c if Fraction(c).denominator == 1
+                      else float(b + shift) ** float(c) for b in bounds)
+        engine, got = _count_grid(fan, lam, grid)
+        assert engine == "torsor"
+        assert got == dfs_counts(fan, lam, grid)
+
+    def test_int_nth_root(self):
+        for s in range(1, 7):
+            for x in itertools.chain(range(200), (Fraction(7, 2), 0.5,
+                                                  Fraction(10 ** 40 - 1))):
+                T = counting._int_nth_root(x, s)
+                assert T ** s <= x < (T + 1) ** s
+        assert counting._int_nth_root(10 ** 600, 2) == 10 ** 300
+
+    def test_p1xp1_fiberwise_oracle_far_out(self):
+        # the convolution of test_p1xp1_fiberwise_oracle, vectorized, at a
+        # bound where the Moebius sum of the first base height runs over
+        # several blocks of d
+        B = 2 ** 36 + 1
+        top = math.isqrt(B)
+        phi = totient_table(top)
+        n1 = 2 * (2 * np.cumsum(phi)[[math.isqrt(B // (h * h))
+                                      for h in range(1, top + 1)]] - 1)
+        weights = 4 * phi[1:]
+        weights[0] = 2
+        assert count_points(P1XP1, (1, 1, 1, 1), B) == int(weights @ n1)
+
+    def test_other_cases_walk(self):
+        incomplete = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
+        for fan, lam in ((P2, (1, 1, 2)), (F1, (1, 5, 1, 1)),
+                         (incomplete, (1, 1, 1))):
+            report = count_N(fan, lam, [100, 300], pmax=1000)
+            assert report.engine == "dfs"
+            assert report.counts == dfs_counts(fan, lam, [100, 300])
+        # unimodular cones on every pair of three rays that do not sum to 0
+        # overlap: not P^2, and no Cox-coordinate count
+        overlapping = make_fan(2, [(1, 0), (0, 1), (1, 1)],
+                               [(0, 1), (1, 2), (0, 2)])
+        assert counting._torsor_counter(overlapping, (1, 1, 1)) is None
+
+    @pytest.mark.parametrize("name,a,b", [("p1xp1", 1, 2), ("p2", 1, 1)])
+    def test_theta_at_large_B(self, name, a, b):
+        # 10^6 .. 10^12, far beyond the walk: the top coefficient of the
+        # log-polynomial fit estimates Theta / (b - 1)!
+        fan = builtin_fan(name)
+        report = count_N(fan, (1,) * len(fan.rays),
+                         [10.0 ** e for e in range(6, 13)])
+        assert report.engine == "torsor"
+        top = fit_asymptotic(report, a, b)[-1] * math.factorial(b - 1)
+        theta = report.constant.theta
+        rel, bound = abs(top - theta) / theta, 1e-3
+        assert rel <= bound, (
+            f"relative error of the fitted top coefficient {top!r} against "
+            f"theta = {theta!r}: {rel!r} exceeds {bound!r} by {rel - bound!r}")
 
 
 # symmetric fans with lambda invariant under negation: the zeta walk halves

@@ -2,7 +2,8 @@
 
 import math
 
-from manin_toric.primes import divisor_count_table, factorize, totient_table
+from manin_toric.primes import (divisor_count_table, factorize, mobius_table,
+                                totient_table)
 
 N = 2000
 
@@ -46,12 +47,19 @@ def test_factorize_prime_powers_and_large_semiprimes():
     assert factorize(2 * 999999000001) == [(2, 1), (999999000001, 1)]
 
 
+def naive_mobius(k):
+    exponents = [e for _p, e in naive_factorize(k)]
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
 def test_tables_match_definitions_for_every_size():
     d = [0] + [naive_divisor_count(k) for k in range(1, N + 1)]
     phi = [0] + [naive_totient(k) for k in range(1, N + 1)]
+    mu = [0] + [naive_mobius(k) for k in range(1, N + 1)]
     for n in range(N + 1):
         assert divisor_count_table(n).tolist() == d[: n + 1]
         assert totient_table(n).tolist() == phi[: n + 1]
+        assert mobius_table(n).tolist() == mu[: n + 1]
 
 
 def test_divisor_summatory():
