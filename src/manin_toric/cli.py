@@ -31,8 +31,7 @@ from .latticefan import (Fan, FanFormatError, FanValidationError, builtin_fan,
                          fan_from_json, validate_fan)
 from .tauberian import PerronLine, TauberianError, builtin_oracle, \
     descend_k, descent_eta, predict
-from .toric import (PicardError, archimedean_volume, leading_constant,
-                    picard_data)
+from .toric import PicardError, archimedean_volume, leading_constant
 
 SUBCOMMANDS = ("validate", "constants", "count", "height", "zeta",
                "poisson-check", "tauber", "fibration", "bounds-sweep")
@@ -324,7 +323,6 @@ def _cmd_validate(args):
 def _cmd_constants(args):
     fan = _resolve_fan(args.fan)
     lc = leading_constant(fan, pmax=args.pmax)
-    pic = picard_data(fan)
     result = {
         "config": _config(args),
         "fan": fan.name,
@@ -336,7 +334,7 @@ def _cmd_constants(args):
         "theta": lc.theta,
         "theta_lo": lc.lower,
         "theta_hi": lc.upper,
-        "rank": pic.rank,
+        "rank": lc.b,
         "a": lc.a,
         "b": lc.b,
         "arch_volume": archimedean_volume(fan),

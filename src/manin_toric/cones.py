@@ -229,34 +229,24 @@ def triangulate(c: PolyhedralCone) -> list[PolyhedralCone]:
     """
     if c.lineality:
         raise ConeError("triangulate expects a pointed cone")
-    gens = [tuple(Fraction(x) for x in g) for g in c.generators]
-    if not gens:
+    if not c.generators:
         return []
-    used: list[tuple[Fraction, ...]] = []
-    simplices: list[tuple[IntVec, ...]] = []
-    facet_forms: tuple[IntVec, ...] = ()
-
-    def refresh_facets():
-        nonlocal facet_forms
-        facet_forms, _lin = _dd_feasible(c.dim, used)
-
-    for g in gens:
-        gi = primitive_vector(g)
-        if not used:
-            used.append(gi)
-            simplices = [(gi,)]
-            refresh_facets()
-            continue
-        if rank_fraction(used + [gi]) > rank_fraction(used):
+    gens = [primitive_vector(g) for g in c.generators]
+    used: list[IntVec] = [gens[0]]
+    simplices: list[tuple[IntVec, ...]] = [(gens[0],)]
+    for gi in gens[1:]:
+        # each simplex spans the cone so far: its size is the rank
+        if rank_fraction(used + [gi]) > len(simplices[0]):
             # rank jump: cone over the existing triangulation
             simplices = [s + (gi,) for s in simplices]
             used.append(gi)
-            refresh_facets()
             continue
+        # the facets of the cone so far, needed only here
+        facet_forms, _lin = _dd_feasible(c.dim, used)
         visible = [w for w in facet_forms if _dot(w, gi) < 0]
+        used.append(gi)
         if not visible:
-            used.append(gi)  # interior generator on first appearance
-            continue
+            continue  # interior generator on first appearance
         new_faces: set[tuple[IntVec, ...]] = set()
         for w in visible:
             for s in simplices:
@@ -265,8 +255,6 @@ def triangulate(c: PolyhedralCone) -> list[PolyhedralCone]:
                     new_faces.add(tuple(on_w))
         for face in sorted(new_faces):
             simplices.append(face + (gi,))
-        used.append(gi)
-        refresh_facets()
 
     out = []
     for s in simplices:
@@ -318,10 +306,13 @@ def char_function(c: PolyhedralCone, *, density: Fraction | None = None,
     order of the dual generators ("given" = sorted output of the dual,
     "reversed" for the triangulation-independence checks).
     """
-    cc = canonicalize(c)
-    if cc.lineality:
+    # c contains a line iff its dual is not full-dimensional, and c is
+    # full-dimensional iff its dual is pointed; the dual of c is the
+    # dual of its canonical form, so no second description is needed
+    dual = dual_cone(c)
+    if rank_fraction(list(dual.generators) + list(dual.lineality)) < c.dim:
         raise ConeError("characteristic function diverges: cone contains a line")
-    if not is_full_dim(cc):
+    if dual.lineality:
         raise ConeError("characteristic function needs a full-dimensional cone")
     if density is None:
         if c.measure_basis is not None:
@@ -331,23 +322,22 @@ def char_function(c: PolyhedralCone, *, density: Fraction | None = None,
     density = Fraction(density)
     if density <= 0:
         raise ConeError("density must be positive")
-    if cc.dim == 0:
+    if c.dim == 0:
         return RationalConeForm(dim=0, terms=((1 / density, ()),))
-    dual = dual_cone(cc)
     gens = list(dual.generators)
     if dual_order == "reversed":
         gens = gens[::-1]
     elif dual_order != "given":
         raise ConeError(f"unknown dual_order {dual_order!r}")
-    pieces = triangulate(PolyhedralCone(dim=cc.dim, generators=tuple(gens)))
+    pieces = triangulate(PolyhedralCone(dim=c.dim, generators=tuple(gens)))
     terms = []
     for piece in pieces:
         w = piece.generators
         coeff = abs(det_fraction([[w[j][i] for j in range(len(w))]
-                                  for i in range(cc.dim)])) / density
+                                  for i in range(c.dim)])) / density
         forms = tuple(tuple(Fraction(x) for x in wj) for wj in w)
         terms.append((coeff, forms))
-    return RationalConeForm(dim=cc.dim, terms=tuple(terms))
+    return RationalConeForm(dim=c.dim, terms=tuple(terms))
 
 
 def char_evaluate(f: RationalConeForm, z: Sequence):

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import PolyhedralCone, char_function, dual_cone, make_cone
-from .latticefan import Fan, PLFunction, _inverse_unimodular
+from .cones import PolyhedralCone, char_function, make_cone
+from .latticefan import Fan, PLFunction
 from .primes import primes_up_to
 from .ratlinalg import smith_normal_form
 
@@ -28,15 +28,13 @@ class PicardError(ValueError):
 class PicardData:
     """Free quotient Pic = Z^J / M with a chosen integral basis.
 
-    projection maps Z^J onto Z^rank (rows indexed by the basis),
-    section maps Z^rank back with projection o section = id, and
+    projection maps Z^J onto Z^rank (rows indexed by the basis), and
     divisor_classes[j] is the class of the j-th ray divisor.
     """
 
     fan: Fan
     rank: int
     projection: tuple          # rank rows of length J
-    section: tuple             # J rows of length rank
     anticanonical: tuple       # class of (1,...,1)
     divisor_classes: tuple     # J classes, columns of projection
     effective_cone: PolyhedralCone
@@ -66,34 +64,18 @@ def picard_data(fan: Fan) -> PicardData:
                 f"Picard quotient has torsion Z/{D[i][i]}; "
                 "fan is not regular for this pipeline")
     rows = [list(U[i]) for i in range(d, J)]
-    rho = [1] * J
     for row in rows:
         if sum(row) < 0:
             for j in range(J):
                 row[j] = -row[j]
     projection = tuple(tuple(row) for row in rows)
     anticanonical = tuple(sum(row) for row in projection)
-
-    # integral section: solve projection @ s_col = basis vector, using
-    # the remaining degrees of freedom from the full unimodular U
-    Uinv = _inverse_unimodular(U)
-    section = tuple(tuple((-Uinv[j][d + i] if sum(U[d + i]) < 0
-                           else Uinv[j][d + i]) for i in range(r))
-                    for j in range(J))
     classes = tuple(tuple(row[j] for row in projection) for j in range(J))
     seen = list(dict.fromkeys(classes))
     eff = make_cone(seen, r)
     return PicardData(fan=fan, rank=r, projection=projection,
-                      section=section, anticanonical=anticanonical,
-                      divisor_classes=classes, effective_cone=eff)
-
-
-def _strictly_interior(cone: PolyhedralCone, point) -> bool:
-    dual = dual_cone(cone)
-    if not dual.generators:
-        return False
-    return all(sum(g[i] * point[i] for i in range(len(point))) > 0
-               for g in dual.generators)
+                      anticanonical=anticanonical, divisor_classes=classes,
+                      effective_cone=eff)
 
 
 def alpha_constant(fan: Fan) -> Fraction:
@@ -104,10 +86,17 @@ def alpha_constant(fan: Fan) -> Fraction:
     so the quotient lattice measure is the standard one on Z^rank.
     """
     pic = picard_data(fan)
-    if not _strictly_interior(pic.effective_cone, pic.anticanonical):
+    form = char_function(pic.effective_cone)
+    # every extreme ray of the dual cone is a linear factor of some
+    # term, so -K is strictly interior exactly when all factors are
+    # positive there (rank 0 has no factor and no interior)
+    k = pic.anticanonical
+    factors = [w for _coeff, forms in form.terms for w in forms]
+    if not factors or any(sum(a * b for a, b in zip(w, k)) <= 0
+                          for w in factors):
         raise PicardError("anticanonical class is not interior to the "
                           "effective cone")
-    return char_function(pic.effective_cone)(pic.anticanonical)
+    return form(k)
 
 
 def count_points_mod_p(fan: Fan, p: int) -> int:

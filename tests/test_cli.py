@@ -159,6 +159,14 @@ class TestConstants:
         tau = doc["tau"]
         assert tau["lo"] <= 24 / math.pi ** 2 <= tau["hi"]
 
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3", "p1xp1"] + [
+        f"hirzebruch-{n}" for n in range(4)])
+    def test_rank_is_picard_rank(self, name, capsys):
+        doc = run_json(["constants", "--fan", f"builtin:{name}",
+                        "--pmax", "2000"], capsys)
+        fan = builtin_fan(name)
+        assert doc["rank"] == doc["b"] == len(fan.rays) - fan.dim
+
 
 class TestCount:
     def test_csv_columns(self, capsys):

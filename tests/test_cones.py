@@ -28,6 +28,7 @@ from manin_toric.cones import (
     triangulate,
 )
 
+from manin_toric.ratlinalg import rank_fraction
 from quad_oracles import char_quadrature
 
 
@@ -139,6 +140,24 @@ def test_triangulate_square_cone():
         assert hits >= 1
 
 
+@pytest.mark.parametrize("gens", [
+    [[1, 0], [1, 1], [0, 1]],
+    [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]],
+    # a planar cone placed inside Z^3 before the rank jump to 3
+    [[1, 0, 0], [0, 1, 0], [1, 1, 0], [-1, 2, 0], [0, 0, 1], [1, 1, 1]],
+    # an interior generator first, then one that sees a facet
+    [[1, 0], [0, 1], [1, 1], [-1, 3]],
+])
+def test_triangulate_describes_only_where_facets_are_read(dd_calls, gens):
+    # a generator that starts the cone or raises its rank needs no
+    # facets; every other one needs those of the cone placed so far
+    want = [i for i in range(1, len(gens))
+            if rank_fraction(gens[:i + 1]) == rank_fraction(gens[:i])]
+    triangulate(make_cone(gens))
+    # generator i reads the facets of the first i generators
+    assert [len(ineqs) for _n, ineqs in dd_calls] == want
+
+
 def test_triangulate_rejects_line():
     with pytest.raises(ConeError):
         triangulate(make_cone([], dim=2,
@@ -170,13 +189,34 @@ def test_char_plane_cone_exact_value():
 
 
 def test_char_rejects_line_in_closure():
-    with pytest.raises(ConeError):
-        char_function(make_cone([[1, 0], [-1, 0], [0, 1]]))
+    # a line outranks lower dimension: span{(1,0)} is both
+    for cone in (make_cone([[1, 0], [-1, 0]]),
+                 make_cone([[1, 0], [-1, 0], [0, 1]]),   # a half-plane
+                 make_cone([[1, 0, 0], [-1, 0, 0]]),
+                 make_cone([], dim=2, lineality=[[1, 0]])):
+        with pytest.raises(ConeError) as err:
+            char_function(cone)
+        assert str(err.value) == ("characteristic function diverges: "
+                                  "cone contains a line")
 
 
 def test_char_rejects_lower_dimensional():
-    with pytest.raises(ConeError):
-        char_function(make_cone([[1, 0]], dim=2))
+    for gens in ([[1, 0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ConeError) as err:
+            char_function(make_cone(gens))
+        assert str(err.value) == ("characteristic function needs a "
+                                  "full-dimensional cone")
+
+
+@pytest.mark.parametrize("gens", [
+    [[1, 0], [0, 1]],
+    [[1, 0], [1, 2]],
+    [[2, -1], [1, 3]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+])
+def test_char_simplicial_takes_one_double_description(dd_calls, gens):
+    char_function(make_cone(gens))
+    assert len(dd_calls) == 1
 
 
 def test_char_homogeneity_exact():

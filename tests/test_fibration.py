@@ -3,7 +3,8 @@ quotient Picard data, and the product-rule constant."""
 
 import math
 from fractions import Fraction
-from math import gcd
+from itertools import count, takewhile
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -188,6 +189,32 @@ class TestFibrationZeta:
         assert hi < lo
         r = hi / lo
         assert fz.tail_estimate == pytest.approx(hi * r / (1 - r), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("mu", [(1.5, 2.5), (3.25, 1.75), (2, 3)])
+    def test_matches_per_point_twisted_heights(self, n, mu):
+        # non-integral fiber exponents take the float route; (2, 3) is
+        # the exact one.  The reference sums 2 H1^-a / H_fiber over each
+        # base point b of height H1 and coprime (u, w) >= 1 under the
+        # cut, the fiber point being x = anchor^n u / w
+        spec, a, B = TorsorSpec(n), 3, 200
+        terms = []
+        for H1 in range(1, isqrt(B) + 1):
+            Bf, S = Fraction(B, H1 * H1), Fraction(H1) ** n
+            # the cut max(S u^2, w^2 / S) <= Bf read one bound at a time
+            pairs = [(u, w)
+                     for u in takewhile(lambda u: S * u * u <= Bf, count(1))
+                     for w in takewhile(lambda w: w * w <= Bf * S, count(1))
+                     if gcd(u, w) == 1]
+            for b in base_points(H1):
+                for u, w in pairs:
+                    x = Fraction(abs(b[0])) ** n * Fraction(u, w)
+                    terms.append(2.0 * H1 ** -a
+                                 / twisted_fiber_height(spec, mu, b, x))
+        fz = fibration_zeta_partial(spec, mu, a, B)
+        assert fz.n_points == 2 * len(terms)
+        want = math.fsum(terms)
+        assert abs(fz.value - want) <= 1e-12 * want
 
     def test_orientation_pinned_by_asymmetric_class(self):
         # the anticanonical multiset cannot see the sign of the twist;

@@ -1,10 +1,12 @@
 """Picard data, alpha, local densities, Tamagawa products."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+from manin_toric import toric
 from manin_toric.cones import make_cone, quotient_char
 from manin_toric.latticefan import Fan, builtin_fan, make_fan
 from manin_toric.toric import (EulerProductSpec, PicardError,
@@ -38,17 +40,6 @@ def test_picard_p1xp1():
     assert pic.rank == 2
     assert sorted(pic.anticanonical) == [2, 2]
     assert len(set(pic.divisor_classes)) == 2
-
-
-def test_projection_section_identity():
-    for name in ("p1", "p2", "p1xp1", "hirzebruch-1", "hirzebruch-2"):
-        pic = picard_data(builtin_fan(name))
-        r = pic.rank
-        J = len(pic.fan.rays)
-        for i in range(r):
-            col = [pic.section[j][i] for j in range(J)]
-            image = pic.project(col)
-            assert image == tuple(int(k == i) for k in range(r))
 
 
 def test_picard_torsion_rejected():
@@ -100,6 +91,25 @@ def test_alpha_ray_relabeling_invariance():
             assert alpha_constant(shuffled) == alpha_constant(fan), name
     fan = builtin_fan("hirzebruch-2")
     assert alpha_constant(relabeled(fan, [3, 1, 0, 2])) == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("anticanonical", [(1, 0), (0, 3), (-1, 2)])
+def test_alpha_rejects_anticanonical_off_the_interior(monkeypatch,
+                                                      anticanonical):
+    # the effective cone of P^1 x P^1 is the orthant: -K moved onto a
+    # boundary ray, or out of the cone, has a nonpositive linear factor
+    pic = picard_data(builtin_fan("p1xp1"))
+    assert pic.effective_cone.generators == ((1, 0), (0, 1))
+    moved = dataclasses.replace(pic, anticanonical=anticanonical)
+    monkeypatch.setattr(toric, "picard_data", lambda fan: moved)
+    with pytest.raises(PicardError, match="not interior"):
+        alpha_constant(builtin_fan("p1xp1"))
+
+
+@pytest.mark.parametrize("name", ALPHA_FANS)
+def test_alpha_takes_one_double_description(dd_calls, name):
+    alpha_constant(builtin_fan(name))
+    assert len(dd_calls) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
