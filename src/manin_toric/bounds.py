@@ -11,6 +11,9 @@ on geometrically graded pieces.  A finite stretch [p, q] is cut at
 p + 10^j and q - 10^j (and the alpha kind also at its kink), and a tail
 [lo, inf) at lo + 10^j for j = 0..40.  The minus kind integrates the
 half of [0, B-1] next to its singular end in v = B - u, cut at 1 + 10^j.
+The cuts depend on few of a row's parameters, so one rule is built per
+distinct cut set and every row that shares it is evaluated on it; the
+rows keep their order.
 
 Kinds
 -----
@@ -81,84 +84,109 @@ def _tail_cuts(lo: float) -> set[float]:
     return {lo} | {lo + 10.0 ** j for j in range(_TAIL_DECADES + 1)}
 
 
-def _integrate(f, cuts: set[float]) -> float:
-    """Composite Gauss-Legendre sum of f over the pieces between cuts.
-
-    f is evaluated once, on the array of all nodes of all pieces.
-    """
+def _rule(cuts: set[float]):
+    """Nodes and weights of the composite Gauss-Legendre rule on the
+    pieces between cuts."""
     edges = np.array(sorted(cuts))
     half = np.diff(edges)[:, None] / 2
     nodes = edges[:-1, None] + half * (1 + _GL_NODES)
-    return float(np.dot((half * _GL_WEIGHTS).ravel(), f(nodes.ravel())))
+    return nodes.ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _integrals(params, key, cuts, f) -> np.ndarray:
+    """The integrals of f(t, *p) for p in params, in their order.
+
+    Rows with the same key(*p) have the same cut set, cuts(key), so its
+    rule is built once and every such row is evaluated on it, on its
+    own and with scalar parameters.
+    """
+    groups: dict = {}
+    for i, p in enumerate(params):
+        groups.setdefault(key(*p), []).append(i)
+    out = np.empty(len(params))
+    for k, rows in groups.items():
+        nodes, weights = _rule(cuts(k))
+        for i in rows:
+            out[i] = np.dot(weights, f(nodes, *params[i]))
+    return out
 
 
 def _rows_plus(kmax: int):
     exponents = [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0),
                  (1.5, 1.5), (1.0, 1.5), (1.5, 1.0)]
-    for alpha, beta in exponents:
-        for A in _decades(kmax):
-            for B in _decades(kmax):
-                cut = 10.0 * max(A, B)
-                lhs = _integrate(
-                    lambda t: (A + t) ** -alpha * (B + t) ** -beta,
-                    _graded_cuts(0.0, cut) | _tail_cuts(cut))
-                shape = min(A, B) / (A ** alpha * B ** beta)
-                if alpha == 1.0 and B > A:
-                    shape *= 1 + math.log(B / A)
-                elif beta == 1.0 and A > B:
-                    shape *= 1 + math.log(A / B)
-                yield {"alpha": alpha, "beta": beta, "A": A, "B": B,
-                       "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
+    params = [(alpha, beta, A, B) for alpha, beta in exponents
+              for A in _decades(kmax) for B in _decades(kmax)]
+    lhs = _integrals(params, lambda alpha, beta, A, B: 10.0 * max(A, B),
+                     lambda cut: _graded_cuts(0.0, cut) | _tail_cuts(cut),
+                     lambda t, alpha, beta, A, B:
+                     (A + t) ** -alpha * (B + t) ** -beta)
+    for (alpha, beta, A, B), val in zip(params, lhs.tolist()):
+        shape = min(A, B) / (A ** alpha * B ** beta)
+        if alpha == 1.0 and B > A:
+            shape *= 1 + math.log(B / A)
+        elif beta == 1.0 and A > B:
+            shape *= 1 + math.log(A / B)
+        yield {"alpha": alpha, "beta": beta, "A": A, "B": B,
+               "lhs": val, "rhs": shape, "ratio": val / shape}
 
 
 def _rows_minus(kmax: int):
-    for alpha in (0.4, 0.7, 1.0):
-        for A in _decades(kmax):
-            for B in _decades(kmax):
-                if B <= 1:
-                    continue
-                # the half next to u = B - 1 is integrated in v = B - u:
-                # nodes u there would be floats of size B, and B - u of
-                # size 1 would carry their rounding of ulp(B)
-                half = (B - 1) / 2
-                # the cuts 10^j below the midpoint, as in _graded_cuts
-                steps = {10.0 ** j for j in range(kmax) if 10.0 ** j < half}
-                lhs = (_integrate(lambda u: (A + u) ** -alpha / (B - u),
-                                  {0.0, half} | steps)
-                       + _integrate(lambda v: (A + B - v) ** -alpha / v,
-                                    {1.0, 1.0 + half}
-                                    | {1.0 + x for x in steps}))
-                shape = (1 + math.log(A)) / A ** alpha
-                yield {"alpha": alpha, "A": A, "B": B,
-                       "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
+    params = [(alpha, A, B) for alpha in (0.4, 0.7, 1.0)
+              for A in _decades(kmax) for B in _decades(kmax) if B > 1]
+
+    def lower(B):
+        # 0, the midpoint and the cuts 10^j below it, as in _graded_cuts
+        half = (B - 1) / 2
+        return {0.0, half} | {10.0 ** j for j in range(kmax)
+                              if 10.0 ** j < half}
+
+    # the half next to u = B - 1 is integrated in v = B - u: nodes u
+    # there would be floats of size B, and B - u of size 1 would carry
+    # their rounding of ulp(B)
+    lhs = (_integrals(params, lambda alpha, A, B: B, lower,
+                      lambda u, alpha, A, B: (A + u) ** -alpha / (B - u))
+           + _integrals(params, lambda alpha, A, B: B,
+                        lambda B: {1.0 + x for x in lower(B)},
+                        lambda v, alpha, A, B: (A + B - v) ** -alpha / v))
+    for (alpha, A, B), val in zip(params, lhs.tolist()):
+        shape = (1 + math.log(A)) / A ** alpha
+        yield {"alpha": alpha, "A": A, "B": B,
+               "lhs": val, "rhs": shape, "ratio": val / shape}
+
+
+def _alpha_cuts(key):
+    a, mid = key
+    if a < 0:
+        # kink of |t + a| at t = -a < mid
+        cuts = _graded_cuts(0.0, -a) | _graded_cuts(-a, mid)
+    else:
+        cuts = _graded_cuts(0.0, mid)
+    return cuts | _tail_cuts(mid)
 
 
 def _rows_alpha(kmax: int):
     offsets = [s * 10.0 ** k for k in range(kmax + 1) for s in (1, -1)]
-    for alpha in (0.5, 0.8, 1.0):
-        for A in _decades(kmax):
-            for a in offsets:
-                mid = max(10.0, abs(a) * 4, A * 4)
-                if a < 0:
-                    # kink of |t + a| at t = -a < mid
-                    cuts = _graded_cuts(0.0, -a) | _graded_cuts(-a, mid)
-                else:
-                    cuts = _graded_cuts(0.0, mid)
-                lhs = _integrate(
-                    lambda t: (A + np.abs(t + a)) ** -alpha / (1 + t),
-                    cuts | _tail_cuts(mid))
-                shape = (1 + math.log(A)) / A ** alpha
-                yield {"alpha": alpha, "A": A, "a": a,
-                       "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
+    params = [(alpha, A, a) for alpha in (0.5, 0.8, 1.0)
+              for A in _decades(kmax) for a in offsets]
+    lhs = _integrals(params,
+                     lambda alpha, A, a: (a, max(10.0, abs(a) * 4, A * 4)),
+                     _alpha_cuts,
+                     lambda t, alpha, A, a:
+                     (A + np.abs(t + a)) ** -alpha / (1 + t))
+    for (alpha, A, a), val in zip(params, lhs.tolist()):
+        shape = (1 + math.log(A)) / A ** alpha
+        yield {"alpha": alpha, "A": A, "a": a,
+               "lhs": val, "rhs": shape, "ratio": val / shape}
 
 
-def _omega_lhs(tvec, A, eps):
-    def f(t):
-        val = (1 + A + np.abs(t)) ** -(1 - eps)
-        for tj in tvec:
-            val = val / (1 + np.abs(t - tj))
-        return val
+def _omega_f(t, tvec, A, eps):
+    val = (1 + A + np.abs(t)) ** -(1 - eps)
+    for tj in tvec:
+        val = val / (1 + np.abs(t - tj))
+    return val
 
+
+def _omega_cuts(tvec):
     pts = sorted(set([0.0] + list(tvec)))
     lo, hi = pts[0] - 1.0, pts[-1] + 1.0
     # both tails graded away from the outermost kinks
@@ -166,26 +194,31 @@ def _omega_lhs(tvec, A, eps):
     segs = [lo] + pts + [hi]
     for p, q in zip(segs, segs[1:]):
         cuts |= _graded_cuts(p, q)
-    return _integrate(f, cuts)
+    return cuts
+
+
+def _omega_lhs(tvec, A, eps):
+    nodes, weights = _rule(_omega_cuts(tvec))
+    return float(np.dot(weights, _omega_f(nodes, tvec, A, eps)))
 
 
 def _rows_omega(kmax: int):
     avals = [0.0, 1.0, 100.0, 10000.0]
-    for eps in (0.1, 0.3):
-        for T in _decades(kmax):
-            for A in avals:
-                for tvec in [(0.0, T), (0.0, T, 2 * T)]:
-                    lhs = _omega_lhs(tvec, A, eps)
-                    seg = 0.0
-                    for j, tj in enumerate(tvec):
-                        prod = 1.0
-                        for k, tk in enumerate(tvec):
-                            if k != j:
-                                prod /= 1 + abs(tk - tj)
-                        seg += prod
-                    shape = (1 + math.log1p(A)) / (1 + A) ** (1 - eps) * seg
-                    yield {"eps": eps, "T": T, "A": A, "n": len(tvec),
-                           "lhs": lhs, "rhs": shape, "ratio": lhs / shape}
+    params = [(tvec, A, eps) for eps in (0.1, 0.3) for T in _decades(kmax)
+              for A in avals for tvec in [(0.0, T), (0.0, T, 2 * T)]]
+    lhs = _integrals(params, lambda tvec, A, eps: tvec, _omega_cuts,
+                     _omega_f)
+    for (tvec, A, eps), val in zip(params, lhs.tolist()):
+        seg = 0.0
+        for j, tj in enumerate(tvec):
+            prod = 1.0
+            for k, tk in enumerate(tvec):
+                if k != j:
+                    prod /= 1 + abs(tk - tj)
+            seg += prod
+        shape = (1 + math.log1p(A)) / (1 + A) ** (1 - eps) * seg
+        yield {"eps": eps, "T": tvec[1], "A": A, "n": len(tvec),
+               "lhs": val, "rhs": shape, "ratio": val / shape}
 
 
 _KIND_ROWS = {"plus": _rows_plus, "minus": _rows_minus,

@@ -385,7 +385,6 @@ class QuotientChar:
     projection: tuple[tuple[Fraction, ...], ...]
     m_basis: tuple[IntVec, ...]
     w_basis: tuple[IntVec, ...]
-    image_cone: PolyhedralCone
     density: Fraction
 
     def project(self, z: Sequence):
@@ -409,20 +408,21 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
     |det [m_basis | W]| (divided by the declared ambient density if a
     measure basis was set).
     """
-    cc = canonicalize(c)
-    if cc.lineality:
+    # c is pointed iff its dual is full-dimensional, and full-dimensional
+    # iff its dual is pointed
+    dual = dual_cone(c)
+    if rank_fraction(list(dual.generators) + list(dual.lineality)) < c.dim:
         raise ConeError("quotient_char expects a pointed cone")
-    if not is_full_dim(cc):
+    if dual.lineality:
         raise ConeError("quotient_char expects a full-dimensional cone")
-    n = cc.dim
+    n = c.dim
     mb = tuple(primitive_vector(m) for m in m_basis)
     if not mb:
-        form = char_function(cc)
+        form = char_function(c)
         ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                       for i in range(n))
         return QuotientChar(form=form, projection=ident, m_basis=(),
-                            w_basis=ident, image_cone=cc,
-                            density=Fraction(1))
+                            w_basis=ident, density=Fraction(1))
     k = len(mb)
     if rank_fraction(mb) != k:
         raise ConeError("m_basis is not linearly independent")
@@ -430,9 +430,11 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
         raise ConeError("m_basis larger than ambient dimension")
 
     # exact pre-check: closure(c) ∩ M = {0}
-    # {t >= 0 : A G t = 0} must be trivial, A = basis of M-perp
+    # {t >= 0 : A G t = 0} must be trivial, A = basis of M-perp; c is
+    # pointed, so no nonzero t >= 0 has G t = 0 and the generators need
+    # not be extreme
     aperp = nullspace_fraction(mb)
-    gmat = cc.generators
+    gmat = c.generators
     kk = len(gmat)
     eqs = [[_dot(arow, g) for g in gmat] for arow in aperp]
     ineqs = [[1 if i == j else 0 for j in range(kk)] for i in range(kk)]
@@ -467,18 +469,15 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
         proj_rows.append(tuple(solve_fraction(colmat, target)))
     projection = tuple(proj_rows)
 
+    # the pre-check makes the image cone pointed
     images = []
-    for g in cc.generators:
+    for g in c.generators:
         x = tuple(sum(projection[i][j] * g[j] for j in range(n))
                   for i in range(r))
         images.append(x)
-    image = canonicalize(make_cone(images, dim=r))
-    if image.lineality:
-        raise ConeError("image cone contains a line")
-    form = char_function(image, density=c0)
+    form = char_function(make_cone(images, dim=r), density=c0)
     return QuotientChar(form=form, projection=projection, m_basis=mb,
-                        w_basis=tuple(w_basis), image_cone=image,
-                        density=c0)
+                        w_basis=tuple(w_basis), density=c0)
 
 
 def _normalize_term(coeff: Fraction, forms: Iterable[Sequence[Fraction]]):

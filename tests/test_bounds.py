@@ -3,9 +3,13 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from manin_toric.bounds import verify_integral_bounds, _omega_lhs
+from manin_toric import bounds
+from manin_toric.bounds import (_GL_NODES, _GL_WEIGHTS, _decades,
+                                _graded_cuts, _omega_lhs, _tail_cuts,
+                                verify_integral_bounds)
 
 
 def test_unknown_kind_rejected():
@@ -126,3 +130,106 @@ def test_report_summary_shape():
     assert s["rows"] == len(rep.rows)
     assert set(s) == {"kind", "rows", "sup_base", "sup_extended",
                       "stable", "passed", "worst"}
+
+
+# ------------------------------------------- one rule per distinct cut set
+
+
+def _integrate(f, cuts):
+    # the rule built afresh for every row, as the sweep did before rows
+    # with the same cuts came to share one
+    edges = np.array(sorted(cuts))
+    half = np.diff(edges)[:, None] / 2
+    nodes = edges[:-1, None] + half * (1 + _GL_NODES)
+    return float(np.dot((half * _GL_WEIGHTS).ravel(), f(nodes.ravel())))
+
+
+def _lhs_per_row(kind, kmax):
+    """Each row's lhs integrated on its own rule, in the sweep's order."""
+    out = []
+    if kind == "plus":
+        for alpha, beta in [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0),
+                            (1.5, 1.5), (1.0, 1.5), (1.5, 1.0)]:
+            for A in _decades(kmax):
+                for B in _decades(kmax):
+                    cut = 10.0 * max(A, B)
+                    out.append(_integrate(
+                        lambda t: (A + t) ** -alpha * (B + t) ** -beta,
+                        _graded_cuts(0.0, cut) | _tail_cuts(cut)))
+    elif kind == "minus":
+        for alpha in (0.4, 0.7, 1.0):
+            for A in _decades(kmax):
+                for B in _decades(kmax)[1:]:
+                    half = (B - 1) / 2
+                    steps = {10.0 ** j for j in range(kmax)
+                             if 10.0 ** j < half}
+                    out.append(
+                        _integrate(lambda u: (A + u) ** -alpha / (B - u),
+                                   {0.0, half} | steps)
+                        + _integrate(lambda v: (A + B - v) ** -alpha / v,
+                                     {1.0, 1.0 + half}
+                                     | {1.0 + x for x in steps}))
+    elif kind == "alpha":
+        offsets = [s * 10.0 ** k for k in range(kmax + 1) for s in (1, -1)]
+        for alpha in (0.5, 0.8, 1.0):
+            for A in _decades(kmax):
+                for a in offsets:
+                    mid = max(10.0, abs(a) * 4, A * 4)
+                    cuts = (_graded_cuts(0.0, -a) | _graded_cuts(-a, mid)
+                            if a < 0 else _graded_cuts(0.0, mid))
+                    out.append(_integrate(
+                        lambda t: (A + np.abs(t + a)) ** -alpha / (1 + t),
+                        cuts | _tail_cuts(mid)))
+    else:
+        for eps in (0.1, 0.3):
+            for T in _decades(kmax):
+                for A in (0.0, 1.0, 100.0, 10000.0):
+                    for tvec in [(0.0, T), (0.0, T, 2 * T)]:
+                        def f(t):
+                            val = (1 + A + np.abs(t)) ** -(1 - eps)
+                            for tj in tvec:
+                                val = val / (1 + np.abs(t - tj))
+                            return val
+                        pts = sorted(set([0.0] + list(tvec)))
+                        lo, hi = pts[0] - 1.0, pts[-1] + 1.0
+                        cuts = ({-c for c in _tail_cuts(-lo)}
+                                | _tail_cuts(hi))
+                        segs = [lo] + pts + [hi]
+                        for p, q in zip(segs, segs[1:]):
+                            cuts |= _graded_cuts(p, q)
+                        out.append(_integrate(f, cuts))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "alpha", "omega"])
+@pytest.mark.parametrize("base,ext", [(0, 0), (3, 0), (6, 2), (8, 2)])
+def test_shared_rules_match_per_row_rules_exactly(kind, base, ext):
+    rows = verify_integral_bounds(kind, base, ext).rows
+    assert [r["lhs"] for r in rows] == _lhs_per_row(kind, base + ext)
+    assert all(r["ratio"] == r["lhs"] / r["rhs"] for r in rows)
+
+
+@pytest.mark.parametrize("kind,rules", [("plus", 9), ("minus", 16),
+                                        ("alpha", 90), ("omega", 18)])
+def test_one_rule_per_distinct_cut_set(monkeypatch, kind, rules):
+    built = []
+    real = bounds._rule
+
+    def spy(cuts):
+        built.append(frozenset(cuts))
+        return real(cuts)
+
+    monkeypatch.setattr(bounds, "_rule", spy)
+    rep = verify_integral_bounds(kind)
+    assert len(built) == rules
+    assert len(rep.rows) > rules
+
+
+def test_sweep_stops_at_first_non_finite_ratio(monkeypatch):
+    rows = [{"A": 1.0, "ratio": 0.5}, {"A": 10.0, "ratio": math.nan},
+            {"A": 100.0, "ratio": 0.7}]
+    monkeypatch.setitem(bounds._KIND_ROWS, "plus", lambda kmax: iter(rows))
+    rep = verify_integral_bounds("plus", base_decades=1, extend_decades=1)
+    assert rep.passed is False
+    assert rep.worst is rows[1]
+    assert rep.rows == rows[:2]

@@ -642,6 +642,14 @@ class TestBoundsSweep:
             ["plus", "minus", "alpha", "omega"]
         assert all(r["passed"] for r in doc["rows"])
 
+    def test_tight_slack_exits_3(self, capsys):
+        # the extended suprema of plus, minus and omega exceed half the
+        # base ones; alpha's stays below it
+        doc = run_json(["bounds-sweep", "--slack", "0.5"], capsys, expect=3)
+        assert doc["status"] == "unstable-or-divergent"
+        assert [r["passed"] for r in doc["rows"]] == \
+            [False, False, True, False]
+
     def test_single_kind_csv(self, capsys):
         code = run(["bounds-sweep", "--kind", "alpha", "--base-decades",
                     "3", "--extend-decades", "1", "--format", "csv"])

@@ -328,6 +328,29 @@ def test_quotient_rejects_subspace_meeting_cone():
         quotient_char(c, [[1, 1]])
 
 
+def test_quotient_rejects_line_before_lower_dimension():
+    for cone, msg in ((make_cone([[1, 0], [-1, 0]]), "a pointed cone"),
+                      (make_cone([], dim=2, lineality=[[1, 0]]),
+                       "a pointed cone"),
+                      (make_cone([[1, 0, 0], [0, 1, 0]]),
+                       "a full-dimensional cone")):
+        with pytest.raises(ConeError) as err:
+            quotient_char(cone, [])
+        assert str(err.value) == "quotient_char expects " + msg
+
+
+def test_quotient_ignores_redundant_generators():
+    # (1, 1, 0) and a repeat lie in the orthant: the pushforward is the
+    # orthant's, with its projection and density
+    orthant = make_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    padded = make_cone([[1, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                        [1, 0, 0]])
+    for mb in ([[1, 1, -2]], [[1, -1, 3]]):
+        q, p = quotient_char(orthant, mb), quotient_char(padded, mb)
+        assert (p.form, p.projection, p.density) == \
+            (q.form, q.projection, q.density)
+
+
 def test_quotient_density_from_index():
     # M = span{(1,1,-2)}: completing with e1, e2 gives index 2
     c = make_cone([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

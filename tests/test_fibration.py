@@ -350,6 +350,12 @@ class TestFibrationPicard:
         assert fp.alpha == alpha
         assert alpha_constant(hirzebruch_fan(n)) == alpha
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_three_double_descriptions(self, dd_calls, n):
+        # the orthant's dual, the pre-check on M and the image's dual
+        fibration_picard(TorsorSpec(n))
+        assert len(dd_calls) == 3
+
     def test_rank_and_relation(self):
         fp = fibration_picard(TorsorSpec(3))
         assert fp.rank == 2
