@@ -221,6 +221,9 @@ def _rows_omega(kmax: int):
                "lhs": val, "rhs": shape, "ratio": val / shape}
 
 
+# the entries of a row that are not grid parameters
+_RESULTS = frozenset(("lhs", "rhs", "ratio"))
+
 _KIND_ROWS = {"plus": _rows_plus, "minus": _rows_minus,
               "alpha": _rows_alpha, "omega": _rows_omega}
 
@@ -239,10 +242,12 @@ def verify_integral_bounds(kind: str, base_decades: int = 6,
                          f"expected one of {sorted(_KIND_ROWS)}")
     rows_fn = _KIND_ROWS[kind]
     report = SweepReport(kind=kind)
+    limit = 10.0 ** base_decades
 
     def bigger_params(row):
-        return any(isinstance(v, float) and abs(v) > 10.0 ** base_decades
-                   for v in row.values())
+        # the grid parameters only: lhs, rhs and ratio are results
+        return any(isinstance(v, float) and abs(v) > limit
+                   for k, v in row.items() if k not in _RESULTS)
 
     sup_base = 0.0
     sup_ext = 0.0

@@ -13,8 +13,10 @@ comparing rational products against 1).
 P^n and the Hirzebruch surfaces F_n (P^1 x P^1 is F_0), recognized by
 the shape of their fans, are counted in Cox coordinates instead when
 lambda is a multiple of rho (on P^1, for any lambda): a box count of
-coprime tuples by Moebius inversion, with no walk.  The enumeration stays
-the general route and the cross-check.
+coprime tuples by Moebius inversion, with no walk.  On P^n and P^1 x P^1
+the partial height zeta sums, for any lambda, are Dirichlet sums over
+max-norm heights, with no walk either.  The enumeration stays the general
+route and the cross-check.
 """
 
 from __future__ import annotations
@@ -127,6 +129,22 @@ def p1_height_counts(T: int) -> np.ndarray:
     if T >= 1:
         c[1] = 2
     return c
+
+
+def projective_height_counts(n: int, T: int) -> np.ndarray:
+    """c[h] for 0 <= h <= T: the number of torus points of P^n whose
+    max-norm height max|x_i| is h, for primitive Cox coordinates x; 2^n
+    sum_{d | h} mu(d) f(h/d) with f(m) = m^(n+1) - (m-1)^(n+1), the
+    positive tuples of max-norm m (2^(n+1) sign patterns, two per point).
+    The Moebius sum is one sieve step (1 - [p]) per prime p <= T, in
+    int64: needs 2^n T^(n+1) < 2^63, which bounds every partial sum.
+    Equals p1_height_counts at n = 1."""
+    g = np.arange(T + 1, dtype=np.int64) ** (n + 1)
+    g[1:] -= g[:-1].copy()
+    for p in primes_up_to(T).tolist():
+        g[p::p] -= g[1:T // p + 1].copy()
+    g *= 2 ** n
+    return g
 
 
 # The Cox-coordinate count.  A torus point of P^n is a primitive tuple of
@@ -590,10 +608,148 @@ def zeta_partial(fan: Fan, lam, B) -> ZetaPartial:
     open convergence region.  The tail estimate extrapolates N(t)
     growth at rate t (log t)^(r-1) beyond the cutoff.
     """
-    return _zeta_partials(fan, lam, [B])[0]
+    return _zeta_partials(fan, lam, [B])[1][0]
 
 
-def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
+def _zeta_lambda(fan: Fan, lam) -> list:
+    values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
+    if len(values) != len(fan.rays):
+        raise CountingError("one lambda value per ray required")
+    vals = [complex(v) for v in values]
+    if min(v.real for v in vals) <= 1:
+        raise CountingError("Re(lambda_j) > 1 required on every ray")
+    return vals
+
+
+def _tail_estimate(B: float, r: int, smin: float) -> float:
+    tail = 0.0
+    t = B
+    for _ in range(200):
+        tail += 4.0 * (t * (1 + math.log(t)) ** (r - 1)) * t ** (-smin)
+        if t > B * 1e12:
+            break
+        t *= 2.0
+    return tail
+
+
+def _zeta_results(fan: Fan, vals, Bs, sums) -> list:
+    """ZetaPartial per B of Bs, from sums, the (value, n_points) of the
+    bounds >= 1, which come last; the bounds below 1 admit no point."""
+    low = len(Bs) - len(sums)
+    smin = min(v.real for v in vals)
+    r = len(fan.rays) - fan.dim
+    out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)
+           for B in Bs[:low]]
+    for B, (value, n_points) in zip(Bs[low:], sums):
+        out.append(ZetaPartial(value=value, B=float(B), n_points=n_points,
+                               tail_estimate=_tail_estimate(float(B), r,
+                                                            smin)))
+    return out
+
+
+# The height-class sums.  On a split toric variety H_lambda depends on
+# lambda only through its class in Pic: on P^n it is max|x_i|^(sum lambda)
+# for primitive Cox coordinates x, and on P^1 x P^1 it is
+# h1^s1 h2^s2, h_i the max-norm heights of the factors and s_i the lambda
+# sums of their two opposite rays.  So the points of one height class
+# share their term, and a partial zeta sum is a Dirichlet sum over
+# heights, with no walk.  The terms are generated, _CHUNK heights at a
+# time, and summed twice (real and imaginary parts), never stored.
+
+def _dirichlet_terms(c, s, T: int):
+    """Yield the terms c[h] h^-s, 1 <= h <= T, of a height table c."""
+    for h0 in range(1, T + 1, _CHUNK):
+        block = c[h0:min(h0 + _CHUNK, T + 1)].tolist()
+        yield from (ch * h ** -s for h, ch in enumerate(block, h0))
+
+
+def _complex_fsum(terms) -> complex:
+    """The exactly rounded sum of the terms that terms() yields, real and
+    imaginary parts apart."""
+    return complex(math.fsum(z.real for z in terms()),
+                   math.fsum(z.imag for z in terms()))
+
+
+def _height_class_sums(fan: Fan, vals):
+    """The height-class sum of fan under the complex lambda vals, as a
+    function of ascending bounds (all >= 1) returning (value, n_points)
+    for each, or None where it does not apply: on P^n (n + 1 rays summing
+    to 0) and on P^1 x P^1 (F_0), for any lambda."""
+    n = _projective_index(fan)
+    if n is not None:
+        return lambda Bqs: _projective_zeta(n, sum(vals), Bqs)
+    if _hirzebruch_index(fan) == 0:
+        # two pairs of opposite rays, one per factor
+        o = fan.rays.index(tuple(-x for x in fan.rays[0]))
+        j, k = (i for i in range(1, 4) if i != o)
+        return lambda Bqs: _p1xp1_zeta(vals[0] + vals[o], vals[j] + vals[k],
+                                       Bqs)
+    return None
+
+
+def _projective_zeta(n: int, s, Bqs) -> list:
+    """(value, n_points) on P^n, where H_rho = h^(n+1) and H_lambda = h^s
+    at max-norm height h: sum_{h <= T} c(h) h^-s with T^(n+1) <= B."""
+    Ts = [_int_nth_root(Bq, n + 1) for Bq in Bqs]
+    _check_table(Ts[-1], Bqs[-1])
+    if 2 ** n * Ts[-1] ** (n + 1) >= 2 ** 63:
+        raise CountingError(
+            f"height counts of P^{n} up to {Ts[-1]} (B = "
+            f"{_magnitude(Bqs[-1])}) would overflow int64")
+    c = projective_height_counts(n, Ts[-1])
+    return [(_complex_fsum(lambda: _dirichlet_terms(c, s, T)),
+             int(c[1:T + 1].sum())) for T in Ts]
+
+
+def _p1xp1_zeta(s1, s2, Bqs) -> list:
+    """(value, n_points) on P^1 x P^1, where H_rho = (h1 h2)^2 and
+    H_lambda = h1^s1 h2^s2: the sum of c(h1) h1^-s1 c(h2) h2^-s2 over
+    the D(R) = sum_h1 floor(R/h1) pairs with h1 h2 <= R = isqrt(floor(B)).
+    A bound with more than _MAX_TABLE pairs is refused before any
+    allocation."""
+    Rs = [math.isqrt(math.floor(Bq)) for Bq in Bqs]
+    top = Rs[-1]
+    _check_table(top, Bqs[-1])
+    r = math.isqrt(top)
+    pairs = 2 * sum(top // h for h in range(1, r + 1)) - r * r
+    if pairs > _MAX_TABLE:
+        raise CountingError(
+            f"height-class sum on P^1 x P^1 would take {pairs} "
+            f"terms (B = {_magnitude(Bqs[-1])}), over the limit of "
+            f"{_MAX_TABLE}")
+    table = p1_height_counts(top)
+    first = [0j, *_dirichlet_terms(table, s1, top)]
+    second = [0j, *(h ** -s2 for h in range(1, top + 1))]
+    c = table.tolist()
+    cumulative = [0, *accumulate(c[1:])]
+    return [(_complex_fsum(lambda: (first[h1] * c[h2] * second[h2]
+                                    for h1 in range(1, R + 1)
+                                    for h2 in range(1, R // h1 + 1))),
+             sum(c[h1] * cumulative[R // h1] for h1 in range(1, R + 1)))
+            for R in Rs]
+
+
+def _zeta_partials(fan: Fan, lam, Bs, stats=None):
+    """(engine, partials): zeta_partial for every B of the ascending Bs.
+
+    On P^n and P^1 x P^1, recognized by the shape of the fan as the
+    Cox-coordinate count recognizes them, each bound's sum is a Dirichlet
+    sum over max-norm heights (engine "torsor", stats untouched).
+    Elsewhere it comes from one enumeration at the largest bound,
+    _zeta_walk (engine "dfs"), whose counts are added into stats, if
+    given.  Either way each bound's value is the exactly rounded sum of
+    its terms, real and imaginary parts apart."""
+    vals = _zeta_lambda(fan, lam)
+    by_height = _height_class_sums(fan, vals)
+    if by_height is None:
+        return "dfs", _zeta_walk(fan, lam, Bs, stats)
+    Bqs = [Fraction(B) for B in Bs]
+    low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
+    sums = by_height(Bqs[low:]) if low < len(Bqs) else []
+    return "torsor", _zeta_results(fan, vals, Bs, sums)
+
+
+def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
     """zeta_partial for every B of the ascending Bs, from one enumeration
     at the largest; its DFS counts are added into stats, if given, with
     "located", the accepted profiles whose cone was found by locate.
@@ -616,13 +772,7 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
     the halved sums equal the unhalved ones bit for bit, whatever the
     order of the walk.  That holds one complex number per accepted
     signless profile until the sums are taken."""
-    values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
-    if len(values) != len(fan.rays):
-        raise CountingError("one lambda value per ray required")
-    vals = [complex(v) for v in values]
-    smin = min(v.real for v in vals)
-    if smin <= 1:
-        raise CountingError("Re(lambda_j) > 1 required on every ray")
+    vals = _zeta_lambda(fan, lam)
     d = fan.dim
     rho = tuple([1] * len(fan.rays))
     Bqs = [Fraction(B) for B in Bs]
@@ -659,22 +809,11 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None) -> list:
         if stats is not None:
             _add_stats(stats, {"located": located})
 
-    r = len(fan.rays) - d
-    out = [ZetaPartial(value=0j, B=float(B), n_points=0, tail_estimate=0.0)
-           for B in Bs[:low]]
+    sums = []
     re, im = [float(2 ** d)], []   # the unit profile: height 1, 2^d points
-    for j, B in enumerate(Bs[low:]):
+    for j in range(k):
         re += (z.real for z in terms[j])
         im += (z.imag for z in terms[j])
-        Bf = float(B)
-        tail = 0.0
-        t = Bf
-        for _ in range(200):
-            tail += 4.0 * (t * (1 + math.log(t)) ** (r - 1)) * t ** (-smin)
-            if t > Bf * 1e12:
-                break
-            t *= 2.0
-        out.append(ZetaPartial(value=complex(math.fsum(re), math.fsum(im)),
-                               B=Bf, n_points=profiles[j] * 2 ** d,
-                               tail_estimate=tail))
-    return out
+        sums.append((complex(math.fsum(re), math.fsum(im)),
+                     profiles[j] * 2 ** d))
+    return _zeta_results(fan, vals, Bs, sums)

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
-from .counting import enumerate_bounded, p1_height_counts
+from .counting import (_complex_fsum, _dirichlet_terms,
+                       enumerate_bounded, p1_height_counts)
 from .heights import AdelicOffset, exact_height, global_height, make_offset
 from .latticefan import Fan, PLFunction, builtin_fan
 from .primes import factorize
@@ -332,12 +334,9 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
     if H < 1:
         return 0j
     s = complex(a, spec.twist * float(m))
-    total = [2.0]
-    for h, c in enumerate(p1_height_counts(int(H))[1:].tolist(), 1):
-        total.append(c * h ** -s)
-    real = math.fsum(x.real for x in total)
-    imag = math.fsum(x.imag for x in total)
-    return complex(real, imag)
+    c = p1_height_counts(int(H))
+    return _complex_fsum(lambda: chain([2.0],
+                                       _dirichlet_terms(c, s, int(H))))
 
 
 @dataclass(frozen=True)

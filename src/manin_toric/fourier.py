@@ -333,8 +333,12 @@ class PoissonReport:
     factors: tuple = ()
     # the DFS counts (counting._STATS, and "located" of _zeta_partials)
     # of the direct sums: the walk behind lhs, plus, for a product, the
-    # walks of its factors, each distinct factor once
+    # walks of its factors, each distinct factor once; all 0 when no sum
+    # walked
     stats: dict = field(default_factory=dict)
+    # "torsor" when every direct sum was a height-class sum, "dfs" when
+    # one of them walked
+    engine: str = ""
 
     def summary(self) -> str:
         return (
@@ -357,16 +361,18 @@ def _gauss_panels(T: float, edges: int, order: int):
 def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int,
                         stats=None):
     """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums; the
-    DFS counts of the sums are added into stats, if given."""
+    DFS counts of the sums are added into stats, if given.  Returns L, the
+    bounds, the sums and the engine that summed them."""
     smin = min(float(v) for v in lam)
     Bs = [B0 * 4.0**k for k in range(n_terms + 1)]
-    Ss = [z.value.real for z in _zeta_partials(fan, lam, Bs, stats=stats)]
+    engine, partials = _zeta_partials(fan, lam, Bs, stats=stats)
+    Ss = [z.value.real for z in partials]
     rows = []
     for B in Bs:
         decay = B ** (1.0 - smin)
         rows.append([1.0] + [-decay * math.log(B) ** k for k in range(n_terms)])
     sol = np.linalg.solve(np.array(rows), np.array(Ss))
-    return float(sol[0]), tuple(Bs), tuple(Ss)
+    return float(sol[0]), tuple(Bs), tuple(Ss), engine
 
 
 def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
@@ -379,7 +385,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     lb = float(lam[minus[0]])
 
     stats = dict.fromkeys(_STATS, 0)
-    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0, 1, stats=stats)
+    lhs, Bs, Ss, engine = _extrapolate_direct(fan, lam, B0, 1, stats=stats)
 
     cf0 = cf_extract(fan, lam, pmax)
     m, w = _gauss_panels(T, max(2, int(round(T / panel_width)) + 1), 16)
@@ -423,6 +429,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
         B_grid=Bs,
         lhs_partials=Ss,
         stats=stats,
+        engine=engine,
     )
 
 
@@ -484,7 +491,10 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         sub = make_fan(1, [[1], [-1]], [[0], [1]], name=name)
         factors.append(_poisson_line(sub, pair, T, pmax, B0, panel_width))
         _add_stats(stats, factors[-1].stats)
-    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0 / 4.0, 2, stats=stats)
+    lhs, Bs, Ss, engine = _extrapolate_direct(fan, lam, B0 / 4.0, 2,
+                                              stats=stats)
+    if any(f.engine == "dfs" for f in factors):
+        engine = "dfs"
     rhs = factors[0].rhs * factors[1].rhs
     rel = abs(lhs - rhs) / abs(lhs)
     return PoissonReport(
@@ -501,4 +511,5 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         lhs_partials=Ss,
         factors=tuple(factors),
         stats=stats,
+        engine=engine,
     )

@@ -233,3 +233,15 @@ def test_sweep_stops_at_first_non_finite_ratio(monkeypatch):
     assert rep.passed is False
     assert rep.worst is rows[1]
     assert rep.rows == rows[:2]
+
+
+def test_rows_classified_by_grid_parameters_only(monkeypatch):
+    # a base row whose ratio, lhs and rhs exceed 10^base_decades stays a
+    # base row; a row beyond it in A is extended whatever its ratio
+    rows = [{"A": 10.0, "lhs": 5e3, "rhs": 2.0, "ratio": 2.5e3},
+            {"A": 1e3, "lhs": 1.0, "rhs": 1.0, "ratio": 1.0}]
+    monkeypatch.setitem(bounds._KIND_ROWS, "plus", lambda kmax: iter(rows))
+    rep = verify_integral_bounds("plus", base_decades=2, extend_decades=1)
+    assert (rep.sup_base, rep.sup_extended) == (2.5e3, 1.0)
+    assert rep.worst is rows[0]
+    assert rep.stable and rep.passed

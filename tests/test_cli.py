@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from manin_toric import cli
+from manin_toric import cli, counting
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
@@ -213,7 +213,7 @@ class TestCount:
         argv = ["count", "--fan", "builtin:p2", "--bounds", "2500"]
         report = json.loads(_fresh_python(f"""
 import contextlib, io, json, sys
-from manin_toric import cli
+from manin_toric import cli, counting
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.run({argv + ["--threads", "2"]!r})
@@ -319,6 +319,32 @@ class TestZeta:
     def test_divergent_exponent_rejected(self, capsys):
         assert run(["zeta", "--fan", "builtin:p1", "--lambda", "rho",
                     "--B", "100"]) == 2
+
+    @pytest.mark.parametrize("fan,lam", [
+        ("p1", "2,3"), ("p2", "2,2.5,3"), ("p3", "2,2,2,3"),
+        ("p1xp1", "2,3,2.5,2")])
+    def test_no_walk_on_projective_spaces_and_p1xp1(self, capsys,
+                                                    monkeypatch, fan, lam):
+        def never(*args, **kwargs):
+            raise AssertionError("the zeta sum walked")
+
+        monkeypatch.setattr(counting, "_count_general", never)
+        doc = run_json(["zeta", "--fan", f"builtin:{fan}", "--lambda", lam,
+                        "--B", "500"], capsys)
+        assert doc["n_points"] > 0
+
+    @pytest.mark.parametrize("fan,lam", [("p1", "2,2"),
+                                         ("p1xp1", "2,2,2,2")])
+    def test_oversized_table_refused(self, capsys, fan, lam):
+        # the height-class sum would need heights up to 10^15: refused
+        # with exit 2 before any table is built
+        assert run(["zeta", "--fan", f"builtin:{fan}", "--lambda", lam,
+                    "--B", "1e30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: Cox-coordinate count would build a table of 1e+15 "
+            "entries (B^L = 1e+30), over the limit of 10000000\n")
+        assert captured.out == ""
 
 
 class TestPoissonCheck:
@@ -679,7 +705,7 @@ def test_cli_never_loads_scipy():
     # numerically as well as at import
     script = """
 import contextlib, io, sys
-from manin_toric import cli
+from manin_toric import cli, counting
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["bounds-sweep", "--kind", "omega", "--base-decades",
                     "1", "--extend-decades", "0"]) == 0

@@ -25,6 +25,7 @@ from manin_toric.counting import (
     CountReport,
     _count_grid,
     _zeta_partials,
+    _zeta_walk,
     count_N,
     count_points,
     enumerate_bounded,
@@ -363,7 +364,9 @@ class TestOnePass:
     def test_zeta_partials_bit_identical(self, fan):
         lam = (2,) * len(fan.rays)
         Bs = (0.5, 1, 9, 9, 100, 400)
-        for got, B in zip(_zeta_partials(fan, lam, Bs), Bs):
+        engine, partials = _zeta_partials(fan, lam, Bs)
+        assert engine == "torsor"
+        for got, B in zip(partials, Bs):
             # value, n_points and tail estimate, bit for bit
             assert got == zeta_partial(fan, lam, B)
 
@@ -389,9 +392,11 @@ class TestOnePass:
             assert dfs_counts(fan, lam, grid) == count_N(fan, lam, grid,
                                                          pmax=1000).counts
             assert calls == ["_count_general", engine]
-        calls.clear()
-        _extrapolate_direct(P1XP1, (2, 2, 2, 2), 50.0, 2)
-        assert calls == ["_count_general"]
+        # the zeta sums: a height-class sum on P^1 x P^1, one walk on F_1
+        for fan, want in ((P1XP1, []), (F1, ["_count_general"])):
+            calls.clear()
+            _extrapolate_direct(fan, (2, 2, 2, 2), 50.0, 2)
+            assert calls == want
 
 
 class TestClosedFormP1:
@@ -501,9 +506,9 @@ class TestEngineStats:
     def test_zeta_walk_reports_stats(self, monkeypatch):
         lam = (2, 2, 2, 2)
         halved, full = {}, {}
-        _zeta_partials(P1XP1, lam, [175, 700, 2800], stats=halved)
+        _zeta_walk(P1XP1, lam, [175, 700, 2800], stats=halved)
         monkeypatch.setattr(counting, "_is_symmetric", lambda *args: False)
-        _zeta_partials(P1XP1, lam, [175, 700, 2800], stats=full)
+        _zeta_walk(P1XP1, lam, [175, 700, 2800], stats=full)
         assert (halved["accepted"], full["accepted"]) == (4212, 8424)
         assert 0 < halved["built"] < full["built"]
 
@@ -712,6 +717,116 @@ class TestTorsorRoute:
             f"theta = {theta!r}: {rel!r} exceeds {bound!r} by {rel - bound!r}")
 
 
+ZETA_FANS = [("P", n) for n in range(1, 5)] + [("F", 0)]
+
+
+class TestHeightClassRoute:
+    """The zeta sums by max-norm height against the walk, on P^1..P^4 and
+    P^1 x P^1 in random ray labellings and bases of Z^d, under real and
+    complex lambda."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_height_table(self, n):
+        c = counting.projective_height_counts(n, 40)
+        # primitive tuples of max-norm h, all coordinates nonzero, up to
+        # sign
+        for h in range(1, 9 if n <= 2 else 5):
+            assert c[h] == sum(
+                1 for x in itertools.product(range(-h, h + 1), repeat=n + 1)
+                if 0 not in x and max(map(abs, x)) == h
+                and math.gcd(*x) == 1) // 2
+        # summed, the primitive tuples in a box: the Cox-coordinate count
+        assert [int(c[1:T + 1].sum()) for T in range(41)] == [
+            count_points(projective_fan(n), (1,) * (n + 1), T ** (n + 1))
+            for T in range(41)]
+        if n == 1:
+            assert (counting.projective_height_counts(1, 10 ** 5)
+                    == counting.p1_height_counts(10 ** 5)).all()
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              database=None)
+    @given(shape=st.sampled_from(ZETA_FANS),
+           order=st.permutations(range(5)),
+           ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.integers(-2, 2)), max_size=4),
+           flip=st.booleans(),
+           re=st.lists(st.floats(1.05, 4), min_size=5, max_size=5),
+           im=st.one_of(st.just([0.0] * 5),
+                        st.lists(st.floats(-5, 5), min_size=5, max_size=5)),
+           bounds=st.lists(st.integers(1, 2000), min_size=1, max_size=3),
+           shift=st.sampled_from((-1, 0, 1)),
+           below=st.booleans())
+    # an attained height of P^2, 5^3, and a bound below 1
+    @example(shape=("P", 2), order=range(5), ops=[], flip=False,
+             re=[2.0] * 5, im=[0.0] * 5, bounds=[125], shift=0, below=True)
+    def test_equals_walk(self, shape, order, ops, flip, re, im, bounds,
+                         shift, below):
+        kind, n = shape
+        base = projective_fan(n) if kind == "P" else hirzebruch_fan(n)
+        fan, order = disguise(base, order, ops, flip)
+        lam = [complex(a, b) for a, b in zip(re, im)][:len(fan.rays)]
+        # H_rho is h^(n+1) on P^n and (h1 h2)^2 on P^1 x P^1: the heights
+        # attained next to each drawn bound, and their neighbours
+        e = n + 1 if kind == "P" else 2
+        grid = sorted({max(counting._int_nth_root(b, e), 1) ** e + shift
+                       for b in bounds} | ({0.5} if below else set()))
+        stats = {}
+        engine, got = _zeta_partials(fan, lam, grid, stats=stats)
+        assert engine == "torsor" and stats == {}
+        for a, b in zip(got, _zeta_walk(fan, lam, grid)):
+            assert (a.B, a.n_points, a.tail_estimate) == (
+                b.B, b.n_points, b.tail_estimate)
+            assert abs(a.value - b.value) <= 1e-14 * abs(b.value)
+
+    @pytest.mark.parametrize("fan,B0,terms",
+                             [(P1, 700.0, 1), (P1, 1000.0, 1),
+                              (P1XP1, 175.0, 2)], ids=["p1-700", "p1-1000",
+                                                      "p1xp1-175"])
+    def test_poisson_grids_equal_the_walk(self, fan, B0, terms):
+        # the poisson-check grids at 2 rho, B0 moved by -2 .. +2 %: every
+        # ZetaPartial, value bits included, equals the walk's
+        lam = (2.0,) * len(fan.rays)
+        for pct in (-2, -1, 0, 1, 2):
+            b0 = B0 * (100 + pct) / 100
+            grid = [b0 * 4.0 ** k for k in range(terms + 1)]
+            assert _zeta_partials(fan, lam, grid) == (
+                "torsor", _zeta_walk(fan, lam, grid))
+
+    def test_other_fans_walk(self, monkeypatch):
+        stats = {}
+        engine, got = _zeta_partials(F1, (2, 2, 2, 2), [100, 400],
+                                     stats=stats)
+        assert engine == "dfs" and stats["accepted"] > 0
+        assert got == _zeta_walk(F1, (2, 2, 2, 2), [100, 400])
+        seen = _halve_flags(monkeypatch)
+        assert zeta_partial(F1, (2, 2.5, 2, 3), 100).n_points > 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("fan,B,message", [
+        (P1, 1e30, r"table of 1e\+15 entries \(B\^L = 1e\+30\), over the "
+                   r"limit of 10000000"),
+        (P1XP1, 1e30, r"table of 1e\+15 entries \(B\^L = 1e\+30\), over "
+                      r"the limit of 10000000"),
+        (P2, 1e30, r"table of 1e\+10 entries \(B\^L = 1e\+30\), over the "
+                   r"limit of 10000000"),
+        # 8 * 56234^4 > 2^63: the counts would not fit int64
+        (P3, 1e19, r"height counts of P\^3 up to 56234 \(B = 1e\+19\) "
+                   r"would overflow int64"),
+        # R = 10^6 is within the table limit, its D(R) pairs are not
+        (P1XP1, 1e12, r"would take 13970034 terms \(B = 1e\+12\), "
+                      r"over the limit of 10000000")],
+        ids=["p1", "p1xp1", "p2", "p3-int64", "p1xp1-pairs"])
+    def test_oversized_sum_refused_before_allocation(self, monkeypatch, fan,
+                                                     B, message):
+        built = []
+        for name in ("mobius_table", "totient_table", "primes_up_to",
+                     "projective_height_counts", "p1_height_counts"):
+            monkeypatch.setattr(counting, name, built.append)
+        with pytest.raises(CountingError, match=message):
+            zeta_partial(fan, (2,) * len(fan.rays), B)
+        assert built == []
+
+
 # symmetric fans with lambda invariant under negation: the zeta walk halves
 HALVED = [(P1, (2, 2)), (P1XP1, (2, 2, 2, 2)), (P1XP1, (2.3, 2.7, 2.3, 2.7)),
           (P1XP1, (2.3 + 1j, 2.7, 2.3 + 1j, 2.7)), (P1, (1.7 + 3j, 1.7 + 3j))]
@@ -737,9 +852,9 @@ class TestZetaHalving:
     def test_halved_sums_equal_full_walk(self, monkeypatch, fan, lam):
         Bs = (0.5, 9, 175, 700, 2800)
         seen = _halve_flags(monkeypatch)
-        halved = _zeta_partials(fan, lam, Bs)
+        halved = _zeta_walk(fan, lam, Bs)
         monkeypatch.setattr(counting, "_is_symmetric", lambda *args: False)
-        full = _zeta_partials(fan, lam, Bs)
+        full = _zeta_walk(fan, lam, Bs)
         assert seen == [True, False]
         for h, f in zip(halved, full):
             assert h.value.real.hex() == f.value.real.hex()
@@ -750,7 +865,7 @@ class TestZetaHalving:
                              ids=[f"{f.name}-{lam}" for f, lam in FULL])
     def test_full_walk_without_symmetry(self, monkeypatch, fan, lam):
         seen = _halve_flags(monkeypatch)
-        _zeta_partials(fan, lam, [100])
+        _zeta_walk(fan, lam, [100])
         assert seen == [False]
 
 
@@ -804,10 +919,14 @@ def zeta_reference(fan, lam, B):
 
 
 def assert_matches_reference(fan, lam, Bs):
-    for got, B in zip(_zeta_partials(fan, lam, Bs), Bs):
-        want, n_points = zeta_reference(fan, lam, B)
-        assert abs(got.value - want) <= 1e-13 * abs(want)
-        assert got.n_points == n_points
+    # both routes: _zeta_partials (a height-class sum where it applies)
+    # and the walk
+    for partials in (_zeta_partials(fan, lam, Bs)[1],
+                     _zeta_walk(fan, lam, Bs)):
+        for got, B in zip(partials, Bs):
+            want, n_points = zeta_reference(fan, lam, B)
+            assert abs(got.value - want) <= 1e-13 * abs(want)
+            assert got.n_points == n_points
 
 
 # rho is convex but not strictly on hirzebruch-2 (two cones share the
@@ -831,7 +950,7 @@ class TestZetaConeRead:
     @pytest.mark.parametrize("fan", CONE_READ, ids=["p1", "p1xp1"])
     def test_strictly_convex_fans_locate_nothing(self, fan):
         stats = {}
-        _zeta_partials(fan, (2,) * len(fan.rays), [400], stats=stats)
+        _zeta_walk(fan, (2,) * len(fan.rays), [400], stats=stats)
         assert stats["accepted"] > 0
         assert stats["located"] == 0
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from manin_toric import fourier
+from manin_toric import counting, fourier
 from manin_toric.fourier import (
     FourierError,
     _extrapolate_direct,
@@ -297,7 +297,17 @@ class TestPoisson:
         assert rep.rhs == pytest.approx(rep.factors[0].rhs * rep.factors[1].rhs)
         assert rep.lhs == pytest.approx(2.4425061413**2, rel=1e-4)
 
-    def test_stats_sum_the_direct_walks(self, capsys):
+    def test_stats_sum_the_direct_walks(self, capsys, monkeypatch):
+        # p1 and p1xp1 sum by height class: no walk, and the stats read 0
+        zero = dict.fromkeys(counting._STATS, 0)
+        for fan in (P1, P1XP1):
+            rep = poisson_check(fan, T=400.0, B0=700.0)
+            assert rep.engine == "torsor"
+            assert rep.stats == zero
+            assert all(f.engine == "torsor" and f.stats == zero
+                       for f in rep.factors)
+        # with the height-class sums taken away, the walks' counts add up
+        monkeypatch.setattr(counting, "_height_class_sums", lambda *a: None)
         rep = poisson_check(P1XP1, T=400.0, B0=700.0)
         line, product = {}, {}
         _extrapolate_direct(P1, (2.0, 2.0), 700.0, 1, stats=line)
@@ -306,6 +316,8 @@ class TestPoisson:
         # the second factor reuses the first one's sums: one line walk
         assert rep.stats == {k: line[k] + product[k] for k in line}
         assert rep.stats["accepted"] > 0
+        assert rep.engine == rep.factors[0].engine == "dfs"
+        monkeypatch.undo()
         from manin_toric.cli import run
         assert run(["poisson-check", "--fan", "builtin:p1", "--B0", "100",
                     "--T", "100"]) == 0
