@@ -33,7 +33,7 @@ import numpy as np
 
 from .heights import ValuationProfile
 from .latticefan import Fan, PLFunction
-from .primes import mobius_table, primes_up_to, totient_table
+from .primes import mobius_table, primes_up_to
 from .ratlinalg import det_fraction
 from .toric import LeadingConstant, leading_constant
 
@@ -120,31 +120,28 @@ def _int_nth_root(x, s: int) -> int:
         T = nxt
 
 
-def p1_height_counts(T: int) -> np.ndarray:
-    """c[h] for 0 <= h <= T: the number of torus points of P^1 whose
-    max-norm height max(|a|, |b|) is h, for a/b in lowest terms; 2 at
-    h = 1 (the points 1 and -1), 4 phi(h) above (a/b and b/a, each with
-    either sign, for the phi(h) numerators 1 <= a < h coprime to h)."""
-    c = 4 * totient_table(T)
-    if T >= 1:
-        c[1] = 2
-    return c
-
-
 def projective_height_counts(n: int, T: int) -> np.ndarray:
     """c[h] for 0 <= h <= T: the number of torus points of P^n whose
     max-norm height max|x_i| is h, for primitive Cox coordinates x; 2^n
     sum_{d | h} mu(d) f(h/d) with f(m) = m^(n+1) - (m-1)^(n+1), the
     positive tuples of max-norm m (2^(n+1) sign patterns, two per point).
     The Moebius sum is one sieve step (1 - [p]) per prime p <= T, in
-    int64: needs 2^n T^(n+1) < 2^63, which bounds every partial sum.
-    Equals p1_height_counts at n = 1."""
+    int64: needs 2^n T^(n+1) < 2^63, which bounds every partial sum."""
     g = np.arange(T + 1, dtype=np.int64) ** (n + 1)
     g[1:] -= g[:-1].copy()
     for p in primes_up_to(T).tolist():
         g[p::p] -= g[1:T // p + 1].copy()
     g *= 2 ** n
     return g
+
+
+def p1_height_counts(T: int) -> np.ndarray:
+    """c[h] for 0 <= h <= T: the number of torus points of P^1 whose
+    max-norm height max(|a|, |b|) is h, for a/b in lowest terms; 2 at
+    h = 1 (the points 1 and -1), 4 phi(h) above (a/b and b/a, each with
+    either sign, for the phi(h) numerators 1 <= a < h coprime to h).
+    The n = 1 case of projective_height_counts."""
+    return projective_height_counts(1, T)
 
 
 # The Cox-coordinate count.  A torus point of P^n is a primitive tuple of
@@ -172,12 +169,14 @@ def _magnitude(x) -> str:
         return f"10^{math.log10(x.numerator) - math.log10(x.denominator):.6g}"
 
 
-def _check_table(size: int, Bq: Fraction) -> None:
+def _check_table(size: int, Bq: Fraction, what="Cox-coordinate count",
+                 bound="B^L") -> None:
+    """Refuse what builds a table of size entries for the bound Bq, named
+    bound in the message, when size exceeds _MAX_TABLE."""
     if size > _MAX_TABLE:
         raise CountingError(
-            f"Cox-coordinate count would build a table of "
-            f"{_magnitude(size)} entries (B^L = {_magnitude(Bq)}), over the "
-            f"limit of {_MAX_TABLE}")
+            f"{what} would build a table of {_magnitude(size)} entries "
+            f"({bound} = {_magnitude(Bq)}), over the limit of {_MAX_TABLE}")
 
 
 def _unimodular(fan: Fan) -> bool:
@@ -656,6 +655,9 @@ def _zeta_results(fan: Fan, vals, Bs, sums) -> list:
 # heights, with no walk.  The terms are generated, _CHUNK heights at a
 # time, and summed twice (real and imaginary parts), never stored.
 
+_ZETA = "height-class zeta sum"   # what the refusals below name
+
+
 def _dirichlet_terms(c, s, T: int):
     """Yield the terms c[h] h^-s, 1 <= h <= T, of a height table c."""
     for h0 in range(1, T + 1, _CHUNK):
@@ -691,11 +693,11 @@ def _projective_zeta(n: int, s, Bqs) -> list:
     """(value, n_points) on P^n, where H_rho = h^(n+1) and H_lambda = h^s
     at max-norm height h: sum_{h <= T} c(h) h^-s with T^(n+1) <= B."""
     Ts = [_int_nth_root(Bq, n + 1) for Bq in Bqs]
-    _check_table(Ts[-1], Bqs[-1])
+    _check_table(Ts[-1], Bqs[-1], _ZETA, "B")
     if 2 ** n * Ts[-1] ** (n + 1) >= 2 ** 63:
         raise CountingError(
-            f"height counts of P^{n} up to {Ts[-1]} (B = "
-            f"{_magnitude(Bqs[-1])}) would overflow int64")
+            f"{_ZETA} on P^{n} would overflow int64 counting heights up "
+            f"to {Ts[-1]} (B = {_magnitude(Bqs[-1])})")
     c = projective_height_counts(n, Ts[-1])
     return [(_complex_fsum(lambda: _dirichlet_terms(c, s, T)),
              int(c[1:T + 1].sum())) for T in Ts]
@@ -709,12 +711,12 @@ def _p1xp1_zeta(s1, s2, Bqs) -> list:
     allocation."""
     Rs = [math.isqrt(math.floor(Bq)) for Bq in Bqs]
     top = Rs[-1]
-    _check_table(top, Bqs[-1])
+    _check_table(top, Bqs[-1], _ZETA, "B")
     r = math.isqrt(top)
     pairs = 2 * sum(top // h for h in range(1, r + 1)) - r * r
     if pairs > _MAX_TABLE:
         raise CountingError(
-            f"height-class sum on P^1 x P^1 would take {pairs} "
+            f"{_ZETA} on P^1 x P^1 would take {pairs} "
             f"terms (B = {_magnitude(Bqs[-1])}), over the limit of "
             f"{_MAX_TABLE}")
     table = p1_height_counts(top)

@@ -213,7 +213,7 @@ class TestCount:
         argv = ["count", "--fan", "builtin:p2", "--bounds", "2500"]
         report = json.loads(_fresh_python(f"""
 import contextlib, io, json, sys
-from manin_toric import cli, counting
+from manin_toric import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.run({argv + ["--threads", "2"]!r})
@@ -342,8 +342,8 @@ class TestZeta:
                     "--B", "1e30"]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: Cox-coordinate count would build a table of 1e+15 "
-            "entries (B^L = 1e+30), over the limit of 10000000\n")
+            "error: height-class zeta sum would build a table of 1e+15 "
+            "entries (B = 1e+30), over the limit of 10000000\n")
         assert captured.out == ""
 
 
@@ -705,7 +705,7 @@ def test_cli_never_loads_scipy():
     # numerically as well as at import
     script = """
 import contextlib, io, sys
-from manin_toric import cli, counting
+from manin_toric import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["bounds-sweep", "--kind", "omega", "--base-decades",
                     "1", "--extend-decades", "0"]) == 0

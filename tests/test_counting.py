@@ -360,15 +360,19 @@ class TestOnePass:
         assert dfs_counts(P1, lam, P1_GRID) == want
         assert count_N(P1, lam, P1_GRID, pmax=1000).counts == want
 
-    @pytest.mark.parametrize("fan", [P1, P1XP1], ids=["p1", "p1xp1"])
-    def test_zeta_partials_bit_identical(self, fan):
+    @pytest.mark.parametrize("fan,engine", [(P1, "torsor"),
+                                            (P1XP1, "torsor"), (F1, "dfs")],
+                             ids=["p1", "p1xp1", "hirzebruch-1"])
+    def test_zeta_partials_bit_identical(self, fan, engine):
         lam = (2,) * len(fan.rays)
         Bs = (0.5, 1, 9, 9, 100, 400)
-        engine, partials = _zeta_partials(fan, lam, Bs)
-        assert engine == "torsor"
-        for got, B in zip(partials, Bs):
-            # value, n_points and tail estimate, bit for bit
-            assert got == zeta_partial(fan, lam, B)
+        # value, n_points and tail estimate, bit for bit: the walk over
+        # all the bounds at once equals a walk per bound, and so does the
+        # route _zeta_partials takes
+        assert _zeta_walk(fan, lam, Bs) == [_zeta_walk(fan, lam, [B])[0]
+                                            for B in Bs]
+        assert _zeta_partials(fan, lam, Bs) == (
+            engine, [zeta_partial(fan, lam, B) for B in Bs])
 
     def test_one_enumeration_per_call(self, monkeypatch):
         calls = []
@@ -581,7 +585,8 @@ class TestValidation:
     def test_oversized_table_refused_before_allocation(self, monkeypatch, fan,
                                                        size):
         built = []
-        for name in ("mobius_table", "totient_table", "primes_up_to"):
+        for name in ("mobius_table", "primes_up_to",
+                     "projective_height_counts"):
             monkeypatch.setattr(counting, name, built.append)
         with pytest.raises(CountingError, match=(
                 rf"table of {re.escape(size)} entries \(B\^L = 1e\+30\), "
@@ -740,8 +745,10 @@ class TestHeightClassRoute:
             count_points(projective_fan(n), (1,) * (n + 1), T ** (n + 1))
             for T in range(41)]
         if n == 1:
-            assert (counting.projective_height_counts(1, 10 ** 5)
-                    == counting.p1_height_counts(10 ** 5)).all()
+            # 2 at h = 1, 4 phi(h) above
+            c = counting.projective_height_counts(1, 10 ** 5)
+            assert c[1] == 2
+            assert (c[2:] == 4 * totient_table(10 ** 5)[2:]).all()
 
     @settings(max_examples=40, derandomize=True, deadline=None,
               database=None)
@@ -803,23 +810,25 @@ class TestHeightClassRoute:
         assert seen == [False]
 
     @pytest.mark.parametrize("fan,B,message", [
-        (P1, 1e30, r"table of 1e\+15 entries \(B\^L = 1e\+30\), over the "
-                   r"limit of 10000000"),
-        (P1XP1, 1e30, r"table of 1e\+15 entries \(B\^L = 1e\+30\), over "
-                      r"the limit of 10000000"),
-        (P2, 1e30, r"table of 1e\+10 entries \(B\^L = 1e\+30\), over the "
-                   r"limit of 10000000"),
+        (P1, 1e30, r"^height-class zeta sum would build a table of 1e\+15 "
+                   r"entries \(B = 1e\+30\), over the limit of 10000000$"),
+        (P1XP1, 1e30, r"^height-class zeta sum would build a table of "
+                      r"1e\+15 entries \(B = 1e\+30\), over the limit of "
+                      r"10000000$"),
+        (P2, 1e30, r"^height-class zeta sum would build a table of 1e\+10 "
+                   r"entries \(B = 1e\+30\), over the limit of 10000000$"),
         # 8 * 56234^4 > 2^63: the counts would not fit int64
-        (P3, 1e19, r"height counts of P\^3 up to 56234 \(B = 1e\+19\) "
-                   r"would overflow int64"),
+        (P3, 1e19, r"^height-class zeta sum on P\^3 would overflow int64 "
+                   r"counting heights up to 56234 \(B = 1e\+19\)$"),
         # R = 10^6 is within the table limit, its D(R) pairs are not
-        (P1XP1, 1e12, r"would take 13970034 terms \(B = 1e\+12\), "
-                      r"over the limit of 10000000")],
+        (P1XP1, 1e12, r"^height-class zeta sum on P\^1 x P\^1 would take "
+                      r"13970034 terms \(B = 1e\+12\), over the limit of "
+                      r"10000000$")],
         ids=["p1", "p1xp1", "p2", "p3-int64", "p1xp1-pairs"])
     def test_oversized_sum_refused_before_allocation(self, monkeypatch, fan,
                                                      B, message):
         built = []
-        for name in ("mobius_table", "totient_table", "primes_up_to",
+        for name in ("mobius_table", "primes_up_to",
                      "projective_height_counts", "p1_height_counts"):
             monkeypatch.setattr(counting, name, built.append)
         with pytest.raises(CountingError, match=message):
