@@ -11,12 +11,13 @@ are rational numbers, and cone membership of -log|x| reduces to
 comparing rational products against 1).
 
 P^n and the Hirzebruch surfaces F_n (P^1 x P^1 is F_0), recognized by
-the shape of their fans, are counted in Cox coordinates instead when
-lambda is a multiple of rho (on P^1, for any lambda): a box count of
-coprime tuples by Moebius inversion, with no walk.  On P^n and P^1 x P^1
-the partial height zeta sums, for any lambda, are Dirichlet sums over
-max-norm heights, with no walk either.  The enumeration stays the general
-route and the cross-check.
+the shape of their fans in any basis and ray order (_cox_shape, the one
+place that decides it), are counted in Cox coordinates instead, P^n
+under any lambda and F_n when lambda is a multiple of rho: a box count
+of coprime tuples by Moebius inversion, with no walk.  On P^n and
+P^1 x P^1 the partial height zeta sums, for any lambda, are Dirichlet
+sums over max-norm heights, with no walk either.  The enumeration stays
+the general route and the cross-check.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def p1_height_counts(T: int) -> np.ndarray:
 # The Cox-coordinate count.  A torus point of P^n is a primitive tuple of
 # nonzero Cox coordinates up to sign, and a torus point of the Hirzebruch
 # surface F_n = P(O + O(n)) is a torus point b of the base P^1 with a
-# primitive pair of fiber coordinates up to sign.  For lambda = c rho the
-# height is a power of a box condition on those coordinates, so coprime
-# tuples in a box are counted by Moebius inversion, without a walk.
+# primitive pair of fiber coordinates up to sign.  On P^n under any
+# lambda, and on F_n under lambda = c rho, the height is a power of a box
+# condition on those coordinates, so coprime tuples in a box are counted
+# by Moebius inversion, without a walk.
 
 # largest table the Cox-coordinate count builds (Moebius values up to the
 # largest Cox coordinate): a bound whose table is larger is refused before
@@ -179,62 +181,39 @@ def _check_table(size: int, Bq: Fraction, what="Cox-coordinate count",
             f"({bound} = {_magnitude(Bq)}), over the limit of {_MAX_TABLE}")
 
 
-def _unimodular(fan: Fan) -> bool:
-    # for the shapes below, every maximal cone has the determinant of the
-    # first up to sign
-    return abs(det_fraction(fan.cone_matrices[0])) == 1
+def _cox_shape(fan: Fan):
+    """How fan is the fan of P^n or of F_n in some basis of Z^d, read off
+    its rays and cones; None for any other fan.
 
-
-def _projective_index(fan: Fan):
-    """n when fan is the fan of P^n in some basis of Z^n: n + 1 rays that
-    sum to 0, every n of them spanning a unimodular maximal cone; else
-    None."""
-    n = fan.dim
-    if (len(fan.rays) != n + 1 or any(map(sum, zip(*fan.rays)))
-            or sorted(tuple(sorted(c)) for c in fan.max_cones)
-            != list(combinations(range(n + 1), n))
-            or not _unimodular(fan)):
-        return None
-    return n
-
-
-def _hirzebruch_index(fan: Fan):
-    """n >= 0 when fan is the fan of F_n in some basis of Z^2: rays
-    labelled v1..v4 with v2 = -v4, v1 + v3 = n v2 and unimodular maximal
-    cones {v1, v2}, {v2, v3}, {v3, v4}, {v4, v1}; else None.  F_0 is
-    P^1 x P^1."""
-    rays = fan.rays
-    if fan.dim != 2 or len(rays) != 4 or len(fan.max_cones) != 4:
-        return None
+    ("P", n): n + 1 rays that sum to 0, every n of them spanning a
+    unimodular maximal cone.  ("F", n, (a, b, c, e)), n >= 0: four rays
+    with v_e = -v_b, v_a + v_c = n v_b and unimodular maximal cones
+    {a, b}, {b, c}, {c, e}, {e, a}.  F_0 is P^1 x P^1, whose factors are
+    the opposite pairs (b, e) and (a, c)."""
+    rays, d = fan.rays, fan.dim
     cones = {frozenset(c) for c in fan.max_cones}
-    for b, e in permutations(range(4), 2):
-        a, c = (j for j in range(4) if j not in (b, e))
-        vb = rays[b]
-        s = [x + y for x, y in zip(rays[a], rays[c])]
-        if (rays[e] == tuple(-x for x in vb) and s[0] * vb[1] == s[1] * vb[0]
-                and cones == {frozenset(p) for p in
-                              ((a, b), (b, c), (c, e), (e, a))}
-                and _unimodular(fan)):
-            n = (s[0] * vb[0] + s[1] * vb[1]) // (vb[0] ** 2 + vb[1] ** 2)
-            if n >= 0:
-                return n
-    return None
-
-
-def _torsor_counter(fan: Fan, lam_ints):
-    """The Cox-coordinate count of fan under the integer lambda, as a
-    function of ascending scaled bounds (all >= 1) returning N(B) for
-    each, or None where it does not apply: on P^n (n + 1 rays summing to
-    0) for lambda = c rho, and any lambda on P^1; on F_n for lambda =
-    c rho."""
-    constant = len(set(lam_ints)) == 1
-    n = _projective_index(fan)
-    if n is not None and (constant or n == 1):
-        return lambda Bqs: _projective_counts(n, sum(lam_ints), Bqs)
-    n = _hirzebruch_index(fan)
-    if n is not None and constant:
-        return lambda Bqs: _hirzebruch_counts(n, lam_ints[0], Bqs)
-    return None
+    shape = None
+    if (len(rays) == d + 1 and not any(map(sum, zip(*rays)))
+            and cones == set(map(frozenset, combinations(range(d + 1), d)))):
+        shape = ("P", d)
+    elif d == 2 and len(rays) == 4:
+        for b, e in permutations(range(4), 2):
+            a, c = (j for j in range(4) if j not in (b, e))
+            vb = rays[b]
+            s = [x + y for x, y in zip(rays[a], rays[c])]
+            if (rays[e] == tuple(-x for x in vb)
+                    and s[0] * vb[1] == s[1] * vb[0]
+                    and cones == {frozenset(p) for p in
+                                  ((a, b), (b, c), (c, e), (e, a))}):
+                n = (s[0] * vb[0] + s[1] * vb[1]) // (vb[0] ** 2 + vb[1] ** 2)
+                if n >= 0:
+                    shape = ("F", n, (a, b, c, e))
+                    break
+    # for these shapes every maximal cone has the determinant of the
+    # first up to sign
+    if shape is None or abs(det_fraction(fan.cone_matrices[0])) != 1:
+        return None
+    return shape
 
 
 def _primitive_tuples(T: int, k: int, mertens) -> int:
@@ -252,9 +231,10 @@ def _primitive_tuples(T: int, k: int, mertens) -> int:
 
 def _projective_counts(n: int, s: int, Bqs) -> list:
     """N(B) on P^n, where the height of primitive Cox coordinates x is
-    max|x_i|^s under the scaled lambda (s = (n + 1) c for lambda = c rho,
-    l+ + l- on P^1): each of the primitive positive tuples of max-norm at
-    most T, T^s <= B^L, stands for 2^(n+1) sign patterns, two per point."""
+    max|x_i|^s for s the sum of the scaled lambda, whatever its entries
+    (H_lambda depends on lambda only through its class in Pic = Z): each
+    of the primitive positive tuples of max-norm at most T, T^s <= B^L,
+    stands for 2^(n+1) sign patterns, two per point."""
     Ts = [_int_nth_root(Bq, s) for Bq in Bqs]
     _check_table(Ts[-1], Bqs[-1])
     mertens = np.cumsum(mobius_table(Ts[-1]))
@@ -488,26 +468,32 @@ class _Memo(dict):
 
 
 def _count_grid(fan: Fan, lam, bounds, stats=None):
-    """(engine, counts): N(B) for every B of the ascending bounds, from the
-    Cox-coordinate count where it applies (engine "torsor"), otherwise
-    from one enumeration (engine "dfs"), whose counts are added into
-    stats, if given."""
+    """(engine, counts): N(B) for every B of the ascending bounds.  On the
+    shapes of _cox_shape they come from the Cox-coordinate count (engine
+    "torsor"): on P^n under any lambda, whose height depends on lambda
+    only through its class sum(lambda) in Pic, and on F_n under lambda =
+    c rho.  Otherwise they come from one enumeration (engine "dfs"),
+    whose counts are added into stats, if given.  Bounds below 1 admit no
+    point, whatever their sign."""
     lam_ints, L = _lambda_ints(fan, lam)
-    counter = _torsor_counter(fan, lam_ints)
-    engine = "dfs" if counter is None else "torsor"
-    Bqs = [Fraction(B) ** L for B in bounds]
-    low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
-    Bqs = Bqs[low:]
+    shape = _cox_shape(fan)
+    if shape is not None and shape[0] == "F" and len(set(lam_ints)) > 1:
+        shape = None
+    Bs = [Fraction(B) for B in bounds]
+    low = bisect_left(Bs, 1)
+    Bqs = [B ** L for B in Bs[low:]]
     if not Bqs:
         counts = []
-    elif counter is not None:
-        counts = counter(Bqs)
-    else:
+    elif shape is None:
         profiles = _count_general(fan, lam_ints, Bqs,
                                   halve=_is_symmetric(fan, lam_ints),
                                   stats=stats)
         counts = [n * 2 ** fan.dim for n in profiles]
-    return engine, [0] * low + counts
+    elif shape[0] == "P":
+        counts = _projective_counts(shape[1], sum(lam_ints), Bqs)
+    else:
+        counts = _hirzebruch_counts(shape[1], lam_ints[0], Bqs)
+    return "dfs" if shape is None else "torsor", [0] * low + counts
 
 
 def count_points(fan: Fan, lam, B) -> int:
@@ -520,11 +506,10 @@ def enumerate_bounded(fan: Fan, lam, B):
     signs expanded: the 2^d sign copies of each signless profile in a
     row."""
     lam_ints, L = _lambda_ints(fan, lam)
-    Bq = Fraction(B) ** L
     d = fan.dim
     collected = []
-    if Bq >= 1:
-        _count_general(fan, lam_ints, [Bq], halve=False,
+    if Fraction(B) >= 1:
+        _count_general(fan, lam_ints, [Fraction(B) ** L], halve=False,
                        visitor=lambda stack, *_: collected.append(stack))
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
@@ -672,23 +657,6 @@ def _complex_fsum(terms) -> complex:
                    math.fsum(z.imag for z in terms()))
 
 
-def _height_class_sums(fan: Fan, vals):
-    """The height-class sum of fan under the complex lambda vals, as a
-    function of ascending bounds (all >= 1) returning (value, n_points)
-    for each, or None where it does not apply: on P^n (n + 1 rays summing
-    to 0) and on P^1 x P^1 (F_0), for any lambda."""
-    n = _projective_index(fan)
-    if n is not None:
-        return lambda Bqs: _projective_zeta(n, sum(vals), Bqs)
-    if _hirzebruch_index(fan) == 0:
-        # two pairs of opposite rays, one per factor
-        o = fan.rays.index(tuple(-x for x in fan.rays[0]))
-        j, k = (i for i in range(1, 4) if i != o)
-        return lambda Bqs: _p1xp1_zeta(vals[0] + vals[o], vals[j] + vals[k],
-                                       Bqs)
-    return None
-
-
 def _projective_zeta(n: int, s, Bqs) -> list:
     """(value, n_points) on P^n, where H_rho = h^(n+1) and H_lambda = h^s
     at max-norm height h: sum_{h <= T} c(h) h^-s with T^(n+1) <= B."""
@@ -734,20 +702,26 @@ def _p1xp1_zeta(s1, s2, Bqs) -> list:
 def _zeta_partials(fan: Fan, lam, Bs, stats=None):
     """(engine, partials): zeta_partial for every B of the ascending Bs.
 
-    On P^n and P^1 x P^1, recognized by the shape of the fan as the
-    Cox-coordinate count recognizes them, each bound's sum is a Dirichlet
+    On P^n and P^1 x P^1, recognized by _cox_shape in any basis and ray
+    order, as for the Cox-coordinate count, each bound's sum is a Dirichlet
     sum over max-norm heights (engine "torsor", stats untouched).
     Elsewhere it comes from one enumeration at the largest bound,
     _zeta_walk (engine "dfs"), whose counts are added into stats, if
     given.  Either way each bound's value is the exactly rounded sum of
     its terms, real and imaginary parts apart."""
     vals = _zeta_lambda(fan, lam)
-    by_height = _height_class_sums(fan, vals)
-    if by_height is None:
+    shape = _cox_shape(fan)
+    if shape is None or shape[0] == "F" and shape[1] > 0:
         return "dfs", _zeta_walk(fan, lam, Bs, stats)
     Bqs = [Fraction(B) for B in Bs]
-    low = bisect_left(Bqs, 1)   # bounds below 1 admit no point
-    sums = by_height(Bqs[low:]) if low < len(Bqs) else []
+    Bqs = Bqs[bisect_left(Bqs, 1):]   # bounds below 1 admit no point
+    if not Bqs:
+        sums = []
+    elif shape[0] == "P":
+        sums = _projective_zeta(shape[1], sum(vals), Bqs)
+    else:
+        a, b, c, e = shape[2]
+        sums = _p1xp1_zeta(vals[b] + vals[e], vals[a] + vals[c], Bqs)
     return "torsor", _zeta_results(fan, vals, Bs, sums)
 
 

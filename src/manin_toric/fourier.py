@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counting import _STATS, _add_stats, _zeta_partials
+from .counting import _STATS, _add_stats, _cox_shape, _zeta_partials
 from .latticefan import Fan
 from .primes import primes_up_to
 
@@ -377,12 +377,9 @@ def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int,
 
 def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
                   panel_width: float) -> PoissonReport:
-    plus = [j for j, r in enumerate(fan.rays) if r == (1,)]
-    minus = [j for j, r in enumerate(fan.rays) if r == (-1,)]
-    if len(plus) != 1 or len(minus) != 1:
-        raise FourierError("one-dimensional check needs rays +1 and -1")
-    la = float(lam[plus[0]])
-    lb = float(lam[minus[0]])
+    plus = fan.rays.index((1,))   # fan is P^1: rays +1 and -1
+    la = float(lam[plus])
+    lb = float(lam[1 - plus])
 
     stats = dict.fromkeys(_STATS, 0)
     lhs, Bs, Ss, engine = _extrapolate_direct(fan, lam, B0, 1, stats=stats)
@@ -433,29 +430,15 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     )
 
 
-def _split_product(fan: Fan):
-    """Axis split of a product of two one-dimensional fans, or None."""
-    if fan.dim != 2 or len(fan.rays) != 4 or len(fan.max_cones) != 4:
-        return None
-    axes: dict[tuple[int, int], int] = {}
-    for j, ray in enumerate(fan.rays):
-        if sorted(map(abs, ray)) != [0, 1]:
-            return None
-        axes[tuple(ray)] = j
-    needed = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    if set(axes) != set(needed):
-        return None
-    return (axes[(1, 0)], axes[(-1, 0)]), (axes[(0, 1)], axes[(0, -1)])
-
-
 def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
                   B0: float = 2500.0, panel_width: float = 4.0) -> PoissonReport:
     """Compare direct height-zeta summation with the Poisson integral.
 
-    Supported at desk scale: one-dimensional fans, and products of two
-    one-dimensional fans (the integral side factors exactly; the direct
-    side is still summed on the product).  lam defaults to 2*rho; real
-    lam with every entry > 1 is required so both routes converge.
+    Supported at desk scale: P^1, and P^1 x P^1 in any basis and ray
+    order, as _cox_shape recognizes it (the integral side factors
+    exactly; the direct side is still summed on the product).  lam
+    defaults to 2*rho; real lam with every entry > 1 is required so both
+    routes converge.
     """
     if lam is None:
         lam = (2.0,) * len(fan.rays)
@@ -468,20 +451,23 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         if not v > 0:
             raise FourierError(f"{name} = {v} must be positive")
     _check_pmax(pmax)  # before the direct sums run
-
-    if fan.dim == 1:
-        return _poisson_line(fan, lam, T, pmax, B0, panel_width)
-
-    split = _split_product(fan)
-    if split is None:
+    # every fit grid, the product's and its factors', ends at 4 B0
+    if B0 * 4.0 < 1:
         raise FourierError(
-            "poisson_check supports d=1 fans and products of two d=1 fans"
-        )
+            f"B0 = {B0} leaves every direct sum empty: the largest bound "
+            f"of the fit grid, 4 B0 = {B0 * 4.0}, is below 1")
+
+    shape = _cox_shape(fan)
+    if shape == ("P", 1):
+        return _poisson_line(fan, lam, T, pmax, B0, panel_width)
+    if shape is None or shape[:2] != ("F", 0):
+        raise FourierError("poisson_check supports P^1 and P^1 x P^1")
     from .latticefan import make_fan
 
+    a, b, c, e = shape[2]
     factors = []
     stats = dict.fromkeys(_STATS, 0)
-    for axis, (jp, jm) in enumerate(split):
+    for axis, (jp, jm) in enumerate(((b, e), (a, c))):
         name = f"{fan.name or 'product'}[{axis}]"
         pair = (lam[jp], lam[jm])
         if factors and factors[0].lam == pair:

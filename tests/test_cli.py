@@ -272,6 +272,16 @@ print(json.dumps({{"code": code, "artifact": out.getvalue(),
                                                    (1, 1), 1000)
         assert doc["config"]["lam"] == [1 / 3, 1 / 3]
 
+    def test_negative_bound_counts_nothing(self, capsys):
+        # under lambda = rho / 2 the bound scales as B^2: -100 must not
+        # count as 100, and a grid running from it stays ascending
+        argv = ["count", "--fan", "builtin:p1", "--lambda", "1/2,1/2"]
+        doc = run_json(argv + ["--bounds=-100"], capsys)
+        assert [r["N"] for r in doc["rows"]] == [0]
+        doc = run_json(argv + ["--bounds=-100,10"], capsys)
+        assert [r["N"] for r in doc["rows"]] == [
+            0, count_points(builtin_fan("p1"), (1, 1), 100)]
+
     @pytest.mark.parametrize("fan", ["p1", "p1xp1"])
     def test_oversized_table_refused(self, capsys, fan):
         # 1e30 asks for Moebius values up to 10^15: refused with exit 2
@@ -362,7 +372,9 @@ class TestPoissonCheck:
         ("--B0", "-5", "B0 = -5.0 must be positive"),
         ("--pmax", "0", "pmax = 0 must be at least 2"),
         ("--pmax", "1", "pmax = 1 must be at least 2"),
-    ], ids=["T", "panel-width", "B0-negative", "pmax-zero", "pmax-one"])
+        ("--B0", "0.001", "B0 = 0.001 leaves every direct sum empty"),
+    ], ids=["T", "panel-width", "B0-negative", "pmax-zero", "pmax-one",
+            "B0-no-point"])
     def test_zero_width_refused(self, capsys, flag, value, message):
         # an invalid request exits 2 without an artifact, rather than
         # reporting a numeric miss

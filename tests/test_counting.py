@@ -64,11 +64,11 @@ def dfs_counts(fan, lam, bounds, stats=None):
     where count_N takes the Cox-coordinate count, which the DFS is the
     reference for; the walk's counts are added into stats, if given."""
     lam_ints, L = counting._lambda_ints(fan, lam)
-    Bqs = [Fraction(B) ** L for B in bounds]
-    low = sum(Bq < 1 for Bq in Bqs)
+    low = sum(Fraction(B) < 1 for B in bounds)
+    Bqs = [Fraction(B) ** L for B in bounds[low:]]
     profiles = counting._count_general(
-        fan, lam_ints, Bqs[low:], halve=counting._is_symmetric(fan, lam_ints),
-        stats=stats) if Bqs[low:] else []
+        fan, lam_ints, Bqs, halve=counting._is_symmetric(fan, lam_ints),
+        stats=stats) if Bqs else []
     return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
@@ -256,6 +256,16 @@ class TestProjectiveLine:
     def test_sub_unit_bound_is_empty(self):
         assert count_points(P1, (1, 1), Fraction(1, 2)) == 0
         assert count_points(P1, (1, 1), 0.999) == 0
+        # a negative bound admits no point either, also where lambda's
+        # denominator L is even and B^L would be positive: on both routes
+        half = (Fraction(1, 2),) * 2
+        assert count_points(P1, half, -100) == 0
+        assert count_N(P1, half, [-100, 10]).counts == [
+            0, count_points(P1, (1, 1), 100)]
+        mixed = (Fraction(1, 2), 1, Fraction(1, 2), 1)
+        assert count_N(P1XP1, mixed, [-100, 10]).counts == [
+            0, dfs_counts(P1XP1, mixed, [10])[0]]
+        assert list(enumerate_bounded(P1, half, -100)) == []
 
 
 class TestSurfaces:
@@ -387,9 +397,10 @@ class TestOnePass:
             monkeypatch.setattr(counting, name, counted)
         grid = [10, 100, 1000]
         for fan, lam, engine in [
-                (P2, (1, 1, 2), "_count_general"),
+                (P1XP1, (1, 2, 1, 2), "_count_general"),
                 (F1, (1, 5, 1, 1), "_count_general"),
                 (P2, (1, 1, 1), "_projective_counts"),
+                (P2, (1, 1, 2), "_projective_counts"),
                 (P1, (1, 1), "_projective_counts"),
                 (P1XP1, (1, 1, 1, 1), "_hirzebruch_counts")]:
             calls.clear()
@@ -636,7 +647,8 @@ TORSOR_FANS = ([("P", n) for n in range(1, 5)]
 
 class TestTorsorRoute:
     """The Cox-coordinate count against the DFS, exactly, on P^1..P^4 and
-    F_0..F_4 in random ray labellings and bases of Z^d."""
+    F_0..F_4 in random ray labellings and bases of Z^d, under lambda =
+    c rho and, on P^n, under lambda drawn per ray."""
 
     @settings(max_examples=60, derandomize=True, deadline=None,
               database=None)
@@ -646,28 +658,43 @@ class TestTorsorRoute:
                                   st.integers(-2, 2)), max_size=4),
            flip=st.booleans(),
            c=st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 2))),
-           p1_lam=st.tuples(*[st.sampled_from((1, 2, 3, Fraction(1, 2)))] * 2),
+           ray_lam=st.one_of(st.none(), st.tuples(*[st.sampled_from(
+               (1, 2, 3, Fraction(1, 2), Fraction(3, 2)))] * 5)),
            bounds=st.lists(st.integers(1, 700), min_size=1, max_size=3),
            shift=st.sampled_from((0, -1, 1)))
     # attained heights and their neighbours: 125 = 5^3 on P^2, and
     # 169 = 13^2 about 1e-9 relative above the bound on P^1 x P^1 and F_1
     @example(shape=("P", 2), order=range(5), ops=[], flip=False, c=1,
-             p1_lam=(1, 1), bounds=[124, 125, 126], shift=0)
+             ray_lam=None, bounds=[124, 125, 126], shift=0)
+    @example(shape=("P", 2), order=range(5), ops=[], flip=False, c=1,
+             ray_lam=(1, 1, 2, 1, 1), bounds=[124, 125, 126], shift=0)
+    @example(shape=("P", 3), order=range(5), ops=[], flip=False, c=1,
+             ray_lam=(Fraction(1, 2), 1, Fraction(3, 2), 3, 1),
+             bounds=[80, 81, 82], shift=0)
     @example(shape=("F", 0), order=range(5), ops=[], flip=False, c=1,
-             p1_lam=(1, 1), bounds=[168.99999983099917, 169], shift=0)
+             ray_lam=None, bounds=[168.99999983099917, 169], shift=0)
     @example(shape=("F", 1), order=range(5), ops=[], flip=False, c=1,
-             p1_lam=(1, 1), bounds=[168.99999983099917, 169], shift=0)
-    def test_equals_dfs(self, shape, order, ops, flip, c, p1_lam, bounds,
+             ray_lam=None, bounds=[168.99999983099917, 169], shift=0)
+    def test_equals_dfs(self, shape, order, ops, flip, c, ray_lam, bounds,
                         shift):
         kind, n = shape
         base = projective_fan(n) if kind == "P" else hirzebruch_fan(n)
         fan, order = disguise(base, order, ops, flip)
-        lam = ((c,) * len(fan.rays) if shape != ("P", 1)
-               else tuple(p1_lam[m] for m in order))
-        # bounds b + shift under rho are b^c under lambda = c rho, floats
-        # (so within rounding of b) when c is not an integer
-        grid = sorted(Fraction(b + shift) ** c if Fraction(c).denominator == 1
-                      else float(b + shift) ** float(c) for b in bounds)
+        if kind == "P" and ray_lam is not None:
+            # H_lambda = H_rho^e on P^n, e = sum(lambda) / (n + 1)
+            lam = tuple(ray_lam[m] for m in order)
+            e = sum(map(Fraction, lam)) / (n + 1)
+        else:
+            lam, e = (c,) * len(fan.rays), Fraction(c)
+        # the walk sieves the primes up to about b^(e L / min lambda L)
+        # for a bound b under rho; uneven lambda keeps that below 10^6
+        lam_ints, L = counting._lambda_ints(fan, lam)
+        top = math.floor(10 ** (6 * min(lam_ints) / float(e * L)))
+        # bounds b + shift under rho are b^e under lambda, floats (so
+        # within rounding of b) when e is not an integer
+        grid = sorted(Fraction(min(b, top) + shift) ** e if e.denominator == 1
+                      else float(min(b, top) + shift) ** float(e)
+                      for b in bounds)
         engine, got = _count_grid(fan, lam, grid)
         assert engine == "torsor"
         assert got == dfs_counts(fan, lam, grid)
@@ -695,7 +722,7 @@ class TestTorsorRoute:
 
     def test_other_cases_walk(self):
         incomplete = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
-        for fan, lam in ((P2, (1, 1, 2)), (F1, (1, 5, 1, 1)),
+        for fan, lam in ((P1XP1, (1, 2, 1, 2)), (F1, (1, 5, 1, 1)),
                          (incomplete, (1, 1, 1))):
             report = count_N(fan, lam, [100, 300], pmax=1000)
             assert report.engine == "dfs"
@@ -704,7 +731,7 @@ class TestTorsorRoute:
         # overlap: not P^2, and no Cox-coordinate count
         overlapping = make_fan(2, [(1, 0), (0, 1), (1, 1)],
                                [(0, 1), (1, 2), (0, 2)])
-        assert counting._torsor_counter(overlapping, (1, 1, 1)) is None
+        assert counting._cox_shape(overlapping) is None
 
     @pytest.mark.parametrize("name,a,b", [("p1xp1", 1, 2), ("p2", 1, 1)])
     def test_theta_at_large_B(self, name, a, b):

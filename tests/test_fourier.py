@@ -272,8 +272,12 @@ class TestPoisson:
         ({"B0": 0.0}, "B0 = 0.0 must be positive"),
         ({"pmax": 0}, "pmax = 0 must be at least 2"),
         ({"pmax": 1}, "pmax = 1 must be at least 2"),
+        # every fit grid ends at 4 B0 = 0.004: no point, lhs = 0
+        ({"B0": 0.001, "T": 50.0},
+         "B0 = 0.001 leaves every direct sum empty: the largest bound of "
+         "the fit grid, 4 B0 = 0.004, is below 1"),
     ], ids=["T-zero", "T-negative", "width-zero", "B0-negative", "B0-zero",
-            "pmax-zero", "pmax-one"])
+            "pmax-zero", "pmax-one", "B0-no-point"])
     def test_rejects_nonpositive_widths(self, monkeypatch, fan, kw, message):
         # refused before the direct sums run
         def never(*args):
@@ -297,6 +301,27 @@ class TestPoisson:
         assert rep.rhs == pytest.approx(rep.factors[0].rhs * rep.factors[1].rhs)
         assert rep.lhs == pytest.approx(2.4425061413**2, rel=1e-4)
 
+    @pytest.mark.parametrize("lam,order", [
+        (None, (1, 2, 3, 0)), ((2.0, 3.0, 2.0, 3.0), (2, 3, 0, 1))],
+        ids=["2rho-factors-swapped", "per-factor-lambda"])
+    def test_p1xp1_in_any_basis_and_order(self, lam, order):
+        # rays A v_order[m] for A in GL_2(Z) with a shear and a sign: the
+        # same check, bit for bit.  The first factor is the pair of ray
+        # 0, so a relabelling that swaps the factors keeps the bits only
+        # where the two factors carry equal lambda sums
+        A = ((1, 2), (0, -1))
+        rays = [tuple(sum(a * x for a, x in zip(row, P1XP1.rays[o]))
+                      for row in A) for o in order]
+        where = {o: m for m, o in enumerate(order)}
+        fan = make_fan(2, rays, [[where[j] for j in cone]
+                                 for cone in P1XP1.max_cones])
+        kw = {"T": 400.0, "B0": 700.0}
+        want = poisson_check(P1XP1, lam, **kw)
+        got = poisson_check(fan, lam and tuple(lam[o] for o in order), **kw)
+        assert (got.lhs, got.rhs, got.rel_error) == (
+            want.lhs, want.rhs, want.rel_error)
+        assert got.engine == "torsor"
+
     def test_stats_sum_the_direct_walks(self, capsys, monkeypatch):
         # p1 and p1xp1 sum by height class: no walk, and the stats read 0
         zero = dict.fromkeys(counting._STATS, 0)
@@ -306,8 +331,9 @@ class TestPoisson:
             assert rep.stats == zero
             assert all(f.engine == "torsor" and f.stats == zero
                        for f in rep.factors)
-        # with the height-class sums taken away, the walks' counts add up
-        monkeypatch.setattr(counting, "_height_class_sums", lambda *a: None)
+        # with the shapes unrecognized in the direct sums, the walks'
+        # counts add up
+        monkeypatch.setattr(counting, "_cox_shape", lambda fan: None)
         rep = poisson_check(P1XP1, T=400.0, B0=700.0)
         line, product = {}, {}
         _extrapolate_direct(P1, (2.0, 2.0), 700.0, 1, stats=line)
