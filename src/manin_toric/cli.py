@@ -506,10 +506,10 @@ def _fibration_zeta(args):
     if matched:
         half = int(a) // 2
         lam_direct = (half, int(mu_t[0]), half, int(mu_t[1]))
-        heights, value, n_pts = direct_zeta_partial(
+        height_counts, value, n_pts = direct_zeta_partial(
             hirzebruch_fan(args.n), lam_direct, args.B)
         rel = (abs(fz.value - value) / abs(value)) if value else 0.0
-        same_multiset = fz.heights == heights
+        same_multiset = fz.height_counts == height_counts
         failures = []
         if not rel <= args.tol:
             failures.append(f"rel_error = {rel!r} exceeds tol = "

@@ -4,22 +4,24 @@ A Hirzebruch surface F_n is the P^1-fibration hiding inside the torsor
 O(n) -> P^1: over a base point b the fiber heights get twisted by an
 adelic offset g_b recording the transition cocycle of O(n).  This
 module builds the offsets, Arakelov L-sums over the base, fibration
-zeta partial sums with exact per-point heights, the quotient Picard
-data of the total space, and the product-rule leading constant.  Every
-route is cross-checked against the direct toric pipeline on the F_n
-fan, which pins all sign conventions.
+zeta partial sums with their exact heights counted by value, the
+quotient Picard data of the total space, and the product-rule leading
+constant.  Every route is cross-checked against the direct toric
+pipeline on the F_n fan, which pins all sign conventions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
-from .counting import (_complex_fsum, _dirichlet_terms,
+from .counting import (_MAX_TABLE, _check_table, _complex_fsum,
+                       _dirichlet_terms, _hirzebruch_counts,
                        enumerate_bounded, p1_height_counts)
 from .heights import AdelicOffset, exact_height, global_height, make_offset
 from .latticefan import Fan, PLFunction, builtin_fan
@@ -65,15 +67,13 @@ class TorsorSpec:
     def __post_init__(self):
         if self.twist != int(self.twist):
             raise FibrationError("twist degree must be an integer")
+        # an int twist keeps the fiber heights exact
+        object.__setattr__(self, "twist", int(self.twist))
         if self.section not in ("x0", "x1"):
             raise FibrationError('section must be "x0" or "x1"')
 
     @property
     def fiber_fan(self) -> Fan:
-        return builtin_fan("p1")
-
-    @property
-    def base_fan(self) -> Fan:
         return builtin_fan("p1")
 
 
@@ -123,20 +123,6 @@ def twisted_fiber_height(spec: TorsorSpec, lam, b, x) -> float:
                          offset=torsor_class(spec, b))
 
 
-def _exact_twisted_height(mu1: int, mu2: int, u: int, w: int,
-                          S: Fraction) -> Fraction:
-    """Fiber height of z = u/w after substituting x = anchor^n z.
-
-    The substitution absorbs the whole finite twist, leaving the plain
-    finite part u^mu1 w^mu2 and an archimedean modulus scaled by S."""
-    A = S * Fraction(u, w)
-    if A <= 1:
-        arch = A ** -mu1
-    else:
-        arch = A ** mu2
-    return Fraction(u) ** mu1 * Fraction(w) ** mu2 * arch
-
-
 def base_points(m: int) -> list:
     """Coprime (b0, b1), b0 >= 1, b1 != 0, with max|.| = m, sorted: the
     p1_height_counts(m)[m] torus points of P^1 of max-norm height m."""
@@ -166,8 +152,8 @@ def _fiber_lambda(lam) -> tuple:
 class FibrationZeta:
     """Truncated height zeta of the torsor total space.
 
-    heights is the sorted multiset of anticanonical height values, one
-    per point, kept exact so two pipelines can be compared literally.
+    height_counts maps each anticanonical height value, kept exact so two
+    pipelines can be compared literally, to its number of points.
     tail_estimate extrapolates the last octave geometrically; infinity
     when the octave sums do not decay."""
 
@@ -179,21 +165,9 @@ class FibrationZeta:
     value: float
     n_points: int
     base_count: int
-    heights: tuple
+    height_counts: dict
     base_rows: tuple
     tail_estimate: float
-
-    def height_counter(self):
-        out = {}
-        for h in self.heights:
-            out[h] = out.get(h, 0) + 1
-        return out
-
-
-def _float_first(h):
-    # sort key for exact heights: float() of a Fraction is monotone, so
-    # the order is the exact one, and Fractions are compared on ties only
-    return float(h), h
 
 
 def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
@@ -204,74 +178,77 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
     The cutoff is the anticanonical height of the total space, the
     product of the squared base max-norm and the rho-twisted fiber
     height; partial sums converge to the zeta value only for fiber
-    exponents > 1 and alpha_base > 2."""
+    exponents > 1 and alpha_base > 2.  A bound with more points than
+    counting._MAX_TABLE, counted in Cox coordinates on F_|twist|, is
+    refused before the loop."""
     mu = _fiber_lambda(lam_fiber)
     a = float(alpha_base)
     if a <= 0:
         raise FibrationError("alpha_base must be positive")
-    exact_mu = all(float(m_).is_integer() for m_ in mu)
-    mu1i, mu2i = (int(mu[0]), int(mu[1])) if exact_mu else (0, 0)
+    # integral exponents as ints keep the fiber heights exact
+    mu1, mu2 = (int(m) if float(m).is_integer() else float(m) for m in mu)
     n = spec.twist
     Bq = Fraction(B)
+    if Bq >= 1:
+        total = _hirzebruch_counts(abs(n), 1, [Bq])[0]
+        if total > _MAX_TABLE:
+            raise FibrationError(
+                f"the fibration loop would visit {total} points (B = {B}), "
+                f"over the limit of {_MAX_TABLE}")
     base_rows = []
-    heights = []
+    height_counts = Counter()
     terms = []
     octave_hi = 0.0
     octave_lo = 0.0
-    n_points = 0
     # the fiber over b depends on b only through H1 = max|b|: build it
     # once per height, then add it once per base point of that height
     for H1 in range(1, (isqrt(int(Bq)) if Bq >= 1 else 0) + 1):
-        H1q = Fraction(H1)
-        Bf = Bq / H1q ** 2
-        S = H1q ** n
+        Bf = Bq / H1 ** 2
+        S = H1 ** n if n >= 0 else Fraction(1, H1 ** -n)
         base_factor = float(H1) ** -a
         u_max = isqrt(int(Bf / S)) if Bf >= S else 0
         w_max = isqrt(int(Bf * S))
+        fiber_counts = Counter()
         fiber_terms = []
-        fiber_heights = []
         hi_terms = []
         lo_terms = []
         for u in range(1, u_max + 1):
-            Su2 = S * u * u
             for w in range(1, w_max + 1):
                 if gcd(u, w) != 1:
                     continue
-                cut = max(Su2, Fraction(w * w) / S)
-                if cut > Bf:
-                    continue
-                total_height = H1q ** 2 * cut
-                if exact_mu:
-                    hf = _exact_twisted_height(mu1i, mu2i, u, w, S)
-                    summand = base_factor / float(hf)
+                # the fiber point z = u/w, once x = anchor^n z absorbs
+                # the finite twist, has height u^mu1 w^mu2 times
+                # (S u/w)^-mu1 when S u <= w and (S u/w)^mu2 otherwise;
+                # its rho-height times H1^2 is the cut height
+                if S * u <= w:
+                    total_height = H1 * H1 * Fraction(w * w, S)
+                    hf = w ** (mu1 + mu2) / S ** mu1
                 else:
-                    A = float(S) * u / w
-                    la = math.log(A)
-                    arch = math.exp(-float(mu[0]) * la if la <= 0
-                                    else float(mu[1]) * la)
-                    summand = base_factor / (
-                        u ** float(mu[0]) * w ** float(mu[1]) * arch)
+                    total_height = H1 * H1 * S * u * u
+                    hf = u ** (mu1 + mu2) * S ** mu2
                 # both signs of the fiber coordinate, same heights
-                fiber_heights += [total_height, total_height]
-                fiber_terms.append(2.0 * summand)
+                summand = 2.0 * (base_factor / hf)
+                fiber_counts[total_height] += 2
+                fiber_terms.append(summand)
                 hflt = float(total_height)
                 if hflt > float(Bq) / 2:
-                    hi_terms.append(2.0 * summand)
+                    hi_terms.append(summand)
                 elif hflt > float(Bq) / 4:
-                    lo_terms.append(2.0 * summand)
+                    lo_terms.append(summand)
         if not fiber_terms:
             continue
         fsum = math.fsum(fiber_terms)
-        for b0, b1 in base_points(H1):
-            heights += fiber_heights
-            n_points += len(fiber_heights)
+        points = base_points(H1)
+        for h, c in fiber_counts.items():
+            height_counts[h] += c * len(points)
+        for b0, b1 in points:
             # in point order, as the tail estimate's last bits depend on it
             for t in hi_terms:
                 octave_hi += t
             for t in lo_terms:
                 octave_lo += t
             terms.append(fsum)
-            base_rows.append((b0, b1, H1, len(fiber_heights), fsum))
+            base_rows.append((b0, b1, H1, 2 * len(fiber_terms), fsum))
     value = math.fsum(terms)
     if octave_lo > 0 and octave_hi < octave_lo:
         r = octave_hi / octave_lo
@@ -280,22 +257,23 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
         tail = 0.0
     else:
         tail = math.inf
-    heights.sort(key=_float_first)
     return FibrationZeta(
         twist=spec.twist, section=spec.section, lam_fiber=mu,
-        alpha_base=a, B=float(B), value=value, n_points=n_points,
-        base_count=len(base_rows), heights=tuple(heights),
-        base_rows=tuple(base_rows), tail_estimate=tail,
+        alpha_base=a, B=float(B), value=value,
+        n_points=sum(height_counts.values()), base_count=len(base_rows),
+        height_counts=dict(height_counts), base_rows=tuple(base_rows),
+        tail_estimate=tail,
     )
 
 
 def direct_zeta_partial(fan: Fan, lam, B):
-    """Exact enumeration reference: sorted anticanonical height multiset
-    and the corresponding sum of H_lam^-1 over the torus of the fan."""
+    """Exact enumeration reference: the anticanonical heights of the torus
+    points of the fan, each with its number of points, the corresponding
+    sum of H_lam^-1, and the number of points."""
     rho = (1,) * len(fan.rays)
     pl_rho = PLFunction(fan, rho)
     pl_lam = pl_rho if tuple(lam) == rho else PLFunction(fan, tuple(lam))
-    heights = []
+    height_counts = Counter()
     terms = []
     support = None
     for prof in enumerate_bounded(fan, rho, B):
@@ -307,10 +285,9 @@ def direct_zeta_partial(fan: Fan, lam, B):
             hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam,
                                                                prof)
             term = 1.0 / float(hsum)
-        heights.append(hcut)
+        height_counts[hcut] += 1
         terms.append(term)
-    heights.sort(key=_float_first)
-    return tuple(heights), math.fsum(terms), len(heights)
+    return dict(height_counts), math.fsum(terms), len(terms)
 
 
 def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
@@ -331,8 +308,11 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
     if a <= 2:
         raise FibrationError("arakelov_L_partial needs a > 2")
     H = float(H)
+    if not math.isfinite(H):
+        raise FibrationError(f"arakelov_L_partial needs a finite H, got {H}")
     if H < 1:
         return 0j
+    _check_table(int(H), Fraction(H), "the Arakelov L-sum", "H")
     s = complex(a, spec.twist * float(m))
     c = p1_height_counts(int(H))
     return _complex_fsum(lambda: chain([2.0],

@@ -188,17 +188,17 @@ def test_criterion_8_fibration_hirzebruch_cross_check():
         assert fc.alpha == lc.alpha
         assert max(fc.lower, lc.lower) <= min(fc.upper, lc.upper)
         fz = fibration_zeta_partial(TorsorSpec(n), "rho", 2, B)
-        heights, value, n_pts = direct_zeta_partial(
+        height_counts, value, n_pts = direct_zeta_partial(
             hirzebruch_fan(n), (1, 1, 1, 1), B)
-        assert fz.heights == heights
+        assert fz.height_counts == height_counts
         assert fz.n_points == n_pts
         assert abs(fz.value - value) <= 1e-10 * abs(value)
 
     # n = 0 reproduces the product-surface pipeline exactly
     pp = builtin_fan("p1xp1")
     fz0 = fibration_zeta_partial(TorsorSpec(0), "rho", 2, B)
-    heights, value, n_pts = direct_zeta_partial(pp, (1, 1, 1, 1), B)
-    assert fz0.heights == heights
+    height_counts, value, n_pts = direct_zeta_partial(pp, (1, 1, 1, 1), B)
+    assert fz0.height_counts == height_counts
     assert fz0.n_points == count_points(pp, (1, 1, 1, 1), B)
     fc0 = fibration_predicted_constant(TorsorSpec(0), pmax=1000000)
     lc0 = leading_constant(pp, pmax=1000000)

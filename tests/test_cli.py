@@ -1,6 +1,8 @@
 """Exit codes, artifact shapes, and reproducibility of the CLI."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -594,8 +596,8 @@ class TestFibration:
         direct = cli.direct_zeta_partial
 
         def shifted(*args):
-            heights, value, n_pts = direct(*args)
-            return heights, value * (1 + 1e-6), n_pts
+            height_counts, value, n_pts = direct(*args)
+            return height_counts, value * (1 + 1e-6), n_pts
 
         monkeypatch.setattr(cli, "direct_zeta_partial", shifted)
         assert run(["fibration", "--n", "1", "--B", "100"]) == 3
@@ -611,8 +613,10 @@ class TestFibration:
         direct = cli.direct_zeta_partial
 
         def extra_point(*args):
-            heights, value, n_pts = direct(*args)
-            return heights + (heights[-1],), value, n_pts + 1
+            height_counts, value, n_pts = direct(*args)
+            top = max(height_counts)
+            return ({**height_counts, top: height_counts[top] + 1}, value,
+                    n_pts + 1)
 
         monkeypatch.setattr(cli, "direct_zeta_partial", extra_point)
         assert run(["fibration", "--n", "1", "--B", "100"]) == 3
@@ -729,3 +733,31 @@ print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("scipy", "mpmath")))
 """
     assert _fresh_python(script) == "[]"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_artifacts_match_reference(capsys):
+    # every count and fibration zeta job of the benchmark, at each jitter,
+    # prints the artifact whose sha256 the benchmark recorded
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    table = json.loads(
+        (PERFBENCH / "reference_sha256.json").read_text())["artifacts"]
+    jobs = workloads.WORKLOADS["count"] + tuple(
+        job for job in workloads.WORKLOADS["zeta"]
+        if job.name.startswith("fibration.zeta"))
+    differ = []
+    for job in jobs:
+        for pct in workloads.JITTER_PCT:
+            assert run(job.render(pct)) == 0
+            digest = hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()
+            if digest != table[f"{job.name}@{pct}"]:
+                differ.append(f"{job.name}@{pct}")
+    assert len(jobs) * len(workloads.JITTER_PCT) == 45
+    assert differ == []

@@ -2,6 +2,7 @@
 quotient Picard data, and the product-rule constant."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import count, takewhile
 from math import gcd, isqrt
@@ -9,7 +10,9 @@ from math import gcd, isqrt
 import mpmath
 import pytest
 
-from manin_toric.counting import enumerate_bounded, p1_height_counts
+from manin_toric import fibration
+from manin_toric.counting import (CountingError, count_points,
+                                  enumerate_bounded, p1_height_counts)
 from manin_toric.fibration import (FibrationError, TorsorSpec,
                                    arakelov_L_partial, base_points,
                                    direct_zeta_partial, fibration_picard,
@@ -39,6 +42,14 @@ class TestTorsorSpec:
     def test_fractional_twist(self):
         with pytest.raises(FibrationError):
             TorsorSpec(1.5)
+
+    def test_integral_twist_stored_as_int(self):
+        # a float twist would make every fiber height an inexact float
+        spec = TorsorSpec(3.0)
+        assert type(spec.twist) is int and spec == TorsorSpec(3)
+        got = fibration_zeta_partial(spec, "rho", 2, 400)
+        want = fibration_zeta_partial(TorsorSpec(3), "rho", 2, 400)
+        assert got == want
 
 
 class TestTorsorClass:
@@ -153,14 +164,17 @@ def sign_expanded_terms(fan, lam, B):
 
 
 class TestFibrationZeta:
-    # from n = 3 on the anticanonical phi of F_n is not convex
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    # from n = 3 on the anticanonical phi of F_n is not convex; the
+    # anticanonical multiset cannot see the sign of the twist, so F_|n|
+    # is the direct fan of a negative twist
+    @pytest.mark.parametrize("n", [-3, -2, -1, 0, 1, 2, 3, 4])
     def test_matches_direct_enumeration(self, n):
         fz = fibration_zeta_partial(TorsorSpec(n), "rho", 2, 200)
-        heights, value, count = direct_zeta_partial(
-            hirzebruch_fan(n), (1, 1, 1, 1), 200)
-        assert fz.heights == heights
-        assert fz.n_points == count
+        fan = hirzebruch_fan(abs(n))
+        height_counts, value, count = direct_zeta_partial(
+            fan, (1, 1, 1, 1), 200)
+        assert fz.height_counts == height_counts
+        assert fz.n_points == count == count_points(fan, (1, 1, 1, 1), 200)
         assert fz.value == pytest.approx(value, rel=1e-10)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -170,7 +184,7 @@ class TestFibrationZeta:
         for B in (0.5, 1, 60, 147):
             points = sign_expanded_terms(fan, lam, B)
             assert direct_zeta_partial(fan, lam, B) == (
-                tuple(sorted(h for h, _t in points)),
+                Counter(h for h, _t in points),
                 math.fsum(t for _h, t in points), len(points))
 
     @pytest.mark.parametrize("n,lam,a,B", [(0, (2, 2), 4, 300),
@@ -229,7 +243,7 @@ class TestFibrationZeta:
         f0 = fibration_zeta_partial(TorsorSpec(1, "x0"), "rho", 2, 150)
         f1 = fibration_zeta_partial(TorsorSpec(1, "x1"), "rho", 2, 150)
         assert f0.value == f1.value
-        assert f0.heights == f1.heights
+        assert f0.height_counts == f1.height_counts
 
     def test_untwisted_base_rows_factor(self):
         # n = 0: the fiber sum depends on the base only through its
@@ -242,7 +256,7 @@ class TestFibrationZeta:
 
     def test_height_counter_small(self):
         fz = fibration_zeta_partial(TorsorSpec(0), (1, 1), 2, 10)
-        assert fz.height_counter() == {
+        assert fz.height_counts == {
             Fraction(1): 4, Fraction(4): 16, Fraction(9): 32}
         assert fz.n_points == 52
 
@@ -259,6 +273,24 @@ class TestFibrationZeta:
     def test_tail_convergent_case(self):
         fz = fibration_zeta_partial(TorsorSpec(1), (2, 2), 3, 1000)
         assert 0 < fz.tail_estimate < fz.value
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 4])
+    def test_n_points_is_the_cox_count(self, n):
+        for B in (0.5, 1, 7.5, 40, 147, 400, 1000, 3000):
+            fz = fibration_zeta_partial(TorsorSpec(n), "rho", 2, B)
+            assert fz.n_points == count_points(hirzebruch_fan(abs(n)),
+                                               (1, 1, 1, 1), B)
+
+    def test_infeasible_bound_refused_before_the_loop(self, monkeypatch):
+        def no_loop(m):
+            raise AssertionError("the loop started")
+
+        monkeypatch.setattr(fibration, "base_points", no_loop)
+        with pytest.raises(FibrationError,
+                           match="14936796 points .* limit of 10000000"):
+            fibration_zeta_partial(TorsorSpec(1), "rho", 2, 1e6)
+        with pytest.raises(AssertionError, match="the loop started"):
+            fibration_zeta_partial(TorsorSpec(1), "rho", 2, 1e4)
 
     def test_bad_arguments(self):
         with pytest.raises(FibrationError):
@@ -339,6 +371,20 @@ class TestArakelov:
 
     def test_empty_range(self):
         assert arakelov_L_partial(TorsorSpec(1), 4, 3, 0.5) == 0j
+
+    @pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_refused(self, H):
+        with pytest.raises(FibrationError, match="finite H"):
+            arakelov_L_partial(TorsorSpec(1), 4, 0, H)
+
+    def test_oversized_table_refused_before_allocation(self, monkeypatch):
+        def no_table(T):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(fibration, "p1_height_counts", no_table)
+        with pytest.raises(CountingError,
+                           match=r"1e\+12 entries \(H = 1e\+12\)"):
+            arakelov_L_partial(TorsorSpec(1), 4, 0, 1e12)
 
 
 class TestFibrationPicard:
