@@ -732,11 +732,11 @@ def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
 
     With s the cone of -v, v = sum_p n_p log p, and m_s = inv_s^T
     lambda_s its monomial, phi(-v) = -sum_p log p <m_s, n_p>, so the
-    exponent is sum_p log p row_n_p[s], row_n[t] = phi(n) - <m_t, n>
-    cached per n.  For strictly convex rho (one vertex per cone: the
-    monomials) s is the least entry of the walk's carried vector, cones
-    tied on a wall giving equal terms; otherwise (hirzebruch-2, whose
-    cones 1 and 2 share a monomial, or non-convex rho) locate finds s.
+    exponent is sum_p log p r_(n_p)[s], r_n = pl.row(n).  For strictly
+    convex rho (one vertex per cone: the monomials) s is the least entry
+    of the walk's carried vector, cones tied on a wall giving equal terms;
+    otherwise (hirzebruch-2, whose cones 1 and 2 share a monomial, or
+    non-convex rho) locate finds s.
 
     When every ray's negative is a ray with the same lambda value (and
     so with the same rho value), x and its negation have equal heights
@@ -759,8 +759,6 @@ def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
     pl = PLFunction(fan, tuple(vals))
     cut = PLFunction(fan, rho)
     strict = cut.is_convex and len(cut.vertices) == len(fan.max_cones)
-    rows = _Memo(lambda n: [pl(n) - sum(m * x for m, x in zip(mono, n))
-                            for mono in pl.monomials])
     logs = _Memo(math.log)
     located = 0
 
@@ -774,7 +772,7 @@ def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
                            for c in range(d)])[0]
         expo = 0j
         for p, n in stack:
-            expo += logs[p] * rows[n][s]
+            expo += logs[p] * pl.row(n)[s]
         terms[first].append(weight * 2 ** d * cmath.exp(-expo))
 
     profiles = []

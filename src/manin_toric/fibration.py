@@ -16,12 +16,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
 from .counting import (_MAX_TABLE, _check_table, _complex_fsum,
-                       _dirichlet_terms, _hirzebruch_counts,
+                       _dirichlet_terms, _hirzebruch_counts, _magnitude,
                        enumerate_bounded, p1_height_counts)
 from .heights import AdelicOffset, exact_height, global_height, make_offset
 from .latticefan import Fan, PLFunction, builtin_fan
@@ -65,7 +66,11 @@ class TorsorSpec:
     section: str = "x0"
 
     def __post_init__(self):
-        if self.twist != int(self.twist):
+        try:
+            whole = self.twist == int(self.twist)
+        except (OverflowError, ValueError):   # inf, nan
+            whole = False
+        if not whole:
             raise FibrationError("twist degree must be an integer")
         # an int twist keeps the fiber heights exact
         object.__setattr__(self, "twist", int(self.twist))
@@ -143,8 +148,8 @@ def _fiber_lambda(lam) -> tuple:
     vals = tuple(lam)
     if len(vals) != 2:
         raise FibrationError("fiber class needs one value per P^1 ray")
-    if any(float(v) <= 0 for v in vals):
-        raise FibrationError("fiber exponents must be positive")
+    if not all(0 < float(v) < math.inf for v in vals):
+        raise FibrationError("fiber exponents must be positive and finite")
     return vals
 
 
@@ -183,18 +188,25 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
     refused before the loop."""
     mu = _fiber_lambda(lam_fiber)
     a = float(alpha_base)
-    if a <= 0:
-        raise FibrationError("alpha_base must be positive")
+    if not 0 < a < math.inf:
+        raise FibrationError("alpha_base must be positive and finite")
     # integral exponents as ints keep the fiber heights exact
     mu1, mu2 = (int(m) if float(m).is_integer() else float(m) for m in mu)
     n = spec.twist
-    Bq = Fraction(B)
+    try:
+        Bq = Fraction(B)
+    except (OverflowError, ValueError):   # inf, nan
+        raise FibrationError(f"the bound B must be finite, got {B}") from None
     if Bq >= 1:
-        total = _hirzebruch_counts(abs(n), 1, [Bq])[0]
+        # past B = 10^14 the count's own table is over the limit, and the
+        # base height 1 alone has about 2.4 B points
+        total = (_hirzebruch_counts(abs(n), 1, [Bq])[0]
+                 if isqrt(int(Bq)) <= _MAX_TABLE else math.inf)
         if total > _MAX_TABLE:
             raise FibrationError(
-                f"the fibration loop would visit {total} points (B = {B}), "
-                f"over the limit of {_MAX_TABLE}")
+                f"the fibration loop would visit "
+                f"{total if total < math.inf else 'over 2 B'} points "
+                f"(B = {_magnitude(Bq)}), over the limit of {_MAX_TABLE}")
     base_rows = []
     height_counts = Counter()
     terms = []
@@ -275,19 +287,19 @@ def direct_zeta_partial(fan: Fan, lam, B):
     pl_lam = pl_rho if tuple(lam) == rho else PLFunction(fan, tuple(lam))
     height_counts = Counter()
     terms = []
-    support = None
-    for prof in enumerate_bounded(fan, rho, B):
-        # the 2^d sign copies of a profile come in a row, and heights do
-        # not depend on signs: compute them once per signless profile
-        if prof.support != support:
-            support = prof.support
-            hcut = exact_height(fan, pl_rho, prof)
-            hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam,
-                                                               prof)
-            term = 1.0 / float(hsum)
-        height_counts[hcut] += 1
-        terms.append(term)
-    return dict(height_counts), math.fsum(terms), len(terms)
+    # the 2^d sign copies of a profile come in a row, and heights do not
+    # depend on signs: count them once per signless profile, its term
+    # scaled by 2^d, which is exact, so fsum gives the same bits
+    for _support, copies in groupby(enumerate_bounded(fan, rho, B),
+                                    attrgetter("support")):
+        prof, *rest = copies
+        run = 1 + len(rest)
+        hcut = exact_height(fan, pl_rho, prof)
+        hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam, prof)
+        height_counts[hcut] += run
+        terms.append(run * (1.0 / float(hsum)))
+    return (dict(height_counts), math.fsum(terms),
+            sum(height_counts.values()))
 
 
 def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:

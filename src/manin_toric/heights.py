@@ -184,8 +184,11 @@ def cone_monomials(fan: Fan, lam) -> tuple:
 def exact_height(fan: Fan, lam, x) -> Fraction:
     """Global height as an exact Fraction, for any integral lambda,
     convex or not: prod_p p^(phi(n_p)) times the archimedean factor
-    exp(phi(-sum_p n_p log p)), each exponent an integer combination of
-    the n_p (see PLFunction.profile_height)."""
+    exp(phi(-sum_p n_p log p)), which is prod_p p^(r_(n_p)[s]) with r the
+    kernel's cached rows and s the cone of -sum_p n_p log p; for convex
+    phi, the largest of these products over all cones s (see
+    PLFunction.profile_height).  Raises ValueError for non-integral
+    lambda."""
     return _kernel(fan, lam).profile_height(_as_profile(x).support)
 
 

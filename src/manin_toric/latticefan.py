@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from operator import mul
 from typing import Sequence
 
 from .ratlinalg import det_fraction, solve_fraction
@@ -121,8 +122,9 @@ class PLFunction:
     The one kernel for phi_lambda: cone location, exact and float
     evaluation, the dual monomials of the cones, convexity, the vertices
     of P_lambda whose pairings bound the enumeration's archimedean term,
-    and exact heights of valuation profiles, with per-cone data cached
-    on the instance.  Values may be int, Fraction, float or complex.
+    the rows r_n of phi(n) minus the monomials at n, and exact heights of
+    valuation profiles, with per-cone and per-vector data cached on the
+    instance.  Values may be int, Fraction, float or complex.
     """
 
     fan: Fan
@@ -223,39 +225,94 @@ class PLFunction:
                      for vert in self.vertices)
 
     @cached_property
-    def cone_of(self) -> dict:
-        """n -> index of the maximal cone of the integer vector n, as
-        locate(n) finds it; profile_height fills it on first use."""
+    def _rows(self) -> dict:
+        """n -> row(n), filled on first use."""
+        return {}
+
+    def row(self, n: Vector) -> tuple:
+        """r_n[t] = phi(n) - <m_t, n> over the cone monomials m_t, in the
+        type of the values, cached per integer vector n.  The exponent
+        of p in the height of a valuation profile is r_(n_p)[s], s the
+        cone of the archimedean vector; r_n >= 0 when phi is convex."""
+        r = self._rows.get(n)
+        if r is None:
+            phi = self(n)
+            r = self._rows[n] = tuple(
+                phi - sum(m * x for m, x in zip(mono, n))
+                for mono in self.monomials)
+        return r
+
+    @cached_property
+    def _integral(self) -> "PLFunction | None":
+        """This function with int values when lambda is integral, else
+        None: the kernel of exact heights."""
+        if all(type(v) is int for v in self.values):
+            return self
+        if all(v == int(v) for v in self.values):
+            return PLFunction(self.fan, tuple(int(v) for v in self.values))
+        return None
+
+    @cached_property
+    def _factors(self) -> dict:
+        """(p, n) -> p^(r_n[t]) for each cone t, exact, filled on first
+        use by profile_height."""
         return {}
 
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile
-        ((p, n_p), ...): prod_p p^(phi(n_p) - <m_sigma, n_p>), where sigma
-        is the cone of the archimedean vector -sum_p n_p log p.  A ray
-        coordinate -sum_p c_p log p of that vector is >= 0 iff
-        prod_p p^(c_p) <= 1, so sigma is found by exact sign tests.
-        Raises ValueError when an exponent is not an integer, which
-        integral lambda rules out."""
-        mono = self.monomials
+        ((p, n_p), ...): prod_p p^(phi(n_p)) exp(phi(-v)), v = sum_p n_p
+        log p, which is prod_p p^(r_(n_p)[s]) for s the cone of -v (see
+        row); the factors p^(r_n[t]) are cached per (p, n).  For convex
+        phi, phi(-v) = max_t <m_t, -v>, so the height is
+        max_t prod_p p^(r_(n_p)[t]): integer products, no cone search.
+        Otherwise s is the first cone whose ray coordinates of -v are all
+        >= 0, each decided by its float value and, within a relative
+        _WALL of 0, exactly: -sum_p c_p log p >= 0 iff prod_p p^(c_p) <= 1.
+        Raises ValueError unless lambda is integral."""
+        pl = self._integral
+        if pl is None:
+            raise ValueError("integral lambda required")
+        cache = pl._factors
+        factors = []
+        for p, n in support:
+            f = cache.get((p, n))
+            if f is None:
+                f = cache[p, n] = tuple(p ** e if e >= 0 else
+                                        Fraction(1, p ** -e)
+                                        for e in pl.row(n))
+            factors.append(f)
+        if pl.is_convex:
+            return Fraction(max(map(math.prod, zip(*factors)), default=1))
+        d = self.fan.dim
+        w = [0.0] * d       # -v
+        scale = [0.0] * d   # sum_p |n_p| log p, a bound on w's round-off
+        for p, n in support:
+            lp = math.log(p)
+            for k, x in enumerate(n):
+                w[k] -= x * lp
+                scale[k] += abs(x) * lp
         for s, inv in enumerate(self.fan.cone_inverses):
-            if all(_log_nonpositive(row, support) for row in inv):
+            if all(_coordinate_nonnegative(row, w, scale, support)
+                   for row in inv):
                 break
         else:
             raise FanValidationError("no cone contains the archimedean vector")
-        num = den = 1
-        for p, n in support:
-            t = self.cone_of.get(n)
-            if t is None:
-                t = self.cone_of[n] = self.locate(n)[0]
-            e = sum((a - b) * x for a, b, x in zip(mono[t], mono[s], n))
-            if e != int(e):
-                raise ValueError("integral lambda required")
-            e = int(e)
-            if e > 0:
-                num *= p ** e
-            elif e < 0:
-                den *= p ** -e
-        return Fraction(num, den)
+        return Fraction(math.prod(f[s] for f in factors))
+
+
+# relative margin of the float cone test of profile_height: a ray
+# coordinate of -v closer to 0 than _WALL times its scale is decided
+# exactly; the float error is a few ulps of the scale
+_WALL = 1e-9
+
+
+def _coordinate_nonnegative(row, w, scale, support) -> bool:
+    """Whether <row, w> >= 0 for w = -sum_p n_p log p, by its float value
+    away from 0 and exactly near it."""
+    c = sum(map(mul, row, w))
+    if abs(c) > _WALL * sum(map(mul, map(abs, row), scale)):
+        return c > 0
+    return _log_nonpositive(row, support)
 
 
 def _log_nonpositive(row, support) -> bool:

@@ -582,6 +582,12 @@ class TestFibration:
         assert doc["fibration"]["alpha"] == "1/6"
         assert doc["status"] == "ok"
 
+    def test_bound_past_the_count_table_refused(self, capsys):
+        assert run(["fibration", "zeta", "--n", "-3", "--B", "1e15"]) == 2
+        err = capsys.readouterr().err
+        assert "(B = 1e+15), over the limit of 10000000" in err
+        assert "B^L" not in err
+
     def test_constants_negative_twist(self, capsys):
         assert run(["fibration", "constants", "--n", "-1"]) == 2
 

@@ -38,6 +38,8 @@ from manin_toric.heights import global_height
 from manin_toric.latticefan import PLFunction, builtin_fan, make_fan
 from manin_toric.primes import factorize, totient_table
 
+from fan_oracles import disguise, projective_fan
+
 P1 = builtin_fan("p1")
 P2 = builtin_fan("p2")
 P1XP1 = builtin_fan("p1xp1")
@@ -610,35 +612,6 @@ class TestValidation:
         with pytest.raises(CountingError, match=r"1e\+300 entries "
                                                 r"\(B\^L = 10\^600\)"):
             count_points(P1, (Fraction(1, 2), Fraction(1, 2)), 1e300)
-
-
-def projective_fan(n):
-    """The fan of P^n: e_1, ..., e_n, -(e_1 + ... + e_n), every n of them
-    a maximal cone."""
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append((-1,) * n)
-    return make_fan(n, rays, itertools.combinations(range(n + 1), n))
-
-
-def disguise(fan, order, ops, flip):
-    """fan in another labelling and basis: ray m of the result is
-    A rays[order[m]], with A the product of the row operations
-    row_i += k row_j of ops (indices mod dim) and, if flip, the negation
-    of the first coordinate: a matrix of GL(Z)."""
-    d = fan.dim
-    A = [[int(i == j) for j in range(d)] for i in range(d)]
-    for i, j, k in ops:
-        i, j = i % d, j % d
-        if i != j:
-            A[i] = [a + k * b for a, b in zip(A[i], A[j])]
-    if flip:
-        A[0] = [-a for a in A[0]]
-    order = [m for m in order if m < len(fan.rays)]
-    where = {old: new for new, old in enumerate(order)}
-    rays = [tuple(sum(a * x for a, x in zip(row, fan.rays[old]))
-                  for row in A) for old in order]
-    cones = [[where[j] for j in cone] for cone in fan.max_cones]
-    return make_fan(d, rays, cones), order
 
 
 TORSOR_FANS = ([("P", n) for n in range(1, 5)]

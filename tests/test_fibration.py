@@ -25,6 +25,8 @@ from manin_toric.heights import (character_pairing, exact_height,
 from manin_toric.latticefan import builtin_fan
 from manin_toric.toric import alpha_constant, leading_constant
 
+from fan_oracles import cone_search_height
+
 
 class TestTorsorSpec:
     def test_defaults(self):
@@ -42,6 +44,11 @@ class TestTorsorSpec:
     def test_fractional_twist(self):
         with pytest.raises(FibrationError):
             TorsorSpec(1.5)
+
+    @pytest.mark.parametrize("twist", [math.inf, -math.inf, math.nan])
+    def test_non_finite_twist_refused(self, twist):
+        with pytest.raises(FibrationError, match="integer"):
+            TorsorSpec(twist)
 
     def test_integral_twist_stored_as_int(self):
         # a float twist would make every fiber height an inexact float
@@ -187,6 +194,21 @@ class TestFibrationZeta:
                 Counter(h for h, _t in points),
                 math.fsum(t for _h, t in points), len(points))
 
+    @pytest.mark.parametrize("n,lam", [(1, (1, 5, 1, 1)), (1, (2, 1, 3, 1)),
+                                       (3, (1, 1, 1, 1)), (3, (1, 5, 1, 1))])
+    def test_direct_matches_cone_search_oracle(self, n, lam):
+        # F_1 under the non-convex (1, 5, 1, 1) and the convex (2, 1, 3, 1),
+        # and F_3, whose cut rho is not convex: the multiset and the sum
+        # per signed point, from the oracle heights
+        fan, rho = hirzebruch_fan(n), (1, 1, 1, 1)
+        for B in (1, 60, 150):
+            points = [(cone_search_height(fan, rho, x.support),
+                       1.0 / float(cone_search_height(fan, lam, x.support)))
+                      for x in enumerate_bounded(fan, rho, B)]
+            assert direct_zeta_partial(fan, lam, B) == (
+                Counter(h for h, _t in points),
+                math.fsum(t for _h, t in points), len(points))
+
     @pytest.mark.parametrize("n,lam,a,B", [(0, (2, 2), 4, 300),
                                            (2, (1, 2), 2, 200),
                                            (2, (1, 2), 2, 1000)])
@@ -291,6 +313,37 @@ class TestFibrationZeta:
             fibration_zeta_partial(TorsorSpec(1), "rho", 2, 1e6)
         with pytest.raises(AssertionError, match="the loop started"):
             fibration_zeta_partial(TorsorSpec(1), "rho", 2, 1e4)
+
+    @pytest.mark.parametrize("mu,a,B,what", [
+        ("rho", 2, math.inf, "B must be finite"),
+        ("rho", 2, -math.inf, "B must be finite"),
+        ("rho", 2, math.nan, "B must be finite"),
+        ("rho", math.nan, 100, "alpha_base"),
+        ("rho", math.inf, 100, "alpha_base"),
+        ((1, math.nan), 2, 100, "fiber exponents"),
+        ((math.inf, 1), 2, 100, "fiber exponents")])
+    def test_non_finite_input_refused_before_any_work(self, monkeypatch, mu,
+                                                      a, B, what):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for name in ("_hirzebruch_counts", "base_points"):
+            monkeypatch.setattr(fibration, name, no_work)
+        with pytest.raises(FibrationError, match=what):
+            fibration_zeta_partial(TorsorSpec(1), mu, a, B)
+
+    @pytest.mark.parametrize("n", [-3, 0, 2])
+    def test_bound_past_the_count_table_refused(self, monkeypatch, n):
+        # from B = 10^14 on the Cox-coordinate count's own table is over
+        # the limit; the refusal is the fibration's, naming B
+        def no_count(*args):
+            raise AssertionError("the count started")
+
+        monkeypatch.setattr(fibration, "_hirzebruch_counts", no_count)
+        with pytest.raises(FibrationError, match=(
+                r"over 2 B points \(B = 1e\+15\), over the limit of "
+                r"10000000")):
+            fibration_zeta_partial(TorsorSpec(n), "rho", 2, 1e15)
 
     def test_bad_arguments(self):
         with pytest.raises(FibrationError):

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from manin_toric import latticefan
+from manin_toric.fibration import hirzebruch_fan
 from manin_toric.heights import exact_height, global_height, valuation_profile
 from manin_toric.latticefan import (
     Fan,
@@ -25,6 +27,8 @@ from manin_toric.latticefan import (
     validate_fan,
 )
 from manin_toric.ratlinalg import rank_fraction
+
+from fan_oracles import cone_search_height, disguise, projective_fan
 
 
 def test_builtin_fans_validate():
@@ -330,3 +334,97 @@ def test_kernel_exact_height_matches_global_height(data):
     assert h == pl.profile_height(valuation_profile(x).support)
     assert math.isclose(float(h), global_height(fan, pl.values, x),
                         rel_tol=1e-9)
+
+
+ORACLE_FANS = ([projective_fan(n) for n in range(1, 4)]
+               + [hirzebruch_fan(n) for n in range(5)])
+ORACLE_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(fan, lambda, support): a builtin-shaped fan in a random basis and
+    ray order, an integral lambda, convex or not, and a valuation profile,
+    for half of the draws with -v on a wall: every n_p an integer
+    combination of the rays of one cone but one, so the coordinate of -v
+    on the ray left out is exactly 0."""
+    base = draw(st.sampled_from(ORACLE_FANS))
+    fan, _order = disguise(
+        base, draw(st.permutations(range(len(base.rays)))),
+        draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.integers(-2, 2)), max_size=3)),
+        draw(st.booleans()))
+    lam = tuple(draw(st.integers(1, 6)) for _ in fan.rays)
+    primes = draw(st.lists(st.sampled_from(ORACLE_PRIMES), min_size=1,
+                           max_size=4, unique=True))
+    d = fan.dim
+    if d > 1 and draw(st.booleans()):
+        cone = draw(st.sampled_from(fan.max_cones))
+        skip = draw(st.integers(0, d - 1))
+        face = [fan.rays[j] for i, j in enumerate(cone) if i != skip]
+        coeffs = st.lists(st.integers(-3, 3), min_size=d - 1,
+                          max_size=d - 1)
+        vecs = [tuple(sum(a * r[k] for a, r in zip(draw(coeffs), face))
+                      for k in range(d)) for _ in primes]
+    else:
+        vecs = [tuple(draw(st.lists(st.integers(-4, 4), min_size=d,
+                                    max_size=d))) for _ in primes]
+    support = tuple((p, n) for p, n in sorted(zip(primes, vecs)) if any(n))
+    return fan, lam, support
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(oracle_cases())
+# F_1 under the non-convex (1, 5, 1, 1): -v = 2 log 2 (-1, 1) on the wall
+# of cones 1 and 2, and the anchor point (3/2, 5)
+@example((builtin_fan("hirzebruch-1"), (1, 5, 1, 1), ((2, (2, -2)),)))
+@example((builtin_fan("hirzebruch-1"), (1, 5, 1, 1),
+          ((2, (-1, 0)), (3, (1, 0)), (5, (0, 1)))))
+# -v = log 12 (1, 0) on the wall of F_2's cones 0 and 3
+@example((builtin_fan("hirzebruch-2"), (1, 1, 1, 3),
+          ((2, (-2, 0)), (3, (-1, 0)))))
+def test_profile_height_matches_cone_search(case):
+    fan, lam, support = case
+    pl = PLFunction(fan, lam)
+    h = pl.profile_height(support)
+    assert h == cone_search_height(fan, lam, support)
+    assert isinstance(h, Fraction)
+    # the rows are what the cone search reads off the cone of each n_p
+    for _p, n in support:
+        t = pl.locate(n)[0]
+        assert pl.row(n) == tuple(
+            sum((a - b) * x for a, b, x in zip(pl.monomials[t], mono, n))
+            for mono in pl.monomials)
+    if pl.is_convex:
+        assert all(x >= 0 for _p, n in support for x in pl.row(n))
+
+
+def test_profile_height_on_a_wall_decided_exactly(monkeypatch):
+    # -v = 2 log 2 (-1, 1) on the ray (-1, 1) of F_1: the float test of
+    # the coordinate that vanishes there falls back to integers
+    calls = []
+    real = latticefan._log_nonpositive
+    monkeypatch.setattr(latticefan, "_log_nonpositive",
+                        lambda row, support: calls.append(row)
+                        or real(row, support))
+    fan = builtin_fan("hirzebruch-1")
+    support = ((2, (2, -2)),)
+    assert (PLFunction(fan, (1, 5, 1, 1)).profile_height(support)
+            == cone_search_height(fan, (1, 5, 1, 1), support))
+    assert calls
+    # away from every wall the floats decide alone
+    calls.clear()
+    support = ((2, (-1, 0)), (3, (1, 0)), (5, (0, 1)))
+    assert PLFunction(fan, (1, 5, 1, 1)).profile_height(support) == 421875
+    assert calls == []
+
+
+def test_profile_height_lambda_types():
+    fan = builtin_fan("hirzebruch-1")
+    support = ((2, (-1, 0)), (3, (1, 0)), (5, (0, 1)))
+    for lam in ((1.0, 5.0, 1.0, 1.0), (Fraction(1), 5, 1, Fraction(1))):
+        assert PLFunction(fan, lam).profile_height(support) == 421875
+    with pytest.raises(ValueError, match="integral"):
+        PLFunction(fan, (Fraction(1, 2), 5, 1, 1)).profile_height(support)
+    with pytest.raises(ValueError, match="integral"):
+        PLFunction(builtin_fan("p1"), (Fraction(1, 2), 1)).profile_height(())
