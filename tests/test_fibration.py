@@ -334,7 +334,7 @@ class TestFibrationZeta:
 
     @pytest.mark.parametrize("n", [-3, 0, 2])
     def test_bound_past_the_count_table_refused(self, monkeypatch, n):
-        # from B = 10^14 on the Cox-coordinate count's own table is over
+        # above about B = 10^14 the Cox-coordinate count's own table is over
         # the limit; the refusal is the fibration's, naming B
         def no_count(*args):
             raise AssertionError("the count started")
