@@ -199,13 +199,14 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
         raise FibrationError(f"the bound B must be finite, got {B}") from None
     if Bq >= 1:
         # past B = 10^14 the count's own table is over the limit, and the
-        # base height 1 alone has about 2.4 B points
+        # base height 1 alone has about 2.4 B points, so over 2 B in all
         total = (_hirzebruch_counts(abs(n), 1, [Bq])[0]
                  if isqrt(int(Bq)) <= _MAX_TABLE else math.inf)
         if total > _MAX_TABLE:
+            count = (total if total < math.inf
+                     else f"over {_magnitude(2 * Bq)}")
             raise FibrationError(
-                f"the fibration loop would visit "
-                f"{total if total < math.inf else 'over 2 B'} points "
+                f"the fibration loop would visit {count} points "
                 f"(B = {_magnitude(Bq)}), over the limit of {_MAX_TABLE}")
     base_rows = []
     height_counts = Counter()

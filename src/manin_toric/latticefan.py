@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from operator import mul
 from typing import Sequence
 
 from .ratlinalg import det_fraction, solve_fraction
@@ -242,77 +241,42 @@ class PLFunction:
                 for mono in self.monomials)
         return r
 
-    @cached_property
-    def _integral(self) -> "PLFunction | None":
-        """This function with int values when lambda is integral, else
-        None: the kernel of exact heights."""
-        if all(type(v) is int for v in self.values):
-            return self
-        if all(v == int(v) for v in self.values):
-            return PLFunction(self.fan, tuple(int(v) for v in self.values))
-        return None
-
-    @cached_property
-    def _factors(self) -> dict:
-        """(p, n) -> p^(r_n[t]) for each cone t, exact, filled on first
-        use by profile_height."""
-        return {}
-
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile
         ((p, n_p), ...): prod_p p^(phi(n_p)) exp(phi(-v)), v = sum_p n_p
         log p, which is prod_p p^(r_(n_p)[s]) for s the cone of -v (see
-        row); the factors p^(r_n[t]) are cached per (p, n).  For convex
-        phi, phi(-v) = max_t <m_t, -v>, so the height is
-        max_t prod_p p^(r_(n_p)[t]): integer products, no cone search.
-        Otherwise s is the first cone whose ray coordinates of -v are all
-        >= 0, each decided by its float value and, within a relative
-        _WALL of 0, exactly: -sum_p c_p log p >= 0 iff prod_p p^(c_p) <= 1.
-        Raises ValueError unless lambda is integral."""
-        pl = self._integral
-        if pl is None:
-            raise ValueError("integral lambda required")
-        cache = pl._factors
-        factors = []
-        for p, n in support:
-            f = cache.get((p, n))
-            if f is None:
-                f = cache[p, n] = tuple(p ** e if e >= 0 else
-                                        Fraction(1, p ** -e)
-                                        for e in pl.row(n))
-            factors.append(f)
-        if pl.is_convex:
-            return Fraction(max(map(math.prod, zip(*factors)), default=1))
-        d = self.fan.dim
-        w = [0.0] * d       # -v
-        scale = [0.0] * d   # sum_p |n_p| log p, a bound on w's round-off
-        for p, n in support:
-            lp = math.log(p)
-            for k, x in enumerate(n):
-                w[k] -= x * lp
-                scale[k] += abs(x) * lp
+        row).  For convex phi, phi(-v) = max_t <m_t, -v>, so the height
+        is max_t prod_p p^(r_(n_p)[t]): integer products, no cone search.
+        Otherwise s is found by exact sign tests: a ray coordinate
+        -sum_p c_p log p of -v is >= 0 iff prod_p p^(c_p) <= 1.
+        Raises ValueError when a row entry is not an integer, which
+        integral lambda rules out."""
+        rows = [(p, self.row(n)) for p, n in support]
+        if not all(type(v) is int for v in self.values):
+            if any(e != int(e) for _p, r in rows for e in r):
+                raise ValueError("integral lambda required")
+            rows = [(p, tuple(map(int, r))) for p, r in rows]
+        if self.is_convex:
+            best = 0
+            for t in range(len(self.monomials)):
+                h = 1
+                for p, r in rows:
+                    h *= p ** r[t]
+                if h > best:
+                    best = h
+            return Fraction(best)
         for s, inv in enumerate(self.fan.cone_inverses):
-            if all(_coordinate_nonnegative(row, w, scale, support)
-                   for row in inv):
+            if all(_log_nonpositive(row, support) for row in inv):
                 break
         else:
             raise FanValidationError("no cone contains the archimedean vector")
-        return Fraction(math.prod(f[s] for f in factors))
-
-
-# relative margin of the float cone test of profile_height: a ray
-# coordinate of -v closer to 0 than _WALL times its scale is decided
-# exactly; the float error is a few ulps of the scale
-_WALL = 1e-9
-
-
-def _coordinate_nonnegative(row, w, scale, support) -> bool:
-    """Whether <row, w> >= 0 for w = -sum_p n_p log p, by its float value
-    away from 0 and exactly near it."""
-    c = sum(map(mul, row, w))
-    if abs(c) > _WALL * sum(map(mul, map(abs, row), scale)):
-        return c > 0
-    return _log_nonpositive(row, support)
+        num = den = 1
+        for p, r in rows:
+            if r[s] > 0:
+                num *= p ** r[s]
+            elif r[s] < 0:
+                den *= p ** -r[s]
+        return Fraction(num, den)
 
 
 def _log_nonpositive(row, support) -> bool:

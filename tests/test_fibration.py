@@ -341,7 +341,7 @@ class TestFibrationZeta:
 
         monkeypatch.setattr(fibration, "_hirzebruch_counts", no_count)
         with pytest.raises(FibrationError, match=(
-                r"over 2 B points \(B = 1e\+15\), over the limit of "
+                r"over 2e\+15 points \(B = 1e\+15\), over the limit of "
                 r"10000000")):
             fibration_zeta_partial(TorsorSpec(n), "rho", 2, 1e15)
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manin_toric import latticefan
 from manin_toric.fibration import hirzebruch_fan
 from manin_toric.heights import exact_height, global_height, valuation_profile
 from manin_toric.latticefan import (
@@ -399,26 +398,6 @@ def test_profile_height_matches_cone_search(case):
         assert all(x >= 0 for _p, n in support for x in pl.row(n))
 
 
-def test_profile_height_on_a_wall_decided_exactly(monkeypatch):
-    # -v = 2 log 2 (-1, 1) on the ray (-1, 1) of F_1: the float test of
-    # the coordinate that vanishes there falls back to integers
-    calls = []
-    real = latticefan._log_nonpositive
-    monkeypatch.setattr(latticefan, "_log_nonpositive",
-                        lambda row, support: calls.append(row)
-                        or real(row, support))
-    fan = builtin_fan("hirzebruch-1")
-    support = ((2, (2, -2)),)
-    assert (PLFunction(fan, (1, 5, 1, 1)).profile_height(support)
-            == cone_search_height(fan, (1, 5, 1, 1), support))
-    assert calls
-    # away from every wall the floats decide alone
-    calls.clear()
-    support = ((2, (-1, 0)), (3, (1, 0)), (5, (0, 1)))
-    assert PLFunction(fan, (1, 5, 1, 1)).profile_height(support) == 421875
-    assert calls == []
-
-
 def test_profile_height_lambda_types():
     fan = builtin_fan("hirzebruch-1")
     support = ((2, (-1, 0)), (3, (1, 0)), (5, (0, 1)))
@@ -426,5 +405,11 @@ def test_profile_height_lambda_types():
         assert PLFunction(fan, lam).profile_height(support) == 421875
     with pytest.raises(ValueError, match="integral"):
         PLFunction(fan, (Fraction(1, 2), 5, 1, 1)).profile_height(support)
+    # half-integral values whose rows are integral: the exponents decide
+    p1 = builtin_fan("p1")
+    for lam in ((Fraction(1, 2), Fraction(1, 2)), (0.5, 1.5)):
+        for support in ((), ((3, (1,)),), ((2, (-2,)), (3, (1,)))):
+            h = PLFunction(p1, lam).profile_height(support)
+            assert h == cone_search_height(p1, lam, support)
     with pytest.raises(ValueError, match="integral"):
-        PLFunction(builtin_fan("p1"), (Fraction(1, 2), 1)).profile_height(())
+        PLFunction(p1, (Fraction(1, 2), 1)).profile_height(((3, (1,)),))
