@@ -43,13 +43,21 @@ class CountingError(ValueError):
     pass
 
 
+def _exact(x, what: str) -> Fraction:
+    """x as an exact Fraction; a non-finite x is refused, named as what."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):   # inf, nan
+        raise CountingError(f"{what} must be finite, got {x}") from None
+
+
 def _lambda_ints(fan: Fan, lam):
     """Scale lambda to a positive integer vector; heights obey
     H_scaled = H^L, so bounds scale as B^L exactly."""
     values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
     if len(values) != len(fan.rays):
         raise CountingError("one lambda value per ray required")
-    fracs = [Fraction(v) for v in values]
+    fracs = [_exact(v, "lambda") for v in values]
     if any(v <= 0 for v in fracs):
         raise CountingError("lambda must be positive on every ray; "
                             "the count is infinite otherwise")
@@ -77,27 +85,53 @@ def _candidates(pl: PLFunction, kmax: int):
     sorted by phi then lexicographically; pairings = pl.pairings(n), what
     n adds per unit of log p to the vector the DFS carries, and s is the
     first vertex m_s of P_lambda where <m_s, n> is smallest (for convex
-    phi, the cone of -n)."""
+    phi, the cone of -n).  Requires int values.
+
+    Each maximal cone adds the points sum_i a_i e_i of its rays with
+    sum_i a_i lambda_i <= kmax, a simplex grown one ray at a time, never
+    the box of all a_i <= kmax / lambda_i; a point on a shared face comes
+    from several cones, with one phi, and one copy is kept.  When every
+    vertex is an int and the pairings fit in int64 they are one integer
+    matrix product, converted to float as pl.pairings converts its exact
+    sums; otherwise pl.pairings gives them."""
     fan = pl.fan
     d = fan.dim
-    found = {}
+    rays = np.array(fan.rays, dtype=np.int64)
+    phis, ns = [], []
     for cone in fan.max_cones:
-        lams = [pl.values[j] for j in cone]
-        rays = [fan.rays[j] for j in cone]
-        bounds = [kmax // l for l in lams]
-        for coords in _iproduct(*(range(b + 1) for b in bounds)):
-            phi = sum(a * l for a, l in zip(coords, lams))
-            if phi == 0 or phi > kmax:
-                continue
-            n = tuple(sum(a * rays[i][k] for i, a in enumerate(coords))
-                      for k in range(d))
-            found.setdefault(n, phi)
-    out = []
-    for phi, n in sorted((phi, n) for n, phi in found.items()):
-        P = pl.pairings(n)
-        s = min(range(len(P)), key=P.__getitem__)
-        out.append((phi, n, P, s))
-    return out
+        phi = np.zeros(1, dtype=np.int64)   # row 0 stays the origin
+        n = np.zeros((1, d), dtype=np.int64)
+        for j in cone:
+            # a lambda above kmax allows a = 0 only, as kmax + 1 does
+            lam = min(pl.values[j], kmax + 1)
+            counts = (kmax - phi) // lam + 1   # a = 0 .. counts - 1
+            parent = np.repeat(np.arange(len(phi)), counts)
+            a = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+            phi = phi[parent] + a * lam
+            n = n[parent] + a[:, None] * rays[j]
+        phis.append(phi[1:])
+        ns.append(n[1:])
+    phi = np.concatenate(phis)
+    n = np.concatenate(ns)
+    order = np.lexsort([*n.T[::-1], phi])   # by phi, then n
+    phi, n = phi[order], n[order]
+    keep = np.ones(len(phi), dtype=bool)
+    keep[1:] = (n[1:] != n[:-1]).any(axis=1)
+    phi, n = phi[keep], n[keep]
+    vecs = list(zip(*n.T.tolist()))
+    V = pl.vertices
+    top = max(abs(x) for v in V for x in v)
+    # |<m_t, n>| <= d max|m_t| max|n| and max|n| <= kmax max|e_j|
+    if (all(type(x) is int for v in V for x in v)
+            and d * top * kmax * int(np.abs(rays).max()) < 2 ** 63):
+        P = n @ np.array(V, dtype=np.int64).T
+        s = P.argmin(axis=1).tolist()
+        P = list(zip(*P.T.astype(float).tolist()))
+    else:
+        P = [pl.pairings(v) for v in vecs]
+        s = [min(range(len(x)), key=x.__getitem__) for x in P]
+    return list(zip(phi.tolist(), vecs, P, s))
 
 
 def _lex_positive(n) -> bool:
@@ -322,10 +356,12 @@ def _add_stats(into: dict, part: dict) -> None:
         into[key] = into.get(key, 0) + n
 
 
-def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
+def _count_general(fan: Fan, lam, Bqs, *, halve: bool,
                    visitor=None, stats=None):
-    """DFS engine for any dimension.  One pass, sized by the largest of
-    the ascending bounds Bqs (all >= 1), serves them all: each accepted
+    """DFS engine for any dimension, for lam the scaled integer lambda
+    or a PLFunction with those int values, whose cached vertices and rows
+    the walk then shares with its caller.  One pass, sized by the largest
+    of the ascending bounds Bqs (all >= 1), serves them all: each accepted
     profile goes to the bin of the first bound it satisfies, and the
     visitor, if any, gets its stack ((p, n_p), ...), weight, bin index
     and carried vector (below; a fresh list, never mutated after the
@@ -367,9 +403,17 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
     logB = logBs[-1]
     intB = math.floor(Bqs[-1])
     kmax = intB.bit_length() - 1   # max phi with 2^phi <= B
-    pl = PLFunction(fan, lam_ints)
+    pl = lam if isinstance(lam, PLFunction) else PLFunction(fan, lam)
+    # the least phi of a candidate (kmax + 1: none), known before the
+    # table, so an oversized sieve is refused before the table is built
+    c_min = min(*pl.values, kmax + 1)
+    prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
+    if prime_limit > _MAX_SIEVE:
+        raise CountingError(
+            f"enumeration would sieve the primes up to {prime_limit} "
+            f"(B^L = {_magnitude(Bqs[-1])}), over the limit of {_MAX_SIEVE}")
     convex = pl.is_convex
-    cands = _candidates(pl, kmax) if kmax >= 1 else []
+    cands = _candidates(pl, kmax) if kmax >= c_min else []
     half_cands = [c for c in cands if _lex_positive(c[1])] if halve else cands
 
     def stop_rates(table):
@@ -385,12 +429,6 @@ def _count_general(fan: Fan, lam_ints, Bqs, *, halve: bool,
 
     rates = stop_rates(cands)
     half_rates = stop_rates(half_cands) if halve else rates
-    c_min = cands[0][0] if cands else 1
-    prime_limit = int(math.exp(min((logB + _MARGIN) / c_min, 45.0))) + 1
-    if prime_limit > _MAX_SIEVE:
-        raise CountingError(
-            f"enumeration would sieve the primes up to {prime_limit} "
-            f"(B^L = {_magnitude(Bqs[-1])}), over the limit of {_MAX_SIEVE}")
     primes = [int(p) for p in primes_up_to(prime_limit)]
     logs = [math.log(p) for p in primes]
     nprimes = len(primes)
@@ -479,7 +517,7 @@ def _count_grid(fan: Fan, lam, bounds, stats=None):
     shape = _cox_shape(fan)
     if shape is not None and shape[0] == "F" and len(set(lam_ints)) > 1:
         shape = None
-    Bs = [Fraction(B) for B in bounds]
+    Bs = [_exact(B, "the bound B") for B in bounds]
     low = bisect_left(Bs, 1)
     Bqs = [B ** L for B in Bs[low:]]
     if not Bqs:
@@ -501,23 +539,32 @@ def count_points(fan: Fan, lam, B) -> int:
     return _count_grid(fan, lam, [B])[1][0]
 
 
-def enumerate_bounded(fan: Fan, lam, B):
+def enumerate_bounded(fan: Fan, lam, B, stats=None):
     """Yield every point of height at most B as a ValuationProfile,
-    signs expanded: the 2^d sign copies of each signless profile in a
-    row."""
+    signs expanded: first the unit profile's 2^d sign copies, then each
+    signless profile's 2^d copies in a row, in the walk's order.  A
+    PLFunction lam with int values is walked as it is, sharing its
+    cached vertices and rows with the caller.  The walk runs on the first
+    item and adds its _STATS counts into stats, a dict, if given (B >= 1
+    only)."""
     lam_ints, L = _lambda_ints(fan, lam)
+    Bq = _exact(B, "the bound B")
+    if (isinstance(lam, PLFunction) and lam.fan == fan
+            and all(type(v) is int for v in lam.values)):
+        lam_ints = lam   # the same values, L = 1
     d = fan.dim
     collected = []
-    if Fraction(B) >= 1:
-        _count_general(fan, lam_ints, [Fraction(B) ** L], halve=False,
-                       visitor=lambda stack, *_: collected.append(stack))
+    if Bq >= 1:
+        _count_general(fan, lam_ints, [Bq ** L], halve=False,
+                       visitor=lambda stack, *_: collected.append(stack),
+                       stats=stats)
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
-            yield ValuationProfile(dim=d, support=(), signs=signs)
+            yield ValuationProfile(d, (), signs)
         for stack in collected:
             support = tuple(sorted(stack))
             for signs in sign_box:
-                yield ValuationProfile(dim=d, support=support, signs=signs)
+                yield ValuationProfile(d, support, signs)
 
 
 @dataclass
@@ -546,7 +593,7 @@ def count_N(fan: Fan, lam, bounds, pmax: int = 100000) -> CountReport:
     count or one enumeration at the largest, with the main-term prediction
     Theta*B*(log B)^(b-1)/(b-1)! attached."""
     lam_values = lam.values if isinstance(lam, PLFunction) else tuple(lam)
-    bs = sorted(float(b) for b in bounds)
+    bs = sorted(float(_exact(b, "the bound B")) for b in bounds)
     lc = leading_constant(fan, pmax=pmax)
     stats = dict.fromkeys(_STATS, 0)
     engine, counts = _count_grid(fan, lam, bs, stats=stats)
@@ -710,10 +757,10 @@ def _zeta_partials(fan: Fan, lam, Bs, stats=None):
     given.  Either way each bound's value is the exactly rounded sum of
     its terms, real and imaginary parts apart."""
     vals = _zeta_lambda(fan, lam)
+    Bqs = [_exact(B, "the bound B") for B in Bs]
     shape = _cox_shape(fan)
     if shape is None or shape[0] == "F" and shape[1] > 0:
         return "dfs", _zeta_walk(fan, lam, Bs, stats)
-    Bqs = [Fraction(B) for B in Bs]
     Bqs = Bqs[bisect_left(Bqs, 1):]   # bounds below 1 admit no point
     if not Bqs:
         sums = []

@@ -16,9 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain, islice
 from math import gcd, isqrt
-from operator import attrgetter
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
 from .counting import (_MAX_TABLE, _check_table, _complex_fsum,
@@ -158,7 +157,9 @@ class FibrationZeta:
     """Truncated height zeta of the torsor total space.
 
     height_counts maps each anticanonical height value, kept exact so two
-    pipelines can be compared literally, to its number of points.
+    pipelines can be compared literally (an int where integral, a
+    Fraction otherwise, as direct_zeta_partial keys them), to its number
+    of points.
     tail_estimate extrapolates the last octave geometrically; infinity
     when the octave sums do not decay."""
 
@@ -239,6 +240,8 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
                 else:
                     total_height = H1 * H1 * S * u * u
                     hf = u ** (mu1 + mu2) * S ** mu2
+                if total_height.denominator == 1:   # int keys, as direct
+                    total_height = total_height.numerator
                 # both signs of the fiber coordinate, same heights
                 summand = 2.0 * (base_factor / hf)
                 fiber_counts[total_height] += 2
@@ -279,23 +282,29 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
     )
 
 
-def direct_zeta_partial(fan: Fan, lam, B):
+def direct_zeta_partial(fan: Fan, lam, B, stats=None):
     """Exact enumeration reference: the anticanonical heights of the torus
-    points of the fan, each with its number of points, the corresponding
-    sum of H_lam^-1, and the number of points."""
+    points of the fan, each with its number of points (keyed by its int
+    when integral, as FibrationZeta.height_counts is), the corresponding
+    sum of H_lam^-1, and the number of points.  The walk's counts are
+    added into stats, a dict, if given (see counting.enumerate_bounded).
+
+    One PLFunction of rho serves the walk and the heights.  The 2^d sign
+    copies of a profile come in a row, and heights do not depend on
+    signs, so each run is read once, at its first copy: its count is
+    2^d and its term is scaled by 2^d, which is exact, so fsum gives the
+    same bits."""
     rho = (1,) * len(fan.rays)
     pl_rho = PLFunction(fan, rho)
     pl_lam = pl_rho if tuple(lam) == rho else PLFunction(fan, tuple(lam))
+    run = 2 ** fan.dim
     height_counts = Counter()
     terms = []
-    # the 2^d sign copies of a profile come in a row, and heights do not
-    # depend on signs: count them once per signless profile, its term
-    # scaled by 2^d, which is exact, so fsum gives the same bits
-    for _support, copies in groupby(enumerate_bounded(fan, rho, B),
-                                    attrgetter("support")):
-        prof, *rest = copies
-        run = 1 + len(rest)
+    for prof in islice(enumerate_bounded(fan, pl_rho, B, stats=stats),
+                       None, None, run):
         hcut = exact_height(fan, pl_rho, prof)
+        if hcut.denominator == 1:
+            hcut = hcut.numerator
         hsum = hcut if pl_lam is pl_rho else exact_height(fan, pl_lam, prof)
         height_counts[hcut] += run
         terms.append(run * (1.0 / float(hsum)))

@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .latticefan import Fan, PLFunction
 from .primes import factorize
@@ -21,9 +22,11 @@ from .primes import factorize
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Finite-place order vectors and signs of a point of (Q*)^d."""
+class ValuationProfile(NamedTuple):
+    """Finite-place order vectors and signs of a point of (Q*)^d.
+
+    Immutable, hashed and compared by value; a named tuple, so the
+    enumeration builds one per point cheaply."""
 
     dim: int
     support: tuple    # ((p, order vector), ...) by ascending prime

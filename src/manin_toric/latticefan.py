@@ -241,6 +241,10 @@ class PLFunction:
                 for mono in self.monomials)
         return r
 
+    @cached_property
+    def _int_valued(self) -> bool:
+        return all(type(v) is int for v in self.values)
+
     def profile_height(self, support) -> Fraction:
         """Exact height of the point with valuation profile
         ((p, n_p), ...): prod_p p^(phi(n_p)) exp(phi(-v)), v = sum_p n_p
@@ -250,9 +254,10 @@ class PLFunction:
         Otherwise s is found by exact sign tests: a ray coordinate
         -sum_p c_p log p of -v is >= 0 iff prod_p p^(c_p) <= 1.
         Raises ValueError when a row entry is not an integer, which
-        integral lambda rules out."""
+        integral lambda rules out; int values, the common case, need no
+        check or conversion."""
         rows = [(p, self.row(n)) for p, n in support]
-        if not all(type(v) is int for v in self.values):
+        if not self._int_valued:
             if any(e != int(e) for _p, r in rows for e in r):
                 raise ValueError("integral lambda required")
             rows = [(p, tuple(map(int, r))) for p, r in rows]

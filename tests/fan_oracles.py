@@ -73,3 +73,30 @@ def cone_search_height(fan, lam, support):
         elif e < 0:
             den *= p ** -e
     return Fraction(num, den)
+
+
+def candidates_table(pl, kmax):
+    """The DFS candidate table of counting._candidates, in plain Python:
+    every n != 0 with phi(n) <= kmax, from the full box of ray coordinates
+    of each maximal cone, as (phi, n, pl.pairings(n), s) sorted by phi
+    then n, s the first index of the least pairing."""
+    fan = pl.fan
+    d = fan.dim
+    found = {}
+    for cone in fan.max_cones:
+        lams = [pl.values[j] for j in cone]
+        rays = [fan.rays[j] for j in cone]
+        bounds = [kmax // lam for lam in lams]
+        for coords in itertools.product(*(range(b + 1) for b in bounds)):
+            phi = sum(a * lam for a, lam in zip(coords, lams))
+            if phi == 0 or phi > kmax:
+                continue
+            n = tuple(sum(a * rays[i][k] for i, a in enumerate(coords))
+                      for k in range(d))
+            found.setdefault(n, phi)
+    out = []
+    for phi, n in sorted((phi, n) for n, phi in found.items()):
+        P = pl.pairings(n)
+        s = min(range(len(P)), key=P.__getitem__)
+        out.append((phi, n, P, s))
+    return out

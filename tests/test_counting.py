@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from manin_toric.heights import global_height
 from manin_toric.latticefan import PLFunction, builtin_fan, make_fan
 from manin_toric.primes import factorize, totient_table
 
-from fan_oracles import disguise, projective_fan
+from fan_oracles import candidates_table, disguise, projective_fan
 
 P1 = builtin_fan("p1")
 P2 = builtin_fan("p2")
@@ -607,6 +608,38 @@ class TestValidation:
             count_points(fan, (1,) * len(fan.rays), 1e30)
         assert built == []
 
+    def test_oversized_sieve_refused_before_the_table(self, monkeypatch):
+        # on a fan no Cox-coordinate count knows, B = 10^100 would build a
+        # candidate table of about 10^8 rows per cone before the sieve
+        # check; the check comes first
+        fan = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+                       [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        monkeypatch.setattr(counting, "_candidates", None)
+        with pytest.raises(CountingError, match="sieve the primes"):
+            count_points(fan, (1,) * 5, 10 ** 100)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_refused(self, bad):
+        what = rf"the bound B must be finite, got {bad}"
+        with pytest.raises(CountingError, match=what):
+            count_points(P1, (1, 1), bad)
+        with pytest.raises(CountingError, match=what):
+            count_N(P2, (1, 1, 1), [10, bad])
+        with pytest.raises(CountingError, match=what):
+            list(enumerate_bounded(P2, (1, 1, 1), bad))
+        with pytest.raises(CountingError, match=what):
+            zeta_partial(P1XP1, (2, 2, 2, 2), bad)
+        with pytest.raises(CountingError, match=what):
+            zeta_partial(F1, (2, 2, 2, 2), bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_lambda_refused(self, bad):
+        what = rf"lambda must be finite, got {bad}"
+        with pytest.raises(CountingError, match=what):
+            counting._lambda_ints(P1, (1, bad))
+        with pytest.raises(CountingError, match=what):
+            count_points(P2, (1, bad, 1), 10)
+
     def test_table_limit_beyond_the_float_range(self):
         # B^L = 10^600 has no float; the message still names it
         with pytest.raises(CountingError, match=r"1e\+300 entries "
@@ -1035,3 +1068,119 @@ def test_enumerate_agrees_with_global_height():
         assert pts
         for pt in pts:
             assert global_height(fan, lam, pt) <= B * (1 + 1e-9)
+
+
+def same_table(got, want):
+    """Equal lists whose entries have the same types, down to the entries
+    of n and of the pairings."""
+    assert got == want
+    for g, w in zip(got, want):
+        assert list(map(type, g)) == list(map(type, w))
+        assert list(map(type, g[1] + g[2])) == list(map(type, w[1] + w[2]))
+
+
+CANDIDATE_FANS = ([("P", n) for n in range(1, 4)]
+                  + [("F", n) for n in range(5)])
+
+
+class TestCandidates:
+    """counting._candidates, a numpy table, against the plain-Python
+    table of fan_oracles, which walks the full box of each cone."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None,
+              database=None)
+    @given(shape=st.sampled_from(CANDIDATE_FANS),
+           order=st.permutations(range(4)),
+           ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                  st.integers(-2, 2)), max_size=3),
+           flip=st.booleans(),
+           lam=st.tuples(*[st.integers(1, 4)] * 4),
+           kmax=st.integers(1, 15))
+    # float vertices: non-convex rho on F_3, (1, 2, 2, 1) on F_2
+    @example(shape=("F", 3), order=range(4), ops=[], flip=False,
+             lam=(1, 1, 1, 1), kmax=15)
+    @example(shape=("F", 2), order=range(4), ops=[], flip=False,
+             lam=(1, 2, 2, 1), kmax=9)
+    def test_matches_the_python_table(self, shape, order, ops, flip, lam,
+                                      kmax):
+        kind, n = shape
+        base = projective_fan(n) if kind == "P" else hirzebruch_fan(n)
+        fan, order = disguise(base, order, ops, flip)
+        pl = PLFunction(fan, lam[:len(fan.rays)])
+        same_table(counting._candidates(pl, kmax), candidates_table(pl, kmax))
+
+    def test_float_vertices_take_the_python_pairings(self):
+        for fan, lam in ((F3, (1, 1, 1, 1)), (F2, (1, 2, 2, 1))):
+            pl = PLFunction(fan, lam)
+            assert any(type(x) is float for v in pl.vertices for x in v)
+            assert not pl.is_convex
+            same_table(counting._candidates(pl, 12),
+                       candidates_table(pl, 12))
+
+    def test_no_box_per_cone(self):
+        # the cone of e_1..e_4 with lambda 1 holds C(43, 4) = 123,410
+        # points of phi <= 39 and a box of 40^4; the fifth ray's lambda
+        # is above kmax, so the other cones add nothing new.  A box of
+        # int64 coordinates would take 40^4 * 4 * 8 bytes = 82 MB beyond
+        # the table itself
+        kmax = 39
+        pl = PLFunction(projective_fan(4), (1, 1, 1, 1, kmax + 1))
+        pl.vertices
+        tracemalloc.start()
+        try:
+            table = counting._candidates(pl, kmax)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == math.comb(kmax + 4, 4) - 1
+        assert peak - held < (kmax + 1) ** 4 * 4 * 8 / 2
+
+
+class TestEnumerationContracts:
+    """What direct_zeta_partial relies on when it reads one profile per
+    run of sign copies and shares its PLFunction with the walk."""
+
+    @pytest.mark.parametrize("fan,lam,B", [
+        (P1, (1, 1), 300), (P2, (1, 1, 1), 200), (F1, (1, 5, 1, 1), 150),
+        (F3, (1, 1, 1, 1), 150), (P3, (1, 2, 1, 1), 100)])
+    def test_sign_copies_in_a_row(self, fan, lam, B):
+        profiles = list(enumerate_bounded(fan, lam, B))
+        d = fan.dim
+        signs = list(itertools.product((1, -1), repeat=d))
+        assert len(profiles) % 2 ** d == 0
+        runs = [profiles[i:i + 2 ** d]
+                for i in range(0, len(profiles), 2 ** d)]
+        assert [p.support for p in runs[0]] == [()] * 2 ** d
+        for run in runs:
+            assert len({p.support for p in run}) == 1
+            assert [p.signs for p in run] == signs
+        assert len({run[0].support for run in runs}) == len(runs)
+
+    @pytest.mark.parametrize("fan,lam", [(F1, (1, 1, 1, 1)),
+                                         (F3, (1, 1, 1, 1)),
+                                         (F1, (1, 5, 1, 1)),
+                                         (P2, (2, 1, 3))])
+    def test_plfunction_walks_as_the_tuple(self, fan, lam):
+        pl = PLFunction(fan, lam)
+        tuple_stats, pl_stats = {}, {}
+        assert list(enumerate_bounded(fan, pl, 200, stats=pl_stats)) == list(
+            enumerate_bounded(fan, lam, 200, stats=tuple_stats))
+        assert pl_stats == tuple_stats
+        # the walk used the caller's function: its vertices are cached
+        assert "vertices" in vars(pl)
+
+    def test_walk_stats(self):
+        # the counts of the walk behind direct_zeta_partial on F_0 at
+        # B = 150, the same before and after the walk shared its
+        # PLFunction
+        stats = {}
+        points = list(enumerate_bounded(P1XP1, (1, 1, 1, 1), 150,
+                                        stats=stats))
+        assert stats == {"built": 624, "skipped": 1284, "accepted": 312,
+                         "redecided": 0}
+        assert len(points) == 4 * (1 + stats["accepted"])
+        # the walk runs on the first item; below B = 1 there is none
+        stats = {}
+        assert list(enumerate_bounded(P1XP1, (1, 1, 1, 1), 0.5,
+                                      stats=stats)) == []
+        assert stats == {}

@@ -184,6 +184,29 @@ class TestFibrationZeta:
         assert fz.n_points == count == count_points(fan, (1, 1, 1, 1), 200)
         assert fz.value == pytest.approx(value, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [-3, -1, 0, 2, 3])
+    def test_integral_heights_keyed_by_int(self, n):
+        # both routes key an integral height by its int, so the dicts
+        # compare without Fraction arithmetic; F_3's cut is not convex
+        # and has heights that are not integers
+        fz = fibration_zeta_partial(TorsorSpec(n), "rho", 2, 200)
+        direct, _value, _count = direct_zeta_partial(
+            hirzebruch_fan(abs(n)), (1, 1, 1, 1), 200)
+        for counts in (fz.height_counts, direct):
+            assert all(type(h) is (int if Fraction(h).denominator == 1
+                                   else Fraction) for h in counts)
+        assert fz.height_counts == direct
+        fractional = [h for h in direct if type(h) is Fraction]
+        assert bool(fractional) is (abs(n) == 3)
+
+    def test_direct_walk_stats(self):
+        # the walk's counts on F_0 at B = 150, as enumerate_bounded's
+        stats = {}
+        direct_zeta_partial(hirzebruch_fan(0), (1, 1, 1, 1), 150,
+                            stats=stats)
+        assert stats == {"built": 624, "skipped": 1284, "accepted": 312,
+                         "redecided": 0}
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("lam", [(1, 1, 1, 2), (2, 1, 3, 1)])
     def test_direct_equals_sign_expanded_reference(self, n, lam):

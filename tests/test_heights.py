@@ -32,6 +32,25 @@ def test_profile_examples():
     assert pr3.signs == (1, 1, 1)
 
 
+def test_profile_is_a_value():
+    support = ((2, (1, -1)), (5, (0, 2)))
+    by_keyword = ValuationProfile(dim=2, support=support, signs=(1, -1))
+    by_position = ValuationProfile(2, support, (1, -1))
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert repr(by_keyword) == ("ValuationProfile(dim=2, support=((2, "
+                                "(1, -1)), (5, (0, 2))), signs=(1, -1))")
+    assert by_keyword != ValuationProfile(2, support, (1, 1))
+    assert len({by_keyword, by_position, valuation_profile(
+        [Fraction(2), Fraction(-25, 2)])}) == 1
+    for name in ("dim", "support", "signs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, 3)
+    assert by_keyword.primes == (2, 5)
+    assert by_keyword.order_vector(5) == (0, 2)
+    assert by_keyword.order_vector(3) == (0, 0)
+
+
 def test_profile_roundtrip():
     for x in ([Fraction(3, 2), Fraction(-5, 7)], [Fraction(1)],
               [Fraction(-36, 25), Fraction(49, 8)]):
