@@ -549,13 +549,13 @@ def enumerate_bounded(fan: Fan, lam, B, stats=None):
     only)."""
     lam_ints, L = _lambda_ints(fan, lam)
     Bq = _exact(B, "the bound B")
-    if (isinstance(lam, PLFunction) and lam.fan == fan
-            and all(type(v) is int for v in lam.values)):
-        lam_ints = lam   # the same values, L = 1
+    shared = (isinstance(lam, PLFunction) and lam.fan == fan
+              and all(type(v) is int for v in lam.values))   # so L = 1
     d = fan.dim
     collected = []
     if Bq >= 1:
-        _count_general(fan, lam_ints, [Bq ** L], halve=False,
+        _count_general(fan, lam if shared else lam_ints, [Bq ** L],
+                       halve=False,
                        visitor=lambda stack, *_: collected.append(stack),
                        stats=stats)
         sign_box = list(_iproduct(*([(1, -1)] * d)))

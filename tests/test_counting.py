@@ -618,19 +618,20 @@ class TestValidation:
         with pytest.raises(CountingError, match="sieve the primes"):
             count_points(fan, (1,) * 5, 10 ** 100)
 
+    @pytest.mark.parametrize("call", [
+        lambda B: count_points(P1, (1, 1), B),
+        lambda B: count_N(P2, (1, 1, 1), [10, B]),
+        lambda B: list(enumerate_bounded(P2, (1, 1, 1), B)),
+        # the height-class sum and the walk
+        lambda B: zeta_partial(P1XP1, (2, 2, 2, 2), B),
+        lambda B: zeta_partial(F1, (2, 2, 2, 2), B),
+    ], ids=["count_points", "count_N", "enumerate_bounded",
+            "zeta_partial-torsor", "zeta_partial-dfs"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_bound_refused(self, bad):
-        what = rf"the bound B must be finite, got {bad}"
-        with pytest.raises(CountingError, match=what):
-            count_points(P1, (1, 1), bad)
-        with pytest.raises(CountingError, match=what):
-            count_N(P2, (1, 1, 1), [10, bad])
-        with pytest.raises(CountingError, match=what):
-            list(enumerate_bounded(P2, (1, 1, 1), bad))
-        with pytest.raises(CountingError, match=what):
-            zeta_partial(P1XP1, (2, 2, 2, 2), bad)
-        with pytest.raises(CountingError, match=what):
-            zeta_partial(F1, (2, 2, 2, 2), bad)
+    def test_non_finite_bound_refused(self, call, bad):
+        with pytest.raises(CountingError,
+                           match=rf"the bound B must be finite, got {bad}"):
+            call(bad)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_lambda_refused(self, bad):
