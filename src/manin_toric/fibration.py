@@ -240,7 +240,7 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
                 else:
                     total_height = H1 * H1 * S * u * u
                     hf = u ** (mu1 + mu2) * S ** mu2
-                if total_height.denominator == 1:   # int keys, as direct
+                if total_height.denominator == 1:   # keyed by its int
                     total_height = total_height.numerator
                 # both signs of the fiber coordinate, same heights
                 summand = 2.0 * (base_factor / hf)
