@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import verify_integral_bounds
+from .bounds import _RESULTS, verify_integral_bounds
 from .counting import (CountingError, count_N, fit_asymptotic, zeta_partial)
 from .fibration import (FibrationError, TorsorSpec, direct_zeta_partial,
                         fibration_predicted_constant, fibration_zeta_partial,
@@ -322,6 +322,8 @@ def _cmd_validate(args):
 
 def _cmd_constants(args):
     fan = _resolve_fan(args.fan)
+    # the structural checks of validate: alpha needs a regular fan
+    validate_fan(fan, samples=0)
     lc = leading_constant(fan, pmax=args.pmax)
     result = {
         "config": _config(args),
@@ -582,10 +584,27 @@ def _cmd_fibration(args):
     return _fibration_zeta(args)
 
 
+def _sweep_failure(rep, slack) -> str:
+    """The stderr line of a bounds-sweep kind that did not pass: the
+    row of a non-finite ratio, or by how much the extended supremum
+    exceeds its allowance."""
+    row = rep.worst
+    if row is not None and not math.isfinite(row["ratio"]):
+        where = ", ".join(f"{k} = {v!r}" for k, v in row.items()
+                          if k not in _RESULTS)
+        return f"divergent: {rep.kind} ratio = {row['ratio']!r} at {where}"
+    allowed = slack * rep.sup_base
+    return (f"unstable: {rep.kind} sup_extended = {rep.sup_extended!r} "
+            f"exceeds slack * sup_base = {allowed!r} by "
+            f"{rep.sup_extended - allowed!r}")
+
+
 def _cmd_bounds_sweep(args):
+    if not args.slack > 0:
+        raise CliError(f"--slack must be positive, got {args.slack}")
     kinds = BOUND_KINDS if args.kind == "all" else (args.kind,)
     rows = []
-    all_passed = True
+    failures = []
     for kind in kinds:
         rep = verify_integral_bounds(kind, base_decades=args.base_decades,
                                      extend_decades=args.extend_decades,
@@ -594,13 +613,16 @@ def _cmd_bounds_sweep(args):
                      "sup_extended": rep.sup_extended,
                      "stable": rep.stable, "passed": rep.passed,
                      "n_rows": len(rep.rows)})
-        all_passed = all_passed and rep.passed
+        if not rep.passed:
+            failures.append(_sweep_failure(rep, args.slack))
+    for line in failures:
+        sys.stderr.write(line + "\n")
     result = {
         "config": _config(args),
         "rows": rows,
-        "status": "ok" if all_passed else "unstable-or-divergent",
+        "status": "unstable-or-divergent" if failures else "ok",
     }
-    return result, 0 if all_passed else 3
+    return result, 3 if failures else 0
 
 
 _DISPATCH = {

@@ -34,7 +34,7 @@ import numpy as np
 
 from .heights import ValuationProfile
 from .latticefan import Fan, PLFunction
-from .primes import mobius_table, primes_up_to
+from .primes import _MAX_SIEVE, mobius_table, primes_up_to
 from .ratlinalg import det_fraction
 from .toric import LeadingConstant, leading_constant
 
@@ -341,9 +341,6 @@ def _hirzebruch_counts(n: int, k: int, Bqs) -> list:
 
 
 _MARGIN = 1e-9
-# largest prime sieve _count_general builds: a bound whose sieve is larger
-# would need gigabytes and hours, so it is refused before any allocation
-_MAX_SIEVE = 10 ** 8
 # what _count_general counts: children whose carried vector it built,
 # children skipped by the one-vertex archimedean bound, accepted nodes and
 # exact re-decisions: of nodes within _MARGIN of a bound and, for

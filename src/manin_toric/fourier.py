@@ -17,11 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .counting import _STATS, _add_stats, _cox_shape, _zeta_partials
+from .counting import _cox_shape, _zeta_partials
 from .latticefan import Fan
 from .primes import primes_up_to
 
@@ -331,14 +331,6 @@ class PoissonReport:
     B_grid: tuple
     lhs_partials: tuple
     factors: tuple = ()
-    # the DFS counts (counting._STATS, and "located" of _zeta_partials)
-    # of the direct sums: the walk behind lhs, plus, for a product, the
-    # walks of its factors, each distinct factor once; all 0 when no sum
-    # walked
-    stats: dict = field(default_factory=dict)
-    # "torsor" when every direct sum was a height-class sum, "dfs" when
-    # one of them walked
-    engine: str = ""
 
     def summary(self) -> str:
         return (
@@ -347,8 +339,19 @@ class PoissonReport:
         )
 
 
+# most nodes a quadrature rule of _gauss_panels may have; the Perron
+# rule of tauberian.perron_phi_k at T = 1000 has 51,576
+_MAX_NODES = 10 ** 6
+
+
 def _gauss_panels(T: float, edges: int, order: int):
-    """Order-point Gauss-Legendre on the edges - 1 equal panels of [0, T]."""
+    """Order-point Gauss-Legendre on the edges - 1 equal panels of [0, T];
+    a rule of more than _MAX_NODES nodes is refused before any
+    allocation."""
+    if (edges - 1) * order > _MAX_NODES:
+        raise FourierError(
+            f"a quadrature rule of {(edges - 1) * order} nodes on [0, {T}] "
+            f"is over the limit of {_MAX_NODES}")
     nodes, wts = np.polynomial.legendre.leggauss(order)
     edge = np.linspace(0.0, T, edges)
     mid = (edge[:-1] + edge[1:]) / 2
@@ -358,21 +361,19 @@ def _gauss_panels(T: float, edges: int, order: int):
     return m, w
 
 
-def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int,
-                        stats=None):
-    """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums; the
-    DFS counts of the sums are added into stats, if given.  Returns L, the
-    bounds, the sums and the engine that summed them."""
+def _extrapolate_direct(fan: Fan, lam, B0: float, n_terms: int):
+    """Fit S(B) = L - B^(1-smin) * poly(log B) through partial sums.
+    Returns L, the bounds and the sums."""
     smin = min(float(v) for v in lam)
     Bs = [B0 * 4.0**k for k in range(n_terms + 1)]
-    engine, partials = _zeta_partials(fan, lam, Bs, stats=stats)
+    partials = _zeta_partials(fan, lam, Bs)[1]
     Ss = [z.value.real for z in partials]
     rows = []
     for B in Bs:
         decay = B ** (1.0 - smin)
         rows.append([1.0] + [-decay * math.log(B) ** k for k in range(n_terms)])
     sol = np.linalg.solve(np.array(rows), np.array(Ss))
-    return float(sol[0]), tuple(Bs), tuple(Ss), engine
+    return float(sol[0]), tuple(Bs), tuple(Ss)
 
 
 def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
@@ -381,8 +382,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     la = float(lam[plus])
     lb = float(lam[1 - plus])
 
-    stats = dict.fromkeys(_STATS, 0)
-    lhs, Bs, Ss, engine = _extrapolate_direct(fan, lam, B0, 1, stats=stats)
+    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0, 1)
 
     cf0 = cf_extract(fan, lam, pmax)
     m, w = _gauss_panels(T, max(2, int(round(T / panel_width)) + 1), 16)
@@ -425,8 +425,6 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
         pmax=pmax,
         B_grid=Bs,
         lhs_partials=Ss,
-        stats=stats,
-        engine=engine,
     )
 
 
@@ -466,7 +464,6 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
 
     a, b, c, e = shape[2]
     factors = []
-    stats = dict.fromkeys(_STATS, 0)
     for axis, (jp, jm) in enumerate(((b, e), (a, c))):
         name = f"{fan.name or 'product'}[{axis}]"
         pair = (lam[jp], lam[jm])
@@ -476,11 +473,7 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
             continue
         sub = make_fan(1, [[1], [-1]], [[0], [1]], name=name)
         factors.append(_poisson_line(sub, pair, T, pmax, B0, panel_width))
-        _add_stats(stats, factors[-1].stats)
-    lhs, Bs, Ss, engine = _extrapolate_direct(fan, lam, B0 / 4.0, 2,
-                                              stats=stats)
-    if any(f.engine == "dfs" for f in factors):
-        engine = "dfs"
+    lhs, Bs, Ss = _extrapolate_direct(fan, lam, B0 / 4.0, 2)
     rhs = factors[0].rhs * factors[1].rhs
     rel = abs(lhs - rhs) / abs(lhs)
     return PoissonReport(
@@ -496,6 +489,4 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         B_grid=Bs,
         lhs_partials=Ss,
         factors=tuple(factors),
-        stats=stats,
-        engine=engine,
     )

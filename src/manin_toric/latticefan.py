@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
-from .ratlinalg import det_fraction, solve_fraction
+from .ratlinalg import _rref, det_fraction, solve_fraction
 
 
 class FanFormatError(ValueError):
@@ -43,18 +43,17 @@ Vector = tuple[int, ...]
 
 
 def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Inverse of an integer matrix with det +-1, as integer rows."""
+    """Inverse of an integer matrix with det +-1, as integer rows: one
+    elimination takes [mat | I] to [I | mat^-1]."""
     n = len(mat)
-    cols = list(zip(*mat))
-    try:
-        # column j of the inverse solves mat x = unit vector j
-        inv_cols = [solve_fraction(cols, [int(i == j) for i in range(n)])
-                    for j in range(n)]
-    except ValueError:
-        raise FanValidationError("singular cone matrix") from None
-    if any(x.denominator != 1 for col in inv_cols for x in col):
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                         for j in range(n)]
+           for i, row in enumerate(mat)]
+    if len(_rref(aug, n)) < n:
+        raise FanValidationError("singular cone matrix")
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
         raise FanValidationError("cone matrix is not unimodular")
-    return tuple(tuple(int(col[i]) for col in inv_cols) for i in range(n))
+    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -392,14 +391,13 @@ def validate_fan(fan: Fan, samples: int = 200, seed: int = 0) -> None:
             "the fan does not cover Z^d")
 
     rng = random.Random(seed)
-    inverses = fan.cone_inverses
     for _ in range(samples):
         v = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(d))
         if all(x == 0 for x in v):
             continue
         hits = []
         interior = 0
-        for s, inv in enumerate(inverses):
+        for s, inv in enumerate(fan.cone_inverses):
             coords = [sum(inv[i][j] * v[j] for j in range(d))
                       for i in range(d)]
             if all(c >= 0 for c in coords):

@@ -6,9 +6,17 @@ import math
 
 import numpy as np
 
+# largest prime sieve primes_up_to builds: a larger one would need
+# gigabytes and hours, so it is refused before any allocation
+_MAX_SIEVE = 10 ** 8
+
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (empty for n < 2)."""
+    """All primes <= n as an int64 array (empty for n < 2); raises
+    ValueError for n above _MAX_SIEVE."""
+    if n > _MAX_SIEVE:
+        raise ValueError(f"a prime sieve up to {n} is over the limit of "
+                         f"{_MAX_SIEVE}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)

@@ -126,80 +126,3 @@ def echelon_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     rank = len(_rref(a))
     return tuple(primitive_vector(r) for r in a[:rank])
 
-
-def smith_normal_form(mat: Sequence[Sequence[int]]):
-    """Integer Smith normal form.
-
-    Returns (U, D, V) with U @ mat @ V = D, U and V unimodular, D
-    diagonal with nonnegative d_i and d_i | d_{i+1}.  Elementary
-    row/column operations only; fine for the small matrices here.
-    """
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def diagonalize():
-        t = 0
-        while t < min(m, n):
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (
-                            best is None
-                            or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(m):
-                    if i != t and a[i][t] != 0:
-                        add_row(t, i, -(a[i][t] // a[t][t]))
-                        if a[i][t] != 0:
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(n):
-                    if j != t and a[t][j] != 0:
-                        add_col(t, j, -(a[t][j] // a[t][t]))
-                        if a[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            t += 1
-
-    diagonalize()
-    while True:
-        bad = next((i for i in range(min(m, n) - 1)
-                    if a[i][i] != 0 and a[i + 1][i + 1] % a[i][i] != 0), None)
-        if bad is None:
-            break
-        add_col(bad + 1, bad, 1)  # smear d_{i+1} into column i, re-reduce
-        diagonalize()
-    return u, a, v

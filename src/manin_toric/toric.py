@@ -1,9 +1,10 @@
 """Arithmetic invariants of a complete regular fan.
 
-Picard lattice by Smith normal form, the alpha constant as the
-characteristic function of the effective cone in it, cell point counts
-over F_p, the archimedean anticanonical volume, and the Tamagawa
-number as a truncated Euler product with an exact tail interval.
+The Picard lattice read off one unimodular maximal cone, the alpha
+constant as the characteristic function of the effective cone in it,
+cell point counts over F_p, the archimedean anticanonical volume, and
+the Tamagawa number as a truncated Euler product with an exact tail
+interval.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import PolyhedralCone, char_function, make_cone
-from .latticefan import Fan, PLFunction
+from .latticefan import (Fan, FanValidationError, PLFunction,
+                         _inverse_unimodular)
 from .primes import primes_up_to
-from .ratlinalg import smith_normal_form
 
 
 class PicardError(ValueError):
@@ -26,10 +27,11 @@ class PicardError(ValueError):
 
 @dataclass(frozen=True)
 class PicardData:
-    """Free quotient Pic = Z^J / M with a chosen integral basis.
+    """Pic = Z^J / M with the classes of the rays outside the first
+    maximal cone as its basis.
 
-    projection maps Z^J onto Z^rank (rows indexed by the basis), and
-    divisor_classes[j] is the class of the j-th ray divisor.
+    projection maps Z^J onto Z^rank with kernel M (rows indexed by the
+    basis), and divisor_classes[j] is the class of the j-th ray divisor.
     """
 
     fan: Fan
@@ -44,36 +46,42 @@ class PicardData:
                      for row in self.projection)
 
 
-def _ray_matrix(fan: Fan):
-    # row j = coordinates of ray e_j; this is the map M -> Z^J
-    # transposed, m |-> (<e_j, m>)_j
-    return [list(ray) for ray in fan.rays]
-
-
 def picard_data(fan: Fan) -> PicardData:
-    J = len(fan.rays)
+    """Pic(X) read off the first maximal cone sigma (Fulton, Introduction
+    to Toric Varieties, 3.4).
+
+    The rows u_i of sigma's inverse are the dual basis of its rays, so
+    div(x^(u_i)) = D_(sigma_i) + sum_(k not in sigma) <u_i, e_k> D_k and
+    [D_(sigma_i)] = -sum_(k not in sigma) <u_i, e_k> [D_k].  The
+    projection is the identity on the rays outside sigma and
+    -<u_i, e_k> on sigma's rays; its kernel is M.  Raises PicardError
+    when sigma is not d rays with determinant +-1.
+    """
     d = fan.dim
-    r = J - d
-    A = _ray_matrix(fan)
-    U, D, _ = smith_normal_form(A)
-    for i in range(d):
-        if D[i][i] == 0:
-            raise PicardError("rays do not span the ambient lattice")
-        if D[i][i] != 1:
-            raise PicardError(
-                f"Picard quotient has torsion Z/{D[i][i]}; "
-                "fan is not regular for this pipeline")
-    rows = [list(U[i]) for i in range(d, J)]
-    for row in rows:
-        if sum(row) < 0:
-            for j in range(J):
-                row[j] = -row[j]
-    projection = tuple(tuple(row) for row in rows)
+    cone = fan.max_cones[0]
+    if len(cone) != d:
+        raise PicardError(f"maximal cone {cone} must have {d} rays to "
+                          "read the Picard lattice off")
+    try:
+        inv = _inverse_unimodular([[fan.rays[j][i] for j in cone]
+                                   for i in range(d)])
+    except FanValidationError as e:
+        raise PicardError(f"maximal cone {cone}: {e}") from None
+    J = len(fan.rays)
+    projection = []
+    for k in range(J):
+        if k in cone:
+            continue
+        row = [int(j == k) for j in range(J)]
+        for u, j in zip(inv, cone):
+            row[j] = -sum(a * b for a, b in zip(u, fan.rays[k]))
+        projection.append(tuple(row))
+    projection = tuple(projection)
     anticanonical = tuple(sum(row) for row in projection)
     classes = tuple(tuple(row[j] for row in projection) for j in range(J))
     seen = list(dict.fromkeys(classes))
-    eff = make_cone(seen, r)
-    return PicardData(fan=fan, rank=r, projection=projection,
+    eff = make_cone(seen, J - d)
+    return PicardData(fan=fan, rank=J - d, projection=projection,
                       anticanonical=anticanonical, divisor_classes=classes,
                       effective_cone=eff)
 

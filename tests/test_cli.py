@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from manin_toric import cli, counting
+from manin_toric import bounds, cli, counting
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
@@ -705,6 +705,91 @@ class TestBoundsSweep:
         assert code == 0
         assert out.splitlines()[0] == \
             "kind,sup_base,sup_extended,stable,passed,n_rows"
+
+    def test_instability_is_named(self, capsys):
+        assert run(["bounds-sweep", "--kind", "plus", "--slack", "1.0",
+                    "--base-decades", "2", "--extend-decades", "2"]) == 3
+        captured = capsys.readouterr()
+        row = json.loads(captured.out)["rows"][0]
+        allowed = 1.0 * row["sup_base"]
+        assert captured.err == (
+            f"unstable: plus sup_extended = {row['sup_extended']!r} exceeds "
+            f"slack * sup_base = {allowed!r} by "
+            f"{row['sup_extended'] - allowed!r}\n")
+
+    def test_non_finite_ratio_names_its_row(self, capsys, monkeypatch):
+        def rows(kmax):
+            yield {"A": 1.0, "B": 10.0, "lhs": 1.0, "rhs": 0.0,
+                   "ratio": math.inf}
+
+        monkeypatch.setitem(bounds._KIND_ROWS, "plus", rows)
+        assert run(["bounds-sweep", "--kind", "plus"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "unstable-or-divergent"
+        assert captured.err == (
+            "divergent: plus ratio = inf at A = 1.0, B = 10.0\n")
+
+
+FANS = {
+    # cone (0, 2) has determinant -2, cone 0 is unimodular
+    "non-regular": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+                    "maxCones": [[0, 1], [1, 2], [0, 2]]},
+    "det-2-first-cone": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+                         "maxCones": [[0, 2], [0, 1], [1, 2]]},
+    "non-primitive": {"dim": 1, "rays": [[2], [-3]],
+                      "maxCones": [[0], [1]]},
+    "one-ray-cone": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                     "maxCones": [[0], [1, 2], [0, 2]]},
+    "three-ray-cone": {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                       "maxCones": [[0, 1, 2], [1, 2], [0, 2]]},
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["constants", "--fan", "builtin:p1", "--pmax", "10000000000"],
+     "a prime sieve up to 10000000000 is over the limit of 100000000"),
+    (["poisson-check", "--fan", "builtin:p1", "--pmax", "10000000000"],
+     "a prime sieve up to 10000000000 is over the limit of 100000000"),
+    (["tauber", "--oracle", "zeta2", "--X", "1e4", "--k", "3", "--T",
+      "1e6"], "a quadrature rule of 57295788 nodes on [0, 1000000.0] is "
+     "over the limit of 1000000"),
+    (["poisson-check", "--fan", "builtin:p1", "--panel-width", "1e-6"],
+     "a quadrature rule of 32000000000 nodes on [0, 2000.0] is over the "
+     "limit of 1000000"),
+    (["poisson-check", "--fan", "builtin:p1", "--T", "1e9"],
+     "a quadrature rule of 4000000000 nodes on [0, 1000000000.0] is over "
+     "the limit of 1000000"),
+    (["poisson-check", "--fan", "builtin:p1", "--T", "1e6"],
+     "a quadrature rule of 4000000 nodes on [0, 1000000.0] is over the "
+     "limit of 1000000"),
+    (["bounds-sweep", "--slack", "0"], "--slack must be positive, got 0.0"),
+    (["bounds-sweep", "--slack", "-1"],
+     "--slack must be positive, got -1.0"),
+    (["constants", "--fan", "non-regular"],
+     "maximal cone (0, 2) is not unimodular (det=-2)"),
+    (["constants", "--fan", "det-2-first-cone"],
+     "maximal cone (0, 2) is not unimodular (det=-2)"),
+    (["constants", "--fan", "non-primitive"], "ray (2,) is not primitive"),
+    (["constants", "--fan", "one-ray-cone"],
+     "maximal cone (0,) must have 2 distinct rays"),
+    (["constants", "--fan", "three-ray-cone"],
+     "maximal cone (0, 1, 2) must have 2 distinct rays"),
+], ids=["constants-pmax", "poisson-pmax", "tauber-T", "poisson-panel-width",
+        "poisson-T-1e9", "poisson-T-1e6", "slack-zero", "slack-negative",
+        "non-regular", "det-2-first-cone", "non-primitive", "one-ray-cone",
+        "three-ray-cone"])
+def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv,
+                                              message):
+    # infeasible sizes and invalid inputs are refused before any large
+    # allocation: exit 2, one stderr line, no artifact
+    if argv[2] in FANS:
+        path = tmp_path / f"{argv[2]}.json"
+        path.write_text(json.dumps(FANS[argv[2]]))
+        argv = argv[:2] + [str(path)] + argv[3:]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def _fresh_python(script: str) -> str:

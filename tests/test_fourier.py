@@ -13,10 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from manin_toric import counting, fourier
+from manin_toric import fourier
 from manin_toric.fourier import (
     FourierError,
-    _extrapolate_direct,
     _poisson_line,
     arch_transform,
     cf_extract,
@@ -321,41 +320,12 @@ class TestPoisson:
             fan = make_fan(2, rays, [[where[j] for j in cone]
                                      for cone in P1XP1.max_cones])
             got = poisson_check(fan, tuple(lam[o] for o in order), **kw)
-            assert got.engine == "torsor"
             assert got.lhs_partials == want.lhs_partials
             assert got.lhs == want.lhs
             if lam[0] == lam[2] and lam[1] == lam[3]:
                 assert (got.rhs, got.rel_error) == (want.rhs, want.rel_error)
             else:
                 assert got.rhs == pytest.approx(want.rhs, rel=1e-14)
-
-    def test_stats_sum_the_direct_walks(self, capsys, monkeypatch):
-        # p1 and p1xp1 sum by height class: no walk, and the stats read 0
-        zero = dict.fromkeys(counting._STATS, 0)
-        for fan in (P1, P1XP1):
-            rep = poisson_check(fan, T=400.0, B0=700.0)
-            assert rep.engine == "torsor"
-            assert rep.stats == zero
-            assert all(f.engine == "torsor" and f.stats == zero
-                       for f in rep.factors)
-        # with counting._cox_shape patched, the direct sums walk while
-        # poisson_check, which holds its own reference, still splits the
-        # product: the walks' counts add up
-        monkeypatch.setattr(counting, "_cox_shape", lambda fan: None)
-        rep = poisson_check(P1XP1, T=400.0, B0=700.0)
-        line, product = {}, {}
-        _extrapolate_direct(P1, (2.0, 2.0), 700.0, 1, stats=line)
-        _extrapolate_direct(P1XP1, (2.0,) * 4, 175.0, 2, stats=product)
-        assert rep.factors[0].stats == rep.factors[1].stats == line
-        # the second factor reuses the first one's sums: one line walk
-        assert rep.stats == {k: line[k] + product[k] for k in line}
-        assert rep.stats["accepted"] > 0
-        assert rep.engine == rep.factors[0].engine == "dfs"
-        monkeypatch.undo()
-        from manin_toric.cli import run
-        assert run(["poisson-check", "--fan", "builtin:p1", "--B0", "100",
-                    "--T", "100"]) == 0
-        assert "accepted" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("lam,lines", [(None, 1), ((2, 3, 2.5, 2), 2)])
     def test_product_evaluates_each_lambda_pair_once(self, monkeypatch, lam,
@@ -410,6 +380,16 @@ class TestPoisson:
             poisson_check(P1, lam=(1.0, 2.0))
         with pytest.raises(FourierError):
             poisson_check(P1, lam=(2.0, 2.0, 2.0))
+
+
+def test_gauss_panels_refuses_an_oversized_rule():
+    # the Poisson and Perron rules both come from _gauss_panels: a rule of
+    # _MAX_NODES nodes is built, one panel more is refused
+    m, w = fourier._gauss_panels(1.0, fourier._MAX_NODES // 16 + 1, 16)
+    assert m.size == w.size == fourier._MAX_NODES
+    with pytest.raises(FourierError, match=r"^a quadrature rule of 1000016 "
+                       r"nodes on \[0, 1.0\] is over the limit of 1000000$"):
+        fourier._gauss_panels(1.0, fourier._MAX_NODES // 16 + 2, 16)
 
 
 def test_rademacher_sweep_stays_tame():

@@ -2,6 +2,9 @@
 
 import math
 
+import pytest
+
+from manin_toric import primes
 from manin_toric.primes import (divisor_count_table, factorize, mobius_table,
                                 totient_table)
 
@@ -64,3 +67,11 @@ def test_tables_match_definitions_for_every_size():
 
 def test_divisor_summatory():
     assert int(divisor_count_table(10**5).sum()) == 1166750
+
+
+def test_oversized_sieve_refused_before_allocation(monkeypatch):
+    # the sieve is the only allocation: np.ones must not be reached
+    monkeypatch.setattr(primes.np, "ones", None)
+    with pytest.raises(ValueError, match=r"^a prime sieve up to 100000001 "
+                       r"is over the limit of 100000000$"):
+        primes.primes_up_to(primes._MAX_SIEVE + 1)

@@ -5,9 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manin_toric import toric
 from manin_toric.cones import make_cone, quotient_char
+from manin_toric.fibration import hirzebruch_fan
 from manin_toric.latticefan import Fan, builtin_fan, make_fan
 from manin_toric.toric import (EulerProductSpec, PicardError,
                                alpha_constant, archimedean_volume,
@@ -15,6 +18,8 @@ from manin_toric.toric import (EulerProductSpec, PicardError,
                                euler_product_spec, leading_constant,
                                local_factor_coefficients, picard_data,
                                tamagawa_number)
+
+from fan_oracles import disguise, projective_fan
 
 ZETA2 = math.pi ** 2 / 6
 ZETA3 = 1.2020569031595942854
@@ -48,6 +53,75 @@ def test_picard_torsion_rejected():
         picard_data(fan)
 
 
+@pytest.mark.parametrize("fan, cone", [
+    (make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[0], [1, 2], [0, 2]]),
+     r"\(0,\) must have 2 rays"),
+    (make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1, 2], [1, 2], [0, 2]]),
+     r"\(0, 1, 2\) must have 2 rays"),
+    (make_fan(1, [[2], [-3]], [[0], [1]]),
+     r"\(0,\): cone matrix is not unimodular"),
+    (make_fan(2, [[1, 0], [0, 1], [-1, -2]], [[0, 2], [0, 1], [1, 2]]),
+     r"\(0, 2\): cone matrix is not unimodular"),
+    (make_fan(2, [[1, 0], [2, 0], [-1, -1]], [[0, 1], [1, 2], [0, 2]]),
+     r"\(0, 1\): singular cone matrix"),
+], ids=["one-ray", "three-rays", "det-2-ray", "det-2-cone", "singular"])
+def test_picard_needs_a_unimodular_first_cone(fan, cone):
+    with pytest.raises(PicardError, match=r"^maximal cone " + cone):
+        picard_data(fan)
+
+
+def orthant_alpha(fan):
+    """The coordinate orthant of Z^J pushed through the quotient by M, the
+    image of the character lattice, at (1, ..., 1)."""
+    J = len(fan.rays)
+    orthant = make_cone([[int(i == j) for i in range(J)] for j in range(J)])
+    m_basis = [[ray[i] for ray in fan.rays] for i in range(fan.dim)]
+    return quotient_char(orthant, m_basis)((1,) * J)
+
+
+def hexagon_fan():
+    """The fan of dP6, P^2 blown up in three points: six rays around the
+    hexagon, each consecutive pair a maximal cone."""
+    rays = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
+    return make_fan(2, rays, [[i, (i + 1) % 6] for i in range(6)])
+
+
+# P^n has alpha 1/(n + 1), F_n 1/(2n + 4) and dP6 1/12
+PICARD_FANS = ([projective_fan(n) for n in (1, 2, 3)]
+               + [hirzebruch_fan(n) for n in range(7)] + [hexagon_fan()])
+PICARD_ALPHA = ([Fraction(1, n + 1) for n in (1, 2, 3)]
+                + [Fraction(1, 2 * n + 4) for n in range(7)]
+                + [Fraction(1, 12)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(base=st.sampled_from(range(len(PICARD_FANS))),
+       order=st.permutations(range(6)),
+       ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.integers(-3, 3)), max_size=4),
+       flip=st.booleans(), first=st.integers(0, 5))
+def test_picard_lattice_off_the_first_cone(base, order, ops, flip, first):
+    # a fan of P^1-P^3, F_0-F_6 or dP6 in a random basis, ray order and
+    # choice of first cone
+    fan, _ = disguise(PICARD_FANS[base], order, ops, flip)
+    s = first % len(fan.max_cones)
+    fan = make_fan(fan.dim, fan.rays, fan.max_cones[s:] + fan.max_cones[:s])
+    pic = picard_data(fan)
+    J, sigma = len(fan.rays), fan.max_cones[0]
+    rest = [k for k in range(J) if k not in sigma]
+    assert pic.rank == len(rest) == J - fan.dim
+    # the projection kills M: every row (<m, e_j>)_j of a coordinate m
+    for i in range(fan.dim):
+        assert pic.project([ray[i] for ray in fan.rays]) == (0,) * pic.rank
+    # the classes of the rays outside sigma are the basis
+    for b, k in enumerate(rest):
+        assert pic.divisor_classes[k] == tuple(int(i == b)
+                                               for i in range(pic.rank))
+    assert tuple(map(sum, zip(*pic.divisor_classes))) == pic.anticanonical
+    alpha = alpha_constant(fan)
+    assert alpha == PICARD_ALPHA[base] == orthant_alpha(fan)
+
+
 def test_alpha_exact_values():
     assert alpha_constant(builtin_fan("p1")) == Fraction(1, 2)
     assert alpha_constant(builtin_fan("p2")) == Fraction(1, 3)
@@ -68,18 +142,11 @@ def relabeled(fan, perm):
 
 
 def test_alpha_two_routes_agree():
-    # reference: the coordinate orthant of Z^J pushed through the
-    # quotient by M, the image of the character lattice, at (1, ..., 1)
     for name in ALPHA_FANS:
         fan = builtin_fan(name)
-        J = len(fan.rays)
-        orthant = make_cone([[int(i == j) for i in range(J)]
-                             for j in range(J)])
-        m_basis = [[ray[i] for ray in fan.rays] for i in range(fan.dim)]
-        reference = quotient_char(orthant, m_basis)((1,) * J)
         alpha = alpha_constant(fan)
         assert isinstance(alpha, Fraction)
-        assert alpha == reference, name
+        assert alpha == orthant_alpha(fan), name
 
 
 def test_alpha_ray_relabeling_invariance():
