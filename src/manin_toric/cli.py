@@ -448,11 +448,13 @@ def _cmd_tauber(args):
         raise CliError(f"oracle {oracle.name!r} has no pole to predict from")
     X, k = args.X, args.k
     # the descent window refuses a small X, the line a bad k or T and the
-    # direct sums an oversized X, all before any integral is taken
+    # direct sums an oversized X, all before any integral is taken; a rule
+    # over the node limit is refused before the series is evaluated
     eta = descent_eta(X)
     line = PerronLine(oracle, pole, k, T=args.T, tol=args.tol)
     direct_km1, N = oracle.phi_direct(X, (k - 1, 0))
     try:
+        # the line keeps phi_k(X), which the descent samples again
         phi_k = line(X)
         lo, hi = descend_k(line, k, X, eta)
     except TauberianError as e:

@@ -339,6 +339,18 @@ class PoissonReport:
         )
 
 
+def _wsum(w, v) -> float:
+    """sum_i w_i v_i by numpy's pairwise sum, never through BLAS.
+
+    np.dot hands a float vector of more than 10^4 entries to OpenBLAS's
+    thread pool, whose rounding follows the thread count and whose
+    hand-off costs milliseconds a call.  A sum whose length an input
+    sets goes through here, so its bits do not depend on the BLAS
+    threads.
+    """
+    return float(np.add.reduce(w * v))
+
+
 # most nodes a quadrature rule of _gauss_panels may have; the Perron
 # rule of tauberian.perron_phi_k at T = 1000 has 51,576
 _MAX_NODES = 10 ** 6
@@ -391,7 +403,7 @@ def _poisson_line(fan: Fan, lam, T: float, pmax: int, B0: float,
     # zeta(lb - i m) = conj(zeta(lb + i m)), real coefficients
     zb = np.conj(za if lb == la else zeta_line(lb + 1j * m))
     integrand = 2.0 * arch * cf0 * za * zb
-    main = 2.0 * float(np.dot(w, integrand.real))
+    main = 2.0 * _wsum(w, integrand.real)
 
     # Beyond T the zeta product averages to zeta(la+lb) over long windows
     # (diagonal terms of the double Dirichlet series); the oscillatory

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .counting import p1_height_counts
-from .fourier import _gauss_panels, zeta_line
+from .fourier import _gauss_panels, _wsum, zeta_line
 from .primes import divisor_count_table
 
 __all__ = [
@@ -116,12 +116,13 @@ class DirichletOracle:
         out = [0.0] * len(ks)
         if N >= 1:
             c = self.coefficients(N).astype(float)
+            c[0] = 0.0  # padding, which no sum may see
             n = np.arange(0, N + 1, dtype=float)
             n[0] = 1.0
             for i, kk in enumerate(ks):
-                weights = np.log(X / n) ** kk if kk else np.ones_like(n)
-                weights[0] = 0.0
-                out[i] = float(np.dot(c, weights))
+                # phi_0 sums the coefficients themselves
+                out[i] = (_wsum(c, np.log(X / n) ** kk) if kk
+                          else float(np.add.reduce(c)))
         return out if many else out[0]
 
 
@@ -185,23 +186,24 @@ def _panel_edges(T: float, X: float) -> int:
 
 
 def _line_values(oracle: DirichletOracle, a_prime: float, T: float,
-                 edges: int, order: int = 12):
-    """Gauss-Legendre nodes s on a' + i[0, T], weights, and f(s)."""
+                 edges: int, k: int, order: int = 12):
+    """Gauss-Legendre nodes s on a' + i[0, T], weights, f(s) and
+    s^(k+1)."""
     t, w = _gauss_panels(T, edges, order)
     s = a_prime + 1j * t
-    return s, w, oracle.evaluate_line(s)
+    return s, w, oracle.evaluate_line(s), s ** (k + 1)
 
 
 def _line_sum(line, X: float, k: int) -> float:
-    s, w, f = line
-    vals = f * np.exp(s * math.log(X)) / s ** (k + 1)
+    s, w, f, sk = line
+    vals = f * np.exp(s * math.log(X)) / sk
     # real coefficients give conjugate symmetry across the real axis
-    return math.factorial(k) / math.pi * float(np.dot(w, vals.real))
+    return math.factorial(k) / math.pi * _wsum(w, vals.real)
 
 
 def _line_integral(oracle: DirichletOracle, X: float, k: int,
                    a_prime: float, T: float) -> float:
-    return _line_sum(_line_values(oracle, a_prime, T, _panel_edges(T, X)),
+    return _line_sum(_line_values(oracle, a_prime, T, _panel_edges(T, X), k),
                      X, k)
 
 
@@ -216,9 +218,12 @@ class PerronLine:
     quadrature nodes depend on X only through ceil(log X), which sets
     their panel count, and the tail bound only through X^a_prime, so a
     line evaluates the series once per distinct node set and samples it
-    for the tail once, however many X it is called on.  The X(1 -/+ eta)
-    and X of a descent window share one node set unless the window
-    straddles an integer of log X.  `stats` reports that work.
+    for the tail once, however many X it is called on, and integrates
+    once per X.  The X(1 -/+ eta) and X of a descent window share one
+    node set unless the window straddles an integer of log X.  The tail
+    is sampled after the first rule is built, so a T whose rule is over
+    the node limit is refused before the series is evaluated.  `stats`
+    reports that work.
     """
 
     def __init__(self, oracle: DirichletOracle, pole: PoleData | None,
@@ -240,24 +245,30 @@ class PerronLine:
             raise TauberianError(f"tolerance tol = {tol} must be positive")
         self.oracle, self.k, self.kappa = oracle, k, kappa
         self.a_prime, self.T, self.tol = a_prime, T, tol
-        f = oracle.evaluate_line(a_prime + 1j * (T * np.array(_TAIL_SAMPLES)))
-        self._cf = 1.5 * max(abs(complex(v)) * c**-kappa
-                             for v, c in zip(f, _TAIL_SAMPLES))
-        self._lines = {}  # panel edge count -> (s, w, f(s))
+        self._cf = None  # tail constant, sampled on the first tail()
+        self._lines = {}  # panel edge count -> (s, w, f(s), s^(k+1))
+        self._values = {}  # X -> integral
 
     def integral(self, X: float) -> float:
         """The integral over |Im s| <= T."""
-        edges = _panel_edges(self.T, X)
-        if edges not in self._lines:
-            self._lines[edges] = _line_values(self.oracle, self.a_prime,
-                                              self.T, edges)
-        return _line_sum(self._lines[edges], X, self.k)
+        if X not in self._values:
+            edges = _panel_edges(self.T, X)
+            if edges not in self._lines:
+                self._lines[edges] = _line_values(self.oracle, self.a_prime,
+                                                  self.T, edges, self.k)
+            self._values[X] = _line_sum(self._lines[edges], X, self.k)
+        return self._values[X]
 
     def tail(self, X: float) -> float:
         """Bound on the integral over |Im s| > T."""
-        k, kappa = self.k, self.kappa
+        k, kappa, T = self.k, self.kappa, self.T
+        if self._cf is None:
+            f = self.oracle.evaluate_line(
+                self.a_prime + 1j * (T * np.array(_TAIL_SAMPLES)))
+            self._cf = 1.5 * max(abs(complex(v)) * c**-kappa
+                                 for v, c in zip(f, _TAIL_SAMPLES))
         return (math.factorial(k) * X**self.a_prime * self._cf
-                * self.T ** (kappa - k) / (math.pi * (k - kappa)))
+                * T ** (kappa - k) / (math.pi * (k - kappa)))
 
     def __call__(self, X: float) -> float:
         value = self.integral(X)
@@ -275,8 +286,8 @@ class PerronLine:
     def stats(self) -> dict:
         """Node sets evaluated, series points in them, tail samples."""
         return {"node_sets": len(self._lines),
-                "points": sum(s.size for s, _, _ in self._lines.values()),
-                "tail_samples": len(_TAIL_SAMPLES)}
+                "points": sum(s.size for s, *_ in self._lines.values()),
+                "tail_samples": 0 if self._cf is None else len(_TAIL_SAMPLES)}
 
 
 def perron_phi_k(oracle: DirichletOracle, pole: PoleData | None, X: float,

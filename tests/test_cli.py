@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from manin_toric import bounds, cli, counting
+from manin_toric import bounds, cli, counting, fourier, tauberian
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
 from manin_toric.latticefan import builtin_fan
@@ -531,6 +532,20 @@ class TestTauber:
         assert doc["brackets"]["target"] == oracle.phi_direct(1e3, 2)
         assert doc["N"] == oracle.phi_direct(1e3, 0)
 
+    @pytest.mark.parametrize("T, nodes", [("1e6", 57295788),
+                                          ("1e7", 572957796)])
+    def test_oversized_rule_refused_before_the_series(self, capsys,
+                                                      monkeypatch, T, nodes):
+        # the tail samples alone would evaluate zeta at |Im s| up to 2.6 T
+        calls = []
+        monkeypatch.setattr(tauberian, "zeta_line", calls.append)
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e4", "--k", "3",
+                    "--T", T]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a quadrature rule of {nodes} nodes on [0, {float(T)}] "
+            "is over the limit of 1000000\n")
+        assert calls == []
+
     def test_oversized_direct_sum_fails_fast(self, capsys):
         t0 = time.perf_counter()
         assert run(["tauber", "--oracle", "zeta2", "--X", "1e12",
@@ -824,6 +839,75 @@ print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("scipy", "mpmath")))
 """
     assert _fresh_python(script) == "[]"
+
+
+# jobs whose float sums have more than 10^4 terms: the Perron line sums
+# (10,320 nodes) and direct sums (10^5 terms) of tauber, the Poisson
+# integral (12,000 nodes) of poisson-check
+LONG_SUM_JOBS = {
+    "tauber": ["tauber", "--oracle", "zeta2", "--X", "1e5", "--k", "3",
+               "--T", "150"],
+    "poisson-check": ["poisson-check", "--fan", "builtin:p1", "--T", "3000"],
+}
+
+
+@pytest.mark.parametrize("argv", LONG_SUM_JOBS.values(), ids=LONG_SUM_JOBS)
+def test_artifacts_do_not_depend_on_blas_threads(argv):
+    # np.dot hands a float vector of more than 10^4 entries to OpenBLAS's
+    # thread pool, whose rounding follows the thread count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-m", "manin_toric.cli",
+                               *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
+def test_long_float_sums_never_reach_blas(capsys, monkeypatch):
+    dot, long = np.dot, []
+
+    def guarded(a, b, *rest):
+        for x in map(np.asarray, (a, b)):
+            if x.ndim == 1 and x.dtype.kind in "fc" and x.size > 10**4:
+                long.append(x.size)
+        return dot(a, b, *rest)
+
+    monkeypatch.setattr(np, "dot", guarded)
+    for argv in LONG_SUM_JOBS.values():
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert long == []
+
+
+def test_weighted_sums_match_fsum(capsys, monkeypatch):
+    # every weighted sum of both jobs: three line sums (phi_k at X and
+    # X(1 -/+ eta)), the direct sum phi_2 and one Poisson integral, each
+    # within 1e-13 of the correctly rounded sum
+    wsum, sums = fourier._wsum, []
+
+    def recorded(w, v):
+        got = wsum(w, v)
+        sums.append((w.size, got, math.fsum((w * v).tolist())))
+        return got
+
+    monkeypatch.setattr(fourier, "_wsum", recorded)
+    monkeypatch.setattr(tauberian, "_wsum", recorded)
+    for argv in LONG_SUM_JOBS.values():
+        assert run(argv) == 0
+    capsys.readouterr()
+    assert sorted(n for n, _, _ in sums) == [10320] * 3 + [12000, 100001]
+    for n, got, exact in sums:
+        assert abs(got - exact) <= 1e-13 * abs(exact), n
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

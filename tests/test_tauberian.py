@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from manin_toric.latticefan import builtin_fan
+from manin_toric import tauberian
 from manin_toric.counting import _count_general, count_points
+from manin_toric.fourier import FourierError
+from manin_toric.latticefan import builtin_fan
 from manin_toric.tauberian import (
     EULER_GAMMA,
     DirichletOracle,
@@ -231,6 +233,37 @@ class TestPerronLine:
         with pytest.raises(TauberianError, match="kappa"):
             PerronLine(oracle, None, 1)
         assert calls == []
+
+    def test_oversized_rule_refused_before_evaluating(self):
+        # the tail samples reach |Im s| = 2.6 T; the rule of the first X
+        # is built, and refused, before the series is evaluated at all
+        calls = []
+
+        def spy(s):
+            calls.append(s)
+            return ZETA2._evaluate(s)
+
+        oracle = DirichletOracle("spy", ZETA2.pole, spy, ZETA2._coefficients)
+        line = PerronLine(oracle, None, 3, T=1e6)
+        with pytest.raises(FourierError, match="over the limit"):
+            line(1e4)
+        assert calls == []
+        assert line.stats == {"node_sets": 0, "points": 0, "tail_samples": 0}
+
+    def test_one_integral_per_X(self, monkeypatch):
+        seen = []
+        line_sum = tauberian._line_sum
+        monkeypatch.setattr(tauberian, "_line_sum",
+                            lambda line, X, k: seen.append(X)
+                            or line_sum(line, X, k))
+        line = PerronLine(ZETA2, None, 3, T=150.0)
+        first = line(1e3)
+        bracket = descend_k(line, 3, 1e3)
+        assert line(1e3) == first
+        eta = 1e3**-0.5
+        assert seen == [1e3, 1e3 * (1 - eta), 1e3 * (1 + eta)]
+        assert bracket == descend_k(
+            lambda Y: perron_phi_k(ZETA2, None, Y, 3, T=150.0), 3, 1e3)
 
 
 class TestResidue:
