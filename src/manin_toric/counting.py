@@ -35,7 +35,6 @@ import numpy as np
 from .heights import ValuationProfile
 from .latticefan import Fan, PLFunction
 from .primes import _MAX_SIEVE, mobius_table, primes_up_to
-from .ratlinalg import det_fraction
 from .toric import LeadingConstant, leading_constant
 
 
@@ -226,11 +225,10 @@ def _cox_shape(fan: Fan):
     the opposite pairs (b, e) and (a, c)."""
     rays, d = fan.rays, fan.dim
     cones = {frozenset(c) for c in fan.max_cones}
-    shape = None
     if (len(rays) == d + 1 and not any(map(sum, zip(*rays)))
             and cones == set(map(frozenset, combinations(range(d + 1), d)))):
-        shape = ("P", d)
-    elif d == 2 and len(rays) == 4:
+        return ("P", d)
+    if d == 2 and len(rays) == 4:
         for b, e in permutations(range(4), 2):
             a, c = (j for j in range(4) if j not in (b, e))
             vb = rays[b]
@@ -241,13 +239,8 @@ def _cox_shape(fan: Fan):
                                   ((a, b), (b, c), (c, e), (e, a))}):
                 n = (s[0] * vb[0] + s[1] * vb[1]) // (vb[0] ** 2 + vb[1] ** 2)
                 if n >= 0:
-                    shape = ("F", n, (a, b, c, e))
-                    break
-    # for these shapes every maximal cone has the determinant of the
-    # first up to sign
-    if shape is None or abs(det_fraction(fan.cone_matrices[0])) != 1:
-        return None
-    return shape
+                    return ("F", n, (a, b, c, e))
+    return None
 
 
 def _primitive_tuples(T: int, k: int, mertens) -> int:

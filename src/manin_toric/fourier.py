@@ -356,14 +356,19 @@ def _wsum(w, v) -> float:
 _MAX_NODES = 10 ** 6
 
 
-def _gauss_panels(T: float, edges: int, order: int):
-    """Order-point Gauss-Legendre on the edges - 1 equal panels of [0, T];
-    a rule of more than _MAX_NODES nodes is refused before any
-    allocation."""
+def _check_rule(T: float, edges: int, order: int) -> None:
+    """Refuse a rule of _gauss_panels of more than _MAX_NODES nodes."""
     if (edges - 1) * order > _MAX_NODES:
         raise FourierError(
             f"a quadrature rule of {(edges - 1) * order} nodes on [0, {T}] "
             f"is over the limit of {_MAX_NODES}")
+
+
+def _gauss_panels(T: float, edges: int, order: int):
+    """Order-point Gauss-Legendre on the edges - 1 equal panels of [0, T];
+    a rule of more than _MAX_NODES nodes is refused before any
+    allocation."""
+    _check_rule(T, edges, order)
     nodes, wts = np.polynomial.legendre.leggauss(order)
     edge = np.linspace(0.0, T, edges)
     mid = (edge[:-1] + edge[1:]) / 2

@@ -1,11 +1,10 @@
-"""Complete unimodular fans in Z^d and piecewise linear functions on them.
+"""Complete regular fans in Z^d and piecewise linear functions on them.
 
 A fan is given by its rays (primitive integer vectors) and its maximal
-cones (index lists into the ray array).  Every maximal cone must be
-simplicial and unimodular, i.e. its rays form a basis of Z^d with
-determinant +-1.  Completeness is certified combinatorially through the
-Euler identity over the face poset and probabilistically through seeded
-coverage sampling.
+cones (index lists into the ray array).  Every Fan is complete and
+regular by construction: its maximal cones are d rays with determinant
++-1 and cover R^d exactly once, which `validate_fan` checks exactly, in
+integers, when the Fan is built.
 
 JSON schema::
 
@@ -21,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
-from .ratlinalg import _rref, det_fraction, solve_fraction
+from .ratlinalg import solve_fraction
 
 
 class FanFormatError(ValueError):
@@ -36,53 +34,67 @@ class FanFormatError(ValueError):
 
 
 class FanValidationError(ValueError):
-    """Raised when a parsed fan fails a structural requirement."""
+    """Raised when fan data are not a complete regular fan; when a Fan
+    refuses them, `fan` holds it, for reporting its data."""
 
 
 Vector = tuple[int, ...]
 
 
+def _bareiss(a: list, clear_above: bool) -> int:
+    """The determinant of the integer rows a on their first len(a) columns
+    (0 if singular), by Bareiss's fraction-free elimination in place,
+    whose divisions are exact; Gauss-Jordan with clear_above."""
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        a[k], a[p], sign = a[p], a[k], sign if p == k else -sign
+        for i in range(0 if clear_above else k + 1, n):
+            if i != k:
+                a[i] = [(a[k][k] * x - a[i][k] * y) // prev
+                        for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
+
+
 def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Inverse of an integer matrix with det +-1, as integer rows: one
-    elimination takes [mat | I] to [I | mat^-1]."""
+    """Inverse of an integer matrix with det +-1, as integer rows:
+    Gauss-Jordan takes [mat | I] to [p I | p mat^-1], p = +-1."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                         for j in range(n)]
-           for i, row in enumerate(mat)]
-    if len(_rref(aug, n)) < n:
-        raise FanValidationError("singular cone matrix")
-    if any(x.denominator != 1 for row in aug for x in row[n:]):
-        raise FanValidationError("cone matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)]
+    _bareiss(a, True)
+    return tuple(tuple(a[-1][n - 1] * x for x in r[n:]) for r in a)
 
 
 @dataclass(frozen=True)
 class Fan:
-    """A complete unimodular fan in Z^dim."""
+    """A complete regular fan in Z^dim, checked when built."""
 
     dim: int
     rays: tuple[Vector, ...]
     max_cones: tuple[tuple[int, ...], ...]
     name: str = ""
 
-    @cached_property
-    def cone_matrices(self) -> tuple[tuple[Vector, ...], ...]:
-        """Per maximal cone, the matrix whose columns are its rays."""
-        out = []
-        for cone in self.max_cones:
-            cols = [self.rays[j] for j in cone]
-            out.append(tuple(tuple(cols[j][i] for j in range(self.dim))
-                             for i in range(self.dim)))
-        return tuple(out)
+    def __post_init__(self):
+        try:
+            validate_fan(self)
+        except FanValidationError as e:
+            e.fan = self
+            raise
 
     @cached_property
     def cone_inverses(self) -> tuple[tuple[Vector, ...], ...]:
-        """Integer inverses of the cone matrices (rows).
+        """Integer inverses, as rows, of the matrices whose columns are
+        the rays of each maximal cone.
 
         For v in the cone, cone_inverses[s] @ v gives the nonnegative
         coordinates of v in the ray basis of maximal cone s.
         """
-        return tuple(_inverse_unimodular(m) for m in self.cone_matrices)
+        return tuple(_inverse_unimodular(tuple(zip(*(self.rays[j]
+                                                     for j in cone))))
+                     for cone in self.max_cones)
 
     @cached_property
     def cones_by_dim(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -92,16 +104,11 @@ class Fan:
         the face poset is the union of the subset lattices of the maximal
         cones.  The zero cone appears as the empty tuple at dimension 0.
         """
-        seen: set[tuple[int, ...]] = set()
-        for cone in self.max_cones:
-            idx = tuple(sorted(cone))
-            n = len(idx)
-            for mask in range(1 << n):
-                seen.add(tuple(idx[i] for i in range(n) if mask >> i & 1))
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for face in seen:
-            by_dim.setdefault(len(face), []).append(face)
-        return {k: tuple(sorted(v)) for k, v in sorted(by_dim.items())}
+        faces = {face for cone in self.max_cones
+                 for k in range(self.dim + 1)
+                 for face in combinations(sorted(cone), k)}
+        return {k: tuple(sorted(f for f in faces if len(f) == k))
+                for k in range(self.dim + 1)}
 
     def cone_count(self, k: int) -> int:
         """Number of k-dimensional cones."""
@@ -173,10 +180,7 @@ class PLFunction:
             if best is None or m > best[0]:
                 best = (m, s, coords)
         else:
-            if exact:
-                raise FanValidationError(
-                    f"vector {v} lies in no cone; fan incomplete")
-            _m, s, coords = best
+            _m, s, coords = best   # float round-off, the fan is complete
         return s, coords if exact else tuple(max(c, 0.0) for c in coords)
 
     def __call__(self, v: Sequence):
@@ -269,11 +273,8 @@ class PLFunction:
                 if h > best:
                     best = h
             return Fraction(best)
-        for s, inv in enumerate(self.fan.cone_inverses):
-            if all(_log_nonpositive(row, support) for row in inv):
-                break
-        else:
-            raise FanValidationError("no cone contains the archimedean vector")
+        s = next(s for s, inv in enumerate(self.fan.cone_inverses)
+                 if all(_log_nonpositive(row, support) for row in inv))
         num = den = 1
         for p, r in rows:
             if r[s] > 0:
@@ -303,8 +304,9 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]],
                name=name)
 
 
-def fan_from_json(src: str | dict) -> Fan:
-    """Parse a fan from a JSON string or an already-decoded dict."""
+def fan_from_json(src: str | dict, name: str = "") -> Fan:
+    """Parse a fan from a JSON string or an already-decoded dict; name
+    names it when the description does not."""
     if isinstance(src, str):
         try:
             obj = json.loads(src)
@@ -335,10 +337,10 @@ def fan_from_json(src: str | dict) -> Fan:
             raise FanFormatError(f"cone {c!r} is not an index list")
         if any(i < 0 or i >= len(rays) for i in c):
             raise FanFormatError(f"cone {c!r} references a missing ray")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
+    given = obj.get("name", "")
+    if not isinstance(given, str):
         raise FanFormatError("name must be a string")
-    return make_fan(dim, rays, cones, name)
+    return make_fan(dim, rays, cones, given or name)
 
 
 def fan_to_json(fan: Fan) -> dict:
@@ -350,67 +352,79 @@ def fan_to_json(fan: Fan) -> dict:
     return out
 
 
-def validate_fan(fan: Fan, samples: int = 200, seed: int = 0) -> None:
-    """Check the structural requirements; raise FanValidationError if violated.
+def validate_fan(fan: Fan) -> None:
+    """Check exactly, in integers, that fan is a complete regular fan;
+    raise FanValidationError naming the first defect.  Every Fan runs
+    this when it is built.
 
-    Checks: rays nonzero, primitive, and pairwise distinct; every maximal
-    cone has exactly dim rays forming a unimodular basis; the Euler
-    identity  sum over all cones of (-1)^dim(cone) == (-1)^dim  holds;
-    and seeded random integer vectors each lie in at least one maximal
-    cone, in exactly one unless on a shared boundary.
+    The rays must be primitive, distinct and each in a maximal cone; the
+    maximal cones d = dim distinct rays with determinant +-1; each wall
+    (a maximal cone's rays but one) in exactly two maximal cones whose
+    other rays lie on opposite sides of it: the determinants of the
+    wall's rays, in one order, and the other ray have opposite signs;
+    and the sum v of the first cone's rays in no other maximal cone.
+
+    Then the cones cover R^d once.  For d = 1 the one wall is empty: two
+    cones, the half lines of +1 and -1.  For d >= 2 let N(x) count the
+    cones holding a point x on no wall.  A path between two such points
+    can avoid the faces of dimension d - 2 and the intersections of two
+    distinct wall hyperplanes, of codimension 2, and cross walls at
+    isolated points y.  A cone holding y inside counts on both sides; one
+    holding y on its boundary has y inside one facet, a wall, and counts
+    on the side opposite the other cone of that wall.  So N is constant,
+    and N(v) = 1, v being inside the first cone and in no other.  So the
+    closed cones cover R^d, with disjoint interiors.
     """
-    d = fan.dim
-    if len(fan.rays) < d + 1:
-        raise FanValidationError("a complete fan needs at least dim+1 rays")
-    for r in fan.rays:
+    d, rays, cones = fan.dim, fan.rays, fan.max_cones
+    if d < 1 or not cones:
+        raise FanValidationError("a fan needs dim >= 1 and a maximal cone")
+    for r in rays:
         if len(r) != d:
             raise FanValidationError(f"ray {r} has wrong dimension")
-        if all(x == 0 for x in r):
-            raise FanValidationError("zero vector cannot be a ray")
         if math.gcd(*r) != 1:
             raise FanValidationError(f"ray {r} is not primitive")
-    if len(set(fan.rays)) != len(fan.rays):
+    if len(set(rays)) != len(rays):
         raise FanValidationError("duplicate rays")
-    for cone in fan.max_cones:
+    for cone in cones:
         if len(cone) != d or len(set(cone)) != d:
             raise FanValidationError(
                 f"maximal cone {cone} must have {d} distinct rays")
-    if len(set(tuple(sorted(c)) for c in fan.max_cones)) != len(fan.max_cones):
-        raise FanValidationError("duplicate maximal cones")
-    for cone, mat in zip(fan.max_cones, fan.cone_matrices):
-        det = int(det_fraction(mat))
+        if min(cone) < 0 or max(cone) >= len(rays):
+            raise FanValidationError(
+                f"maximal cone {cone} references a missing ray")
+    unused = set(range(len(rays))).difference(*cones)
+    if unused:
+        j = min(unused)
+        raise FanValidationError(f"ray {j} {rays[j]} lies in no maximal cone")
+    walls: dict[tuple[int, ...], list] = {}
+    for cone in cones:
+        det = _bareiss([list(rays[j]) for j in cone], False)
         if abs(det) != 1:
             raise FanValidationError(
                 f"maximal cone {cone} is not unimodular (det={det})")
-
-    euler = sum((-1) ** k * fan.cone_count(k)
-                for k in fan.cones_by_dim)
-    if euler != (-1) ** d:
-        raise FanValidationError(
-            f"Euler identity fails (got {euler}, expected {(-1) ** d}); "
-            "the fan does not cover Z^d")
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        v = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(d))
-        if all(x == 0 for x in v):
-            continue
-        hits = []
-        interior = 0
-        for s, inv in enumerate(fan.cone_inverses):
-            coords = [sum(inv[i][j] * v[j] for j in range(d))
-                      for i in range(d)]
-            if all(c >= 0 for c in coords):
-                hits.append(s)
-                if all(c > 0 for c in coords):
-                    interior += 1
-        if not hits:
+        # the sign of det(the wall's rays ascending, then the ray left
+        # out): sort the rays, then move that one from place k to the end
+        idx = sorted(cone)
+        det *= (-1) ** sum(a > b for a, b in combinations(cone, 2))
+        for k in range(d):
+            walls.setdefault(tuple(idx[:k] + idx[k + 1:]), []).append(
+                (cone, det * (-1) ** (d - 1 - k)))
+    for wall, where in walls.items():
+        if len(where) == 1:
             raise FanValidationError(
-                f"sample vector {v} lies in no maximal cone; fan incomplete")
-        if interior > 0 and len(hits) > 1:
+                f"the wall {wall} bounds only maximal cone {where[0][0]}; "
+                "the fan is incomplete")
+        if len(where) > 2 or where[0][1] == where[1][1]:
             raise FanValidationError(
-                f"sample vector {v} is interior to one cone but contained "
-                f"in {len(hits)}; cones overlap")
+                f"the wall {wall} bounds maximal cones "
+                f"{', '.join(str(c) for c, _ in where)}, not one on each "
+                "side; the cones overlap")
+    v = tuple(map(sum, zip(*(rays[j] for j in cones[0]))))
+    for cone, inv in zip(cones[1:], fan.cone_inverses[1:]):
+        if all(sum(a * x for a, x in zip(row, v)) >= 0 for row in inv):
+            raise FanValidationError(
+                f"{v}, inside maximal cone {cones[0]}, also lies in maximal "
+                f"cone {cone}: the cones cover R^{d} more than once")
 
 
 def locate_cone(fan: Fan, v: Sequence):

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .counting import p1_height_counts
-from .fourier import _gauss_panels, _wsum, zeta_line
+from .fourier import _check_rule, _gauss_panels, _wsum, zeta_line
 from .primes import divisor_count_table
 
 __all__ = [
@@ -178,6 +178,9 @@ def builtin_oracle(name: str) -> DirichletOracle:
                            _coefficients=co)
 
 
+_ORDER = 12   # Gauss-Legendre points per panel of a Perron rule
+
+
 def _panel_edges(T: float, X: float) -> int:
     # at least three panels per oscillation period 2*pi/log X; log X is
     # rounded up so that the X of a descent window share one node set
@@ -186,10 +189,10 @@ def _panel_edges(T: float, X: float) -> int:
 
 
 def _line_values(oracle: DirichletOracle, a_prime: float, T: float,
-                 edges: int, k: int, order: int = 12):
+                 edges: int, k: int):
     """Gauss-Legendre nodes s on a' + i[0, T], weights, f(s) and
     s^(k+1)."""
-    t, w = _gauss_panels(T, edges, order)
+    t, w = _gauss_panels(T, edges, _ORDER)
     s = a_prime + 1j * t
     return s, w, oracle.evaluate_line(s), s ** (k + 1)
 
@@ -258,6 +261,10 @@ class PerronLine:
                                                   self.T, edges, self.k)
             self._values[X] = _line_sum(self._lines[edges], X, self.k)
         return self._values[X]
+
+    def check_rule(self, X: float) -> None:
+        """Refuse a rule for X over the node limit, with no work done."""
+        _check_rule(self.T, _panel_edges(self.T, X), _ORDER)
 
     def tail(self, X: float) -> float:
         """Bound on the integral over |Im s| > T."""

@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import PolyhedralCone, char_function, make_cone
-from .latticefan import (Fan, FanValidationError, PLFunction,
-                         _inverse_unimodular)
+from .latticefan import Fan, PLFunction
 from .primes import primes_up_to
 
 
@@ -54,19 +53,10 @@ def picard_data(fan: Fan) -> PicardData:
     div(x^(u_i)) = D_(sigma_i) + sum_(k not in sigma) <u_i, e_k> D_k and
     [D_(sigma_i)] = -sum_(k not in sigma) <u_i, e_k> [D_k].  The
     projection is the identity on the rays outside sigma and
-    -<u_i, e_k> on sigma's rays; its kernel is M.  Raises PicardError
-    when sigma is not d rays with determinant +-1.
+    -<u_i, e_k> on sigma's rays; its kernel is M.
     """
     d = fan.dim
-    cone = fan.max_cones[0]
-    if len(cone) != d:
-        raise PicardError(f"maximal cone {cone} must have {d} rays to "
-                          "read the Picard lattice off")
-    try:
-        inv = _inverse_unimodular([[fan.rays[j][i] for j in cone]
-                                   for i in range(d)])
-    except FanValidationError as e:
-        raise PicardError(f"maximal cone {cone}: {e}") from None
+    cone, inv = fan.max_cones[0], fan.cone_inverses[0]
     J = len(fan.rays)
     projection = []
     for k in range(J):

@@ -18,10 +18,12 @@ import pytest
 from manin_toric import bounds, cli, counting, fourier, tauberian
 from manin_toric.cli import run
 from manin_toric.counting import count_N, count_points
-from manin_toric.latticefan import builtin_fan
+from manin_toric.latticefan import FanValidationError, builtin_fan, make_fan
 from manin_toric.tauberian import (MAX_DIRECT_TERMS, DirichletOracle,
                                    PerronLine, builtin_oracle, descend_k,
                                    perron_phi_k)
+
+from fan_oracles import DOUBLE_WINDING, mutate
 
 
 def run_json(argv, capsys, expect=0):
@@ -82,15 +84,13 @@ class TestDispatch:
         assert f"{option} must be finite" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["validate", "--fan", "builtin:p1", "--samples", "-3"],
-         "--samples must be nonnegative, got -3"),
         (["bounds-sweep", "--base-decades", "-1"],
          "--base-decades must be nonnegative, got -1"),
         (["bounds-sweep", "--extend-decades", "-2"],
          "--extend-decades must be nonnegative, got -2"),
         (["constants", "--fan", "builtin:p1", "--pmax", "-5"],
          "--pmax must be nonnegative, got -5"),
-    ], ids=["samples", "base-decades", "extend-decades", "pmax"])
+    ], ids=["base-decades", "extend-decades", "pmax"])
     def test_negative_count_refused(self, capsys, argv, message):
         assert run(argv) == 2
         assert message in capsys.readouterr().err
@@ -546,6 +546,20 @@ class TestTauber:
             "is over the limit of 1000000\n")
         assert calls == []
 
+    def test_oversized_rule_refused_before_the_direct_sums(self, capsys,
+                                                           monkeypatch):
+        # the rule follows from T and X alone and is checked at
+        # X (1 + eta), the largest X of the descent; the direct sums over
+        # 10^7 terms would first take about a second and 340 MB
+        def direct(*args):
+            raise AssertionError("phi_direct called")
+        monkeypatch.setattr(DirichletOracle, "phi_direct", direct)
+        assert run(["tauber", "--oracle", "zeta2", "--X", "1e7", "--k", "3",
+                    "--T", "1e6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a quadrature rule of 97402836 nodes on [0, 1000000.0] "
+            "is over the limit of 1000000\n")
+
     def test_oversized_direct_sum_fails_fast(self, capsys):
         t0 = time.perf_counter()
         assert run(["tauber", "--oracle", "zeta2", "--X", "1e12",
@@ -805,6 +819,46 @@ def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# one fan per mutation of tests/fan_oracles.py, each of p2; the unused
+# ray (1, 1), the double winding and the det -2 cone (0, 2) are the fans
+# of which sampled checks made an alpha and a theta
+INVALID_FANS = {
+    **{kind: mutate(builtin_fan("p2"), kind, 0)
+       for kind in ("drop", "unused", "scale", "det2")},
+    "double": DOUBLE_WINDING,
+    "det-2-cone": (2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]]),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["constants"],
+    ["count", "--bounds", "100"],
+    ["height", "--x", "2,3"],
+    ["zeta", "--lambda", "rho", "--B", "100"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", INVALID_FANS)
+def test_invalid_fan_refused_on_load(tmp_path, capsys, kind, argv):
+    dim, rays, cones = INVALID_FANS[kind]
+    with pytest.raises(FanValidationError) as refused:
+        make_fan(dim, rays, cones)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps({"dim": dim, "rays": [list(r) for r in rays],
+                                "maxCones": [list(c) for c in cones]}))
+    assert run(argv[:1] + ["--fan", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    if argv[0] != "validate":
+        assert captured.err == f"error: {refused.value}\n"
+        assert captured.out == ""
+        return
+    # validate writes its artifact instead of the error line
+    doc = json.loads(captured.out)
+    assert captured.err == ""
+    assert doc["status"] == "invalid" and doc["reason"] == str(refused.value)
+    assert doc["fan"] == {"name": kind, "dim": dim, "n_rays": len(rays),
+                          "n_max_cones": len(cones)}
 
 
 def _fresh_python(script: str) -> str:

@@ -39,7 +39,8 @@ from manin_toric.heights import global_height
 from manin_toric.latticefan import PLFunction, builtin_fan, make_fan
 from manin_toric.primes import factorize, totient_table
 
-from fan_oracles import candidates_table, disguise, projective_fan
+from fan_oracles import (candidates_table, disguise, hexagon_fan,
+                         projective_fan)
 
 P1 = builtin_fan("p1")
 P2 = builtin_fan("p2")
@@ -728,17 +729,16 @@ class TestTorsorRoute:
         assert count_points(P1XP1, (1, 1, 1, 1), B) == int(weights @ n1)
 
     def test_other_cases_walk(self):
-        incomplete = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
         for fan, lam in ((P1XP1, (1, 2, 1, 2)), (F1, (1, 5, 1, 1)),
-                         (incomplete, (1, 1, 1))):
+                         (hexagon_fan(), (1,) * 6)):
             report = count_N(fan, lam, [100, 300], pmax=1000)
             assert report.engine == "dfs"
             assert report.counts == dfs_counts(fan, lam, [100, 300])
-        # unimodular cones on every pair of three rays that do not sum to 0
-        # overlap: not P^2, and no Cox-coordinate count
-        overlapping = make_fan(2, [(1, 0), (0, 1), (1, 1)],
-                               [(0, 1), (1, 2), (0, 2)])
-        assert counting._cox_shape(overlapping) is None
+        # five rays, P^1 x P^1 blown up in a point: neither P^n nor F_n,
+        # and no Cox-coordinate count
+        five = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)],
+                        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        assert counting._cox_shape(five) is None
 
     @pytest.mark.parametrize("name,a,b", [("p1xp1", 1, 2), ("p2", 1, 1)])
     def test_theta_at_large_B(self, name, a, b):

@@ -1,5 +1,6 @@
 """Fan parsing, validation, cone location, and PL evaluation."""
 
+import dataclasses
 import json
 import math
 import random
@@ -27,7 +28,9 @@ from manin_toric.latticefan import (
 )
 from manin_toric.ratlinalg import rank_fraction
 
-from fan_oracles import cone_search_height, disguise, projective_fan
+from fan_oracles import (DOUBLE_WINDING, cone_search_height, covering_degree,
+                         disguise, hexagon_fan, mutate, projective_fan,
+                         relabel)
 
 
 def test_builtin_fans_validate():
@@ -58,33 +61,141 @@ def test_malformed_fan_rejected(bad):
         fan_from_json(bad)
 
 
+# every Fan is checked when it is built, so invalid data never make one
+
+
 def test_nonprimitive_ray_rejected():
-    fan = make_fan(1, [[2], [-1]], [[0], [1]])
-    with pytest.raises(FanValidationError, match="primitive"):
-        validate_fan(fan)
+    with pytest.raises(FanValidationError, match=r"ray \(2,\) is not primitive"):
+        make_fan(1, [[2], [-1]], [[0], [1]])
 
 
 def test_non_unimodular_cone_rejected():
     # cone spanned by (1,0) and (1,2) has index 2 in Z^2
-    fan = make_fan(2, [[1, 0], [1, 2], [-1, -1], [0, -1]],
-                   [[0, 1], [1, 2], [2, 3], [0, 3]])
-    with pytest.raises(FanValidationError, match="unimodular"):
-        validate_fan(fan)
+    with pytest.raises(FanValidationError, match=r"maximal cone \(0, 1\) is "
+                       r"not unimodular \(det=2\)"):
+        make_fan(2, [[1, 0], [1, 2], [-1, -1], [0, -1]],
+                 [[0, 1], [1, 2], [2, 3], [0, 3]])
 
 
 def test_incomplete_fan_rejected():
-    # only the first quadrant: Euler sum is 1 - 2 + 1 = 0, not +1
-    fan = make_fan(2, [[1, 0], [0, 1]], [[0, 1]])
-    with pytest.raises(FanValidationError):
-        validate_fan(fan)
+    # only the first quadrant: each of its walls bounds it alone
+    with pytest.raises(FanValidationError, match=r"the wall \(1,\) bounds "
+                       r"only maximal cone \(0, 1\); the fan is incomplete"):
+        make_fan(2, [[1, 0], [0, 1]], [[0, 1]])
 
 
 def test_overlapping_cones_rejected():
-    # the half planes x>=0 and y>=0 overlap in the first quadrant
-    fan = make_fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
-                   [[0, 1], [0, 3], [1, 2], [2, 3], [0, 1]])
-    with pytest.raises(FanValidationError):
-        validate_fan(fan)
+    # the four quadrants and the first one again
+    with pytest.raises(FanValidationError, match=r"the wall \(1,\) bounds "
+                       r"maximal cones \(0, 1\), \(1, 2\), \(0, 1\), not one "
+                       r"on each side; the cones overlap"):
+        make_fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                 [[0, 1], [0, 3], [1, 2], [2, 3], [0, 1]])
+
+
+@pytest.mark.parametrize("dim, rays, cones, message", [
+    # cone (0, 2) has determinant -2
+    (2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]],
+     r"^maximal cone \(0, 2\) is not unimodular \(det=-2\)$"),
+    (*DOUBLE_WINDING,
+     r"^\(-2, 1\), inside maximal cone \(0, 1\), also lies in maximal cone "
+     r"\(6, 7\): the cones cover R\^2 more than once$"),
+    # p2 and the ray (1, 1)
+    (2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [0, 2]],
+     r"^ray 3 \(1, 1\) lies in no maximal cone$"),
+], ids=["det-2-cone", "double-cover", "unused-ray"])
+def test_fans_a_sampled_check_let_through_are_refused(dim, rays, cones,
+                                                      message):
+    with pytest.raises(FanValidationError, match=message) as refused:
+        make_fan(dim, rays, cones)
+    # the refused data, for a report
+    assert refused.value.fan.rays == tuple(map(tuple, rays))
+
+
+def test_every_constructor_checks():
+    p2 = builtin_fan("p2")
+    with pytest.raises(FanValidationError, match="incomplete"):
+        dataclasses.replace(p2, max_cones=p2.max_cones[:2])
+    with pytest.raises(FanValidationError, match="not primitive"):
+        Fan(dim=1, rays=((1,), (-3,)), max_cones=((0,), (1,)))
+    with pytest.raises(FanValidationError, match="and a maximal cone"):
+        Fan(dim=2, rays=(), max_cones=())
+    with pytest.raises(FanValidationError, match="lies in no maximal cone"):
+        fan_from_json({"dim": 1, "rays": [[1], [-1]], "maxCones": [[0]]})
+
+
+# P^n, F_n and dP6, in random bases and ray orders
+PROPERTY_FANS = ([projective_fan(n) for n in range(1, 5)]
+                 + [hirzebruch_fan(n) for n in range(5)] + [hexagon_fan()])
+property_settings = settings(derandomize=True, deadline=None, database=None,
+                             max_examples=80)
+
+
+def relabellings(n_rays, dim):
+    return st.tuples(
+        st.permutations(range(n_rays)),
+        st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                           st.integers(-2, 2)), max_size=4),
+        st.booleans())
+
+
+def sampled_degrees(draw, dim, rays, cones):
+    """The oracle's covering degree at random integer vectors and at the
+    sum of each cone's rays, where it says something."""
+    vecs = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * dim),
+                         min_size=8, max_size=8))
+    vecs += [tuple(map(sum, zip(*(rays[j] for j in c)))) for c in cones]
+    return [k for k in (covering_degree(rays, cones, v) for v in vecs)
+            if k is not None]
+
+
+@property_settings
+@given(st.data())
+def test_construction_accepts_disguised_fans(data):
+    base = data.draw(st.sampled_from(PROPERTY_FANS))
+    fan, _ = disguise(base, *data.draw(relabellings(len(base.rays),
+                                                    base.dim)))
+    degrees = sampled_degrees(data.draw, fan.dim, fan.rays, fan.max_cones)
+    assert degrees and set(degrees) == {1}
+
+
+@property_settings
+@given(st.data(), st.sampled_from(("drop", "unused", "scale", "det2",
+                                   "double")))
+def test_construction_refuses_mutations(data, kind):
+    """Each mutation leaves no complete regular fan, by construction:
+    the check refuses it, naming the defect, and the oracle agrees where
+    the covering changed."""
+    if kind == "double":
+        dim, rays, cones = DOUBLE_WINDING
+        rays, cones = relabel(dim, rays, cones,
+                              *data.draw(relabellings(len(rays), dim)))
+    else:
+        base = data.draw(st.sampled_from(
+            [f for f in PROPERTY_FANS if f.dim > 1 or kind != "det2"]))
+        fan, _ = disguise(base, *data.draw(relabellings(len(base.rays),
+                                                        base.dim)))
+        pick = data.draw(st.integers(0, 20))
+        dim, rays, cones = mutate(fan, kind, pick)
+    message = {"drop": "incomplete|lies in no maximal cone",
+               "unused": "lies in no maximal cone|duplicate rays",
+               "scale": "is not primitive",
+               "det2": "is not unimodular|duplicate rays",
+               "double": r"cover R\^2 more than once"}[kind]
+    with pytest.raises(FanValidationError, match=message):
+        make_fan(dim, rays, cones)
+    degrees = sampled_degrees(data.draw, dim, rays, cones)
+    if kind == "drop":
+        # the sum of the dropped cone's rays lies in no cone left
+        dropped = fan.max_cones[pick % len(fan.max_cones)]
+        hole = tuple(map(sum, zip(*(rays[j] for j in dropped))))
+        assert covering_degree(rays, cones, hole) == 0
+    elif kind == "double":
+        assert degrees and set(degrees) == {2}
+    elif kind in ("unused", "scale"):
+        # the cones are the same sets: the data are at fault, not the
+        # covering
+        assert degrees and set(degrees) == {1}
 
 
 def test_cones_by_dim_p2():
@@ -301,11 +412,8 @@ def test_kernel_vertices_are_tight_and_feasible(data):
 def test_inverse_unimodular():
     mat = ((2, 1), (1, 1))
     assert _inverse_unimodular(mat) == ((1, -1), (-1, 2))
-    with pytest.raises(FanValidationError, match="singular cone matrix"):
-        _inverse_unimodular(((1, 2), (2, 4)))
-    with pytest.raises(FanValidationError,
-                       match="cone matrix is not unimodular"):
-        _inverse_unimodular(((1, 1), (0, 2)))
+    assert _inverse_unimodular(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == (
+        (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 @kernel_settings
