@@ -40,6 +40,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # decays at least like t^-1.5, so what lies beyond is about 1e-20 of
 # the integrand's scale or less
 _TAIL_DECADES = 40
+# the most base plus extended decades: the plus kind divides by A^alpha
+# B^beta, up to 10^(3 * 102), and the cuts reach 10^103 + 10^_TAIL_DECADES
+MAX_DECADES = 102
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 A cone is stored by generators (plus an optional lineality basis for
 duals of lower-dimensional cones).  All operations are exact over Q:
-dual cones by double description with rational pivoting, placing
-triangulation over the generators in their given order, and the
-characteristic function
+dual cones by double description in integers, placing triangulation
+over the generators in their given order, and the characteristic
+function
 
     X_C(z) = integral over the dual cone of exp(-<z, v>) dv
 
@@ -24,15 +24,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ratlinalg import (
+    _eliminate,
+    _integer_rows,
+    _inverse,
     det_fraction,
     echelon_basis,
     nullspace_fraction,
     primitive_vector,
     rank_fraction,
-    solve_fraction,
 )
 
 
@@ -74,13 +77,9 @@ class PolyhedralCone:
 def make_cone(generators: Sequence[Sequence], dim: int | None = None,
               lineality: Sequence[Sequence] = (),
               measure_basis=None) -> PolyhedralCone:
-    gens = []
-    for g in generators:
-        vec = tuple(Fraction(x) for x in g)
-        if any(x != 0 for x in vec):
-            gens.append(primitive_vector(vec))
+    gens = [primitive_vector(g) for g in generators if any(map(Fraction, g))]
     lin = tuple(primitive_vector(l) for l in lineality
-                if any(Fraction(x) != 0 for x in l))
+                if any(map(Fraction, l)))
     if dim is None:
         if not gens and not lin:
             raise ConeError("cannot infer ambient dimension of empty cone")
@@ -111,74 +110,75 @@ def cone_to_json(c: PolyhedralCone) -> dict:
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
+    """<a, b> exactly, for outside input: floats are read as the
+    Fractions they equal."""
     return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+
+
+def _idot(a: IntVec, b: IntVec) -> int:
+    return sum(map(mul, a, b))
 
 
 def _dd_feasible(n: int, inequalities: Sequence[Sequence],
                  equalities: Sequence[Sequence] = ()):
     """Rays and lineality of {y : a.y >= 0, e.y = 0} by double description.
 
-    Constraints are processed one at a time against the current minimal
-    (lineality, rays) pair; adjacency of rays is decided by the rank of
-    the common active constraints.  Exact throughout.
+    Constraints are scaled once to integer rows and processed one at a
+    time against the current minimal (lineality, rays) pair; adjacency of
+    rays is decided by the rank of the common active constraints.  Two
+    vectors are combined with the other one's pairing as the factor, a
+    positive multiple of the rational combination, and rays are kept
+    primitive, so everything stays in integers and exact.
     """
-    lin: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(n))
-        for i in range(n)]
-    rays: list[tuple[Fraction, ...]] = []
-    processed: list[tuple[Fraction, ...]] = []
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[IntVec] = []
+    processed: list[IntVec] = []
 
-    constraints = [tuple(Fraction(x) for x in a) for a in inequalities]
-    for e in equalities:
-        ev = tuple(Fraction(x) for x in e)
-        constraints.append(ev)
-        constraints.append(tuple(-x for x in ev))
+    constraints = [tuple(a) for a in _integer_rows(inequalities)[0]]
+    for e in _integer_rows(equalities)[0]:
+        constraints += [tuple(e), tuple(-x for x in e)]
 
     for a in constraints:
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
-        hit_idx = next((k for k, l in enumerate(lin) if _dot(a, l) != 0), None)
+        hit_idx = next((k for k, l in enumerate(lin) if _idot(a, l)), None)
         if hit_idx is not None:
             l0 = lin[hit_idx]
-            al0 = _dot(a, l0)
+            al0 = _idot(a, l0)
             if al0 < 0:
                 l0 = tuple(-x for x in l0)
                 al0 = -al0
-            others = [l for k, l in enumerate(lin) if k != hit_idx]
-            lin = [tuple(x - (_dot(a, l) / al0) * h for x, h in zip(l, l0))
-                   for l in others]
-            rays = [tuple(x - (_dot(a, r) / al0) * h for x, h in zip(r, l0))
-                    for r in rays]
+
+            def drop(v):
+                av = _idot(a, v)
+                return tuple(al0 * x - av * h for x, h in zip(v, l0))
+
+            lin = [primitive_vector(drop(l))
+                   for k, l in enumerate(lin) if k != hit_idx]
+            rays = [primitive_vector(r) for r in map(drop, rays) if any(r)]
             rays.append(l0)
-            rays = [tuple(Fraction(x) for x in primitive_vector(r))
-                    for r in rays if any(x != 0 for x in r)]
         else:
-            vals = [_dot(a, r) for r in rays]
+            vals = [_idot(a, r) for r in rays]
             neg = [i for i, v in enumerate(vals) if v < 0]
             if neg:
                 pos = [i for i, v in enumerate(vals) if v > 0]
                 zero = [i for i, v in enumerate(vals) if v == 0]
-                dim_lin = len(lin)
-                target = n - dim_lin - 2
+                target = n - len(lin) - 2
                 new_rays = [rays[i] for i in pos] + [rays[i] for i in zero]
                 for ip in pos:
                     for im in neg:
                         active = [c for c in processed
-                                  if _dot(c, rays[ip]) == 0
-                                  and _dot(c, rays[im]) == 0]
+                                  if _idot(c, rays[ip]) == 0
+                                  and _idot(c, rays[im]) == 0]
                         if len(rays) > 2 and rank_fraction(active) != target:
                             continue
-                        comb = tuple(vals[ip] * x - vals[im] * y
-                                     for x, y in zip(rays[im], rays[ip]))
-                        new_rays.append(
-                            tuple(Fraction(x) for x in primitive_vector(comb)))
+                        new_rays.append(primitive_vector(
+                            [vals[ip] * x - vals[im] * y
+                             for x, y in zip(rays[im], rays[ip])]))
                 rays = new_rays
         processed.append(a)
 
-    ray_out = sorted(set(primitive_vector(r) for r in rays
-                         if any(x != 0 for x in r)))
-    lin_out = echelon_basis(lin) if lin else ()
-    return tuple(ray_out), lin_out
+    return tuple(sorted(set(rays))), echelon_basis(lin)
 
 
 def dual_cone(c: PolyhedralCone) -> PolyhedralCone:
@@ -186,12 +186,11 @@ def dual_cone(c: PolyhedralCone) -> PolyhedralCone:
     rays, lin = _dd_feasible(c.dim, c.generators, c.lineality)
     mb = None
     if c.measure_basis is not None:
-        # dual basis rows solve B^T x = e_i
-        cols = [[c.measure_basis[i][j] for i in range(c.dim)]
-                for j in range(c.dim)]
-        mb = tuple(tuple(solve_fraction(
-            cols, [1 if k == i else 0 for k in range(c.dim)]))
-            for i in range(c.dim))
+        # the dual basis rows are the columns of B^-1
+        inv = _inverse(c.measure_basis)[1]
+        if inv is None:
+            raise ConeError("measure basis is singular")
+        mb = tuple(tuple(map(Fraction, col)) for col in zip(*inv))
     return PolyhedralCone(dim=c.dim, generators=rays, lineality=lin,
                           measure_basis=mb)
 
@@ -243,14 +242,14 @@ def triangulate(c: PolyhedralCone) -> list[PolyhedralCone]:
             continue
         # the facets of the cone so far, needed only here
         facet_forms, _lin = _dd_feasible(c.dim, used)
-        visible = [w for w in facet_forms if _dot(w, gi) < 0]
+        visible = [w for w in facet_forms if _idot(w, gi) < 0]
         used.append(gi)
         if not visible:
             continue  # interior generator on first appearance
         new_faces: set[tuple[IntVec, ...]] = set()
         for w in visible:
             for s in simplices:
-                on_w = [x for x in s if _dot(w, x) == 0]
+                on_w = [x for x in s if _idot(w, x) == 0]
                 if len(on_w) == len(s) - 1:
                     new_faces.add(tuple(on_w))
         for face in sorted(new_faces):
@@ -424,7 +423,10 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
         return QuotientChar(form=form, projection=ident, m_basis=(),
                             w_basis=ident, density=Fraction(1))
     k = len(mb)
-    if rank_fraction(mb) != k:
+    # mb read right to left: its rank, and the columns off its pivots,
+    # which index the first standard basis vectors that complete it
+    pivots = _eliminate([list(m[::-1]) for m in mb])[0]
+    if len(pivots) != k:
         raise ConeError("m_basis is not linearly independent")
     if k > n:
         raise ConeError("m_basis larger than ambient dimension")
@@ -442,32 +444,16 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
     if rays or lin:
         raise ConeError("closure of the cone meets the subspace nontrivially")
 
-    # complete m_basis with standard basis vectors, deterministically
-    w_basis: list[IntVec] = []
-    current: list[Sequence] = list(mb)
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if rank_fraction(current + [e]) > rank_fraction(current):
-            w_basis.append(e)
-            current.append(e)
-        if len(current) == n:
-            break
+    # the density and the projection functionals, the last r rows of
+    # [m|W]^-1, from one elimination
+    w_basis = tuple(tuple(int(j == i) for j in range(n))
+                    for i in range(n) if n - 1 - i not in pivots)
     r = n - k
-    assert len(w_basis) == r
-
-    cols = [list(m) for m in mb] + [list(w) for w in w_basis]
-    colmat = [[Fraction(cols[j][i]) for j in range(n)] for i in range(n)]
-    c0 = abs(det_fraction(colmat))
+    det, inv = _inverse(list(zip(*mb, *w_basis)))
+    c0 = Fraction(abs(det))
     if c.measure_basis is not None:
         c0 = c0 / abs(det_fraction(c.measure_basis))
-
-    # projection functionals: last r rows of [m|W]^{-1}
-    # row i of the inverse solves sum_j y_j * (row j of [m|W]) = e_i
-    proj_rows = []
-    for i in range(r):
-        target = [Fraction(1 if j == k + i else 0) for j in range(n)]
-        proj_rows.append(tuple(solve_fraction(colmat, target)))
-    projection = tuple(proj_rows)
+    projection = tuple(tuple(map(Fraction, row)) for row in inv[k:])
 
     # the pre-check makes the image cone pointed
     images = []
@@ -477,7 +463,7 @@ def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientCha
         images.append(x)
     form = char_function(make_cone(images, dim=r), density=c0)
     return QuotientChar(form=form, projection=projection, m_basis=mb,
-                        w_basis=tuple(w_basis), density=c0)
+                        w_basis=w_basis, density=c0)
 
 
 def _normalize_term(coeff: Fraction, forms: Iterable[Sequence[Fraction]]):

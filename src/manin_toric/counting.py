@@ -146,6 +146,8 @@ def _int_nth_root(x, s: int) -> int:
     n = math.floor(x)
     if n < 1:
         return 0
+    if n.bit_length() <= s:   # n < 2^s
+        return 1
     T = 1 << -(-n.bit_length() // s)   # 2^ceil(bits / s) > n^(1/s)
     while True:
         nxt = ((s - 1) * T + n // T ** (s - 1)) // s

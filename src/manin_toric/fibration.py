@@ -186,7 +186,8 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
     height; partial sums converge to the zeta value only for fiber
     exponents > 1 and alpha_base > 2.  A bound with more points than
     counting._MAX_TABLE, counted in Cox coordinates on F_|twist|, is
-    refused before the loop."""
+    refused before the loop, as are exponents with B^(mu1 + mu2) past
+    the float range."""
     mu = _fiber_lambda(lam_fiber)
     a = float(alpha_base)
     if not 0 < a < math.inf:
@@ -209,6 +210,12 @@ def fibration_zeta_partial(spec: TorsorSpec, lam_fiber, alpha_base,
             raise FibrationError(
                 f"the fibration loop would visit {count} points "
                 f"(B = {_magnitude(Bq)}), over the limit of {_MAX_TABLE}")
+        # the loop's powers are x^e with 1/B <= x <= B, e <= mu1 + mu2
+        if (float(mu1) + float(mu2)) * math.log2(Bq) > 1023:
+            raise FibrationError(
+                f"fiber exponents {float(mu[0]):g}, {float(mu[1]):g} are too "
+                f"large for B = {_magnitude(Bq)}: B^(mu1 + mu2) leaves the "
+                "float range")
     base_rows = []
     height_counts = Counter()
     terms = []

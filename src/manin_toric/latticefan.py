@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
 
-from .ratlinalg import solve_fraction
+from .ratlinalg import _inverse, solve_fraction
 
 
 class FanFormatError(ValueError):
@@ -39,33 +39,6 @@ class FanValidationError(ValueError):
 
 
 Vector = tuple[int, ...]
-
-
-def _bareiss(a: list, clear_above: bool) -> int:
-    """The determinant of the integer rows a on their first len(a) columns
-    (0 if singular), by Bareiss's fraction-free elimination in place,
-    whose divisions are exact; Gauss-Jordan with clear_above."""
-    n, sign, prev = len(a), 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0
-        a[k], a[p], sign = a[p], a[k], sign if p == k else -sign
-        for i in range(0 if clear_above else k + 1, n):
-            if i != k:
-                a[i] = [(a[k][k] * x - a[i][k] * y) // prev
-                        for x, y in zip(a[i], a[k])]
-        prev = a[k][k]
-    return sign * prev
-
-
-def _inverse_unimodular(mat: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-    """Inverse of an integer matrix with det +-1, as integer rows:
-    Gauss-Jordan takes [mat | I] to [p I | p mat^-1], p = +-1."""
-    n = len(mat)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)]
-    _bareiss(a, True)
-    return tuple(tuple(a[-1][n - 1] * x for x in r[n:]) for r in a)
 
 
 @dataclass(frozen=True)
@@ -85,6 +58,13 @@ class Fan:
             raise
 
     @cached_property
+    def _eliminated(self) -> tuple:
+        """(det A, rows of A^-1) per maximal cone, A its rays as columns:
+        one elimination of [A | I] each, for validate_fan and the inverses."""
+        return tuple(_inverse(tuple(zip(*(self.rays[j] for j in cone))))
+                     for cone in self.max_cones)
+
+    @cached_property
     def cone_inverses(self) -> tuple[tuple[Vector, ...], ...]:
         """Integer inverses, as rows, of the matrices whose columns are
         the rays of each maximal cone.
@@ -92,9 +72,7 @@ class Fan:
         For v in the cone, cone_inverses[s] @ v gives the nonnegative
         coordinates of v in the ray basis of maximal cone s.
         """
-        return tuple(_inverse_unimodular(tuple(zip(*(self.rays[j]
-                                                     for j in cone))))
-                     for cone in self.max_cones)
+        return tuple(inv for _det, inv in self._eliminated)
 
     @cached_property
     def cones_by_dim(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -195,26 +173,30 @@ class PLFunction:
         every ray e_j}: the solutions of <m, e_j> = lambda_j on d
         independent rays that satisfy every inequality, the maximal cones
         first in max_cones order, then the other sets of d rays, repeats
-        dropped.  When phi is convex these are the cone monomials in cone
-        order.  Entries are int where integral and float otherwise.
-        Requires real lambda."""
-        fan = self.fan
-        lam = [Fraction(v) for v in self.values]
-        maximal = set(map(frozenset, fan.max_cones))
-        rest = (c for c in combinations(range(len(fan.rays)), fan.dim)
-                if frozenset(c) not in maximal)
-        found = {}
-        for idx in chain(fan.max_cones, rest):
-            cols = [[fan.rays[j][k] for j in idx] for k in range(fan.dim)]
-            try:
-                m = solve_fraction(cols, [lam[j] for j in idx])
-            except ValueError:
-                continue   # dependent rays
-            if all(sum(a * x for a, x in zip(m, ray)) <= l
-                   for ray, l in zip(fan.rays, lam)):
-                found.setdefault(tuple(m), None)
+        dropped.  On a maximal cone the solution is its monomial.  When
+        phi is convex no other set is solved: every m in P_lambda has
+        <m, v> <= phi(v) = max_t <m_t, v> at every v, so P_lambda is the
+        hull of the monomials.  Entries are int where integral and float
+        otherwise.  Requires real lambda."""
+        fan, pl = self.fan, self
+        if not all(isinstance(v, (int, Fraction)) for v in self.values):
+            pl = PLFunction(fan, tuple(map(Fraction, self.values)))
+        found = dict.fromkeys(pl.monomials)
+        if not pl.is_convex:
+            maximal = set(map(frozenset, fan.max_cones))
+            for idx in combinations(range(len(fan.rays)), fan.dim):
+                if frozenset(idx) in maximal:
+                    continue
+                cols = [[fan.rays[j][k] for j in idx] for k in range(fan.dim)]
+                try:
+                    found.setdefault(tuple(solve_fraction(
+                        cols, [pl.values[j] for j in idx])))
+                except ValueError:
+                    pass   # dependent rays
         return tuple(tuple(int(x) if x.denominator == 1 else float(x)
-                           for x in m) for m in found)
+                           for x in m) for m in found
+                     if all(sum(a * x for a, x in zip(m, ray)) <= lam
+                            for ray, lam in zip(fan.rays, pl.values)))
 
     def pairings(self, n: Sequence[int]) -> tuple[float, ...]:
         """The pairings <m_t, n> with the vertices of P_lambda: what the
@@ -397,8 +379,7 @@ def validate_fan(fan: Fan) -> None:
         j = min(unused)
         raise FanValidationError(f"ray {j} {rays[j]} lies in no maximal cone")
     walls: dict[tuple[int, ...], list] = {}
-    for cone in cones:
-        det = _bareiss([list(rays[j]) for j in cone], False)
+    for cone, (det, _inv) in zip(cones, fan._eliminated):
         if abs(det) != 1:
             raise FanValidationError(
                 f"maximal cone {cone} is not unimodular (det={det})")

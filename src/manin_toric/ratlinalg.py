@@ -1,128 +1,140 @@
 """Exact linear algebra over Q and Z used by the cone and lattice code.
 
-Everything works on lists/tuples of Fractions (or ints); nothing here
-touches floating point.
+One kernel, `_eliminate`: Bareiss's fraction-free Gauss-Jordan on
+integer rows.  Rational input (anything Fraction reads exactly, floats
+included) is scaled once, row by row, to integers, which changes neither
+the row span nor the solution of a system; the determinant, rank, solve,
+null space, echelon basis and inverse are short reads of the reduced
+rows.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 
 
-def to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(the rows as ints, the product of their scales): each row times the
+    least positive integer that clears its denominators."""
+    out, scale = [], 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        fr = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (s // x.denominator) for x in fr])
+        scale *= s
+    return out, scale
 
 
-def det_fraction(rows: Sequence[Sequence]) -> Fraction:
-    a = to_fraction_rows(rows)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _rref(a: list[list[Fraction]], ncols: int | None = None) -> list[int]:
-    """Reduce the rows of a in place to reduced row echelon form and
-    return the pivot columns.
-
-    Pivots are sought in the first ncols columns only (all by default);
-    later columns, such as an augmented right-hand side, are carried
-    along.  Row i then has its leading 1 in column pivots[i].
-    """
+def _eliminate(a: list[list[int]], ncols: int | None = None):
+    """Bareiss's fraction-free Gauss-Jordan on the integer rows a, in
+    place, pivoting in the first ncols columns (all by default) so that
+    later ones, such as a right-hand side, are carried along.  Returns the
+    pivot columns, the last pivot d (1 if none) and the sign of the row
+    swaps: row i is then d times row i of the reduced row echelon form,
+    and det a = sign * d for square a of full rank.  Every division by
+    the previous pivot is exact."""
     m = len(a)
     if ncols is None:
         ncols = len(a[0]) if a else 0
     pivots: list[int] = []
+    d = sign = 1
     for col in range(ncols):
-        row = len(pivots)
-        if row == m:
+        k = len(pivots)
+        if k == m:
             break
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
+        p = next((i for i in range(k, m) if a[i][col]), None)
+        if p is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        pk, rk = a[k][col], a[k]
+        for i in range(m):
+            if i != k:
+                f = a[i][col]
+                a[i] = [(pk * x - f * y) // d for x, y in zip(a[i], rk)]
+        d = pk
         pivots.append(col)
-    return pivots
+    return pivots, d, sign
+
+
+def det_fraction(rows: Sequence[Sequence]) -> Fraction:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    a, scale = _integer_rows(rows)
+    pivots, d, sign = _eliminate(a)
+    return Fraction(sign * d, scale) if len(pivots) == n else Fraction(0)
 
 
 def rank_fraction(rows: Sequence[Sequence]) -> int:
-    return len(_rref(to_fraction_rows(rows)))
+    return len(_eliminate(_integer_rows(rows)[0])[0])
 
 
 def solve_fraction(columns: Sequence[Sequence], b: Sequence) -> list[Fraction]:
     """Solve sum_j x_j * columns[j] = b exactly; raises on singular."""
     n = len(b)
-    k = len(columns)
-    if k != n or any(len(c) != n for c in columns):
+    if len(columns) != n or any(len(c) != n for c in columns):
         raise ValueError("solve_fraction needs a square system")
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(b[i])]
-           for i in range(n)]
-    if len(_rref(aug, n)) < n:
+    aug = _integer_rows([c[i] for c in columns] + [b[i]] for i in range(n))[0]
+    pivots, d, _sign = _eliminate(aug, n)
+    if len(pivots) < n:
         raise ValueError("singular system")
-    return [aug[i][n] for i in range(n)]
+    return [Fraction(r[n], d) for r in aug]
+
+
+def _inverse(mat: Sequence[Sequence]):
+    """(det mat, the rows of mat^-1) for a square mat, from one elimination
+    of [mat | I], which ends at d [I | mat^-1]; the rows are None when mat
+    is singular.  The determinant is an int for integer input; the
+    entries are ints when d = +-1, as for an integer mat with det +-1,
+    and Fractions otherwise."""
+    n = len(mat)
+    a, scale = _integer_rows(list(r) + [int(i == j) for j in range(n)]
+                             for i, r in enumerate(mat))
+    pivots, d, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return 0, None
+    det = sign * d if scale == 1 else Fraction(sign * d, scale)
+    if d in (1, -1):
+        return det, tuple(tuple(d * x for x in r[n:]) for r in a)
+    return det, tuple(tuple(Fraction(x, d) for x in r[n:]) for r in a)
 
 
 def nullspace_fraction(rows: Sequence[Sequence]) -> list[Vec]:
     """Basis of {x : rows @ x = 0}, reduced echelon parameterization."""
-    a = to_fraction_rows(rows)
-    if not a:
+    if not rows:
         raise ValueError("nullspace of empty matrix is ambiguous")
+    a = _integer_rows(rows)[0]
     n = len(a[0])
-    pivots = _rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    pivots, d, _sign = _eliminate(a)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+            v[pc] = Fraction(-a[r][fc], d)
         basis.append(tuple(v))
     return basis
 
 
 def primitive_vector(v: Sequence) -> tuple[int, ...]:
     """Scale v by a positive rational to a primitive integer vector."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    ints = _integer_rows([v])[0][0]
+    g = gcd(*ints)
+    if not g:
         raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
 
 
 def echelon_basis(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """Canonical primitive integer basis of the row span (sorted echelon)."""
-    a = to_fraction_rows(rows)
-    rank = len(_rref(a))
-    return tuple(primitive_vector(r) for r in a[:rank])
-
+    a = _integer_rows(rows)[0]
+    pivots, d, _sign = _eliminate(a)
+    return tuple(primitive_vector([d * x for x in r]) for r in a[:len(pivots)])

@@ -275,6 +275,15 @@ print(json.dumps({{"code": code, "artifact": out.getvalue(),
                                                    (1, 1), 1000)
         assert doc["config"]["lam"] == [1 / 3, 1 / 3]
 
+    @pytest.mark.parametrize("fan, lam", [
+        ("p2", "1e300,1,1"), ("p2", "1e300,1e300,1e300"),
+        ("p1xp1", "1e300,1e300,1e300,1e300")])
+    def test_huge_lambda_counts_at_once(self, capsys, fan, lam):
+        # only the four points with all |x_i| = 1 have height 1 <= 10
+        doc = run_json(["count", "--fan", f"builtin:{fan}", "--lambda", lam,
+                        "--bounds", "10"], capsys)
+        assert doc["rows"][0]["N"] == 4
+
     def test_negative_bound_counts_nothing(self, capsys):
         # under lambda = rho / 2 the bound scales as B^2: -100 must not
         # count as 100, and a grid running from it stays ascending
@@ -803,10 +812,25 @@ FANS = {
      "maximal cone (0,) must have 2 distinct rays"),
     (["constants", "--fan", "three-ray-cone"],
      "maximal cone (0, 1, 2) must have 2 distinct rays"),
+    # a float power that overflowed, an exact int quotient too large for a
+    # float, and an exact power of 2e308 that would not finish
+    (["fibration", "zeta", "--n", "2", "--lambda-fiber", "400.5,1.5",
+      "--B", "1000"], "fiber exponents 400.5, 1.5 are too large for "
+     "B = 1000: B^(mu1 + mu2) leaves the float range"),
+    (["fibration", "zeta", "--n", "0", "--lambda-fiber", "1e7,1e7",
+      "--B", "100"], "fiber exponents 1e+07, 1e+07 are too large for "
+     "B = 100: B^(mu1 + mu2) leaves the float range"),
+    (["fibration", "zeta", "--n", "0", "--lambda-fiber", "1e308,1e308",
+      "--B", "100"], "fiber exponents 1e+308, 1e+308 are too large for "
+     "B = 100: B^(mu1 + mu2) leaves the float range"),
+    (["bounds-sweep", "--base-decades", "200", "--extend-decades", "200"],
+     "--base-decades 200 plus --extend-decades 200 is 400 decades, over the "
+     "limit of 102, past which the grid leaves the float range"),
 ], ids=["constants-pmax", "poisson-pmax", "tauber-T", "poisson-panel-width",
         "poisson-T-1e9", "poisson-T-1e6", "slack-zero", "slack-negative",
         "non-regular", "det-2-first-cone", "non-primitive", "one-ray-cone",
-        "three-ray-cone"])
+        "three-ray-cone", "fiber-float-overflow", "fiber-int-quotient",
+        "fiber-1e308", "sweep-decades"])
 def test_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv,
                                               message):
     # infeasible sizes and invalid inputs are refused before any large

@@ -714,6 +714,7 @@ class TestTorsorRoute:
                 T = counting._int_nth_root(x, s)
                 assert T ** s <= x < (T + 1) ** s
         assert counting._int_nth_root(10 ** 600, 2) == 10 ** 300
+        assert counting._int_nth_root(10, 10 ** 300) == 1
 
     def test_p1xp1_fiberwise_oracle_far_out(self):
         # the convolution of test_p1xp1_fiberwise_oracle, vectorized, at a

@@ -17,7 +17,6 @@ from manin_toric.latticefan import (
     FanFormatError,
     FanValidationError,
     PLFunction,
-    _inverse_unimodular,
     builtin_fan,
     fan_from_json,
     fan_to_json,
@@ -26,7 +25,8 @@ from manin_toric.latticefan import (
     pl_evaluate,
     validate_fan,
 )
-from manin_toric.ratlinalg import rank_fraction
+from manin_toric import ratlinalg
+from manin_toric.ratlinalg import _inverse, rank_fraction
 
 from fan_oracles import (DOUBLE_WINDING, cone_search_height, covering_degree,
                          disguise, hexagon_fan, mutate, projective_fan,
@@ -409,11 +409,24 @@ def test_kernel_vertices_are_tight_and_feasible(data):
         assert set(pl.vertices) == set(pl.monomials)
 
 
+def test_each_cone_eliminated_once(monkeypatch):
+    # the one elimination of [A | I] per cone gives validate_fan its
+    # determinant and cone_inverses its inverse
+    calls = []
+    eliminate = ratlinalg._eliminate
+    monkeypatch.setattr(ratlinalg, "_eliminate",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    fan = builtin_fan("p1xp1")
+    assert fan.cone_inverses[1] == ((0, 1), (-1, 0))
+    assert len(calls) == 4
+
+
 def test_inverse_unimodular():
     mat = ((2, 1), (1, 1))
-    assert _inverse_unimodular(mat) == ((1, -1), (-1, 2))
-    assert _inverse_unimodular(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == (
-        (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert _inverse(mat) == (1, ((1, -1), (-1, 2)))
+    assert _inverse(((0, 1, 0), (0, 0, 1), (1, 0, 0))) == (1, (
+        (0, 0, 1), (1, 0, 0), (0, 1, 0)))
+    assert _inverse(((1, 0), (0, -1))) == (-1, ((1, 0), (0, -1)))
 
 
 @kernel_settings

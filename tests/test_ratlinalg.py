@@ -1,7 +1,7 @@
 """Exact linear algebra: solve, rank, nullspace, echelon basis,
-determinant and the unimodular inverse checked against their defining
-identities on small integer matrices, singular and non-square ones
-included."""
+determinant and the inverse checked against their defining identities on
+small integer matrices, singular and non-square ones included, and against
+a Fraction Gauss-Jordan oracle on rational matrices."""
 
 from fractions import Fraction
 
@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manin_toric.latticefan import _inverse_unimodular
-from manin_toric.ratlinalg import (det_fraction, echelon_basis,
-                                   nullspace_fraction, rank_fraction,
-                                   solve_fraction)
+from manin_toric.ratlinalg import (_inverse, det_fraction, echelon_basis,
+                                   nullspace_fraction, primitive_vector,
+                                   rank_fraction, solve_fraction)
 
 linalg_settings = settings(derandomize=True, deadline=None, database=None,
                            max_examples=150)
@@ -97,9 +96,102 @@ def test_inverse_unimodular_round_trips(n, data):
             u[0], u[src] = u[src], u[0]
         else:
             u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-    inv = _inverse_unimodular(u)
+    det, inv = _inverse(u)
+    assert det in (1, -1) and det == det_fraction(u)
     assert all(isinstance(x, int) for row in inv for x in row)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     assert [[dot(row, col) for col in zip(*inv)] for row in u] == ident
-    assert [list(row) for row in _inverse_unimodular(inv)] == u
+    assert [list(row) for row in _inverse(inv)[1]] == u
 
+
+
+def _rref(a, ncols=None):
+    """The oracle: reduce the Fraction rows of a in place to reduced row
+    echelon form by Gauss-Jordan in Fractions, pivoting in the first
+    ncols columns; returns the pivot columns and the determinant factor
+    (the product of the pivots, negated per row swap)."""
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            det = -det
+        pv = a[row][col]
+        det *= pv
+        a[row] = [x / pv for x in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots, det
+
+
+def _oracle(rows):
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots, det = _rref(a)
+    return a, pivots, det
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square, wide and tall rational matrices with denominators, often
+    rank-deficient: some get a rational combination of their rows."""
+    a = draw(matrices(entries=rationals))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=len(a), max_size=len(a)))
+        a.insert(draw(st.integers(0, len(a))),
+                 [sum(c * r[j] for c, r in zip(coeffs, a))
+                  for j in range(len(a[0]))])
+    return a
+
+
+@linalg_settings
+@given(rational_matrices(), st.data())
+def test_kernel_matches_the_fraction_oracle(a, data):
+    n = len(a[0])
+    red, pivots, det = _oracle(a)
+    rank = len(pivots)
+    assert rank_fraction(a) == rank
+    free = [c for c in range(n) if c not in pivots]
+    kernel = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        kernel.append(tuple(v))
+    assert nullspace_fraction(a) == kernel
+    assert echelon_basis(a) == tuple(primitive_vector(r)
+                                     for r in red[:rank])
+    if len(a) != n:
+        return
+    assert det_fraction(a) == (det if rank == n else 0)
+    b = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    columns = [[a[i][j] for i in range(n)] for j in range(n)]
+    det_a, inv = _inverse(a)
+    if rank < n:
+        with pytest.raises(ValueError, match="singular"):
+            solve_fraction(columns, b)
+        assert (det_a, inv) == (0, None)
+        return
+    aug = [[Fraction(x) for x in row] + [bi] for row, bi in zip(a, b)]
+    _rref(aug, n)
+    assert solve_fraction(columns, b) == [r[n] for r in aug]
+    ident = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                           for j in range(n)]
+             for i, row in enumerate(a)]
+    _rref(ident, n)
+    assert det_a == det
+    assert [list(r) for r in inv] == [r[n:] for r in ident]
