@@ -7,7 +7,7 @@ and Poisson summation checks, a Tauberian extraction engine, and
 standard G_m-torsor fibrations over P^1.
 """
 
-from .bounds import SweepReport, verify_integral_bounds
+from .bounds import DecadeLimitError, SweepReport, verify_integral_bounds
 from .cones import (ConeError, PolyhedralCone, QuotientChar, char_evaluate,
                     char_function, dual_cone, make_cone, quotient_char,
                     residue_step)
@@ -42,7 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdelicOffset", "ConeError", "CountReport", "CountingError",
-    "DirichletOracle", "Fan", "FanFormatError", "FanValidationError",
+    "DecadeLimitError", "DirichletOracle", "Fan", "FanFormatError",
+    "FanValidationError",
     "FibrationConstant", "FibrationError", "FibrationPicard",
     "FibrationZeta", "FourierError", "LeadingConstant",
     "PLFunction", "PerronLine", "PicardData", "PicardError",

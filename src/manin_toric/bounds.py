@@ -31,7 +31,7 @@ omega  I(t_vec, A) = int_R (1+A+|t|)^{-(1-eps)} prod_j (1+|t-t_j|)^{-1} dt
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,15 +45,28 @@ _TAIL_DECADES = 40
 MAX_DECADES = 102
 
 
-@dataclass
-class SweepReport:
+class DecadeLimitError(ValueError):
+    """Base plus extended decades over MAX_DECADES."""
+
+
+class _SweepFields(NamedTuple):
     kind: str
-    rows: list[dict] = field(default_factory=list)
-    sup_base: float = 0.0
-    sup_extended: float = 0.0
-    worst: dict | None = None
-    stable: bool = False
-    passed: bool = False
+    rows: list[dict]
+    sup_base: float
+    sup_extended: float
+    worst: dict | None
+    stable: bool
+    passed: bool
+
+
+class SweepReport(_SweepFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, rows=None, sup_base=0.0, sup_extended=0.0,
+                worst=None, stable=False, passed=False):
+        # a new list for each report that is given none
+        return super().__new__(cls, kind, [] if rows is None else rows,
+                               sup_base, sup_extended, worst, stable, passed)
 
     def summary(self) -> dict:
         return {"kind": self.kind, "rows": len(self.rows),
@@ -238,13 +251,19 @@ def verify_integral_bounds(kind: str, base_decades: int = 6,
 
     The base grid spans 10^0..10^base_decades; the extension adds
     extend_decades more.  passed = all ratios finite and the extended
-    supremum within stability_slack of the base supremum.
+    supremum within stability_slack of the base supremum.  More than
+    MAX_DECADES in all raises DecadeLimitError before any work.
     """
     if kind not in _KIND_ROWS:
         raise ValueError(f"unknown bound kind {kind!r}; "
                          f"expected one of {sorted(_KIND_ROWS)}")
+    if base_decades + extend_decades > MAX_DECADES:
+        raise DecadeLimitError(
+            f"base_decades {base_decades} plus extend_decades "
+            f"{extend_decades} is {base_decades + extend_decades} decades, "
+            f"over the limit of {MAX_DECADES}, past which the grid leaves "
+            f"the float range")
     rows_fn = _KIND_ROWS[kind]
-    report = SweepReport(kind=kind)
     limit = 10.0 ** base_decades
 
     def bigger_params(row):
@@ -252,25 +271,21 @@ def verify_integral_bounds(kind: str, base_decades: int = 6,
         return any(isinstance(v, float) and abs(v) > limit
                    for k, v in row.items() if k not in _RESULTS)
 
+    rows = []
     sup_base = 0.0
     sup_ext = 0.0
     worst = None
     for row in rows_fn(base_decades + extend_decades):
+        rows.append(row)
         if not math.isfinite(row["ratio"]):
-            report.rows.append(row)
-            report.passed = False
-            report.worst = row
-            return report
-        report.rows.append(row)
+            # the sweep stops at its first non-finite ratio
+            return SweepReport(kind, rows, worst=row)
         if bigger_params(row):
             sup_ext = max(sup_ext, row["ratio"])
         else:
             if row["ratio"] > sup_base:
                 sup_base = row["ratio"]
                 worst = row
-    report.sup_base = sup_base
-    report.sup_extended = sup_ext
-    report.worst = worst
-    report.stable = sup_ext <= sup_base * stability_slack
-    report.passed = report.stable and math.isfinite(sup_base)
-    return report
+    stable = sup_ext <= sup_base * stability_slack
+    return SweepReport(kind, rows, sup_base, sup_ext, worst, stable,
+                       stable and math.isfinite(sup_base))

@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import _RESULTS, MAX_DECADES, verify_integral_bounds
+from .bounds import (_RESULTS, MAX_DECADES, DecadeLimitError,
+                     verify_integral_bounds)
 from .counting import (CountingError, count_N, fit_asymptotic, zeta_partial)
 from .fibration import (FibrationError, TorsorSpec, direct_zeta_partial,
                         fibration_predicted_constant, fibration_zeta_partial,
@@ -594,19 +595,22 @@ def _sweep_failure(rep, slack) -> str:
 def _cmd_bounds_sweep(args):
     if not args.slack > 0:
         raise CliError(f"--slack must be positive, got {args.slack}")
-    decades = args.base_decades + args.extend_decades
-    if decades > MAX_DECADES:
-        raise CliError(
-            f"--base-decades {args.base_decades} plus --extend-decades "
-            f"{args.extend_decades} is {decades} decades, over the limit "
-            f"of {MAX_DECADES}, past which the grid leaves the float range")
     kinds = BOUND_KINDS if args.kind == "all" else (args.kind,)
     rows = []
     failures = []
     for kind in kinds:
-        rep = verify_integral_bounds(kind, base_decades=args.base_decades,
-                                     extend_decades=args.extend_decades,
-                                     stability_slack=args.slack)
+        try:
+            rep = verify_integral_bounds(
+                kind, base_decades=args.base_decades,
+                extend_decades=args.extend_decades,
+                stability_slack=args.slack)
+        except DecadeLimitError:
+            raise CliError(
+                f"--base-decades {args.base_decades} plus --extend-decades "
+                f"{args.extend_decades} is "
+                f"{args.base_decades + args.extend_decades} decades, over "
+                f"the limit of {MAX_DECADES}, past which the grid leaves "
+                f"the float range") from None
         rows.append({"kind": kind, "sup_base": rep.sup_base,
                      "sup_extended": rep.sup_extended,
                      "stable": rep.stable, "passed": rep.passed,

@@ -22,10 +22,9 @@ rational strings.  Form JSON: { "terms": [ {"coeff": "p/q",
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ratlinalg import (
     _eliminate,
@@ -58,8 +57,7 @@ class ResidueError(ValueError):
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(NamedTuple):
     """Cone generated by `generators` plus the span of `lineality`.
 
     `measure_basis`, when given, declares the basis whose unit
@@ -262,8 +260,7 @@ def triangulate(c: PolyhedralCone) -> list[PolyhedralCone]:
     return out
 
 
-@dataclass(frozen=True)
-class RationalConeForm:
+class RationalConeForm(NamedTuple):
     """Sum of terms c_a / prod_j <w_{a,j}, z>, exact rationals."""
 
     dim: int
@@ -371,8 +368,7 @@ def interior_point(c: PolyhedralCone, weights: Sequence | None = None):
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class QuotientChar:
+class QuotientChar(NamedTuple):
     """Characteristic function of the image cone in V/M.
 
     `projection` rows are linear functionals on V: project(z) are the

@@ -25,10 +25,10 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (accumulate, combinations, permutations,
                        product as _iproduct)
+from typing import NamedTuple
 
 import numpy as np
 
@@ -559,20 +559,30 @@ def enumerate_bounded(fan: Fan, lam, B, stats=None):
                 yield ValuationProfile(d, support, signs)
 
 
-@dataclass
-class CountReport:
+class _CountFields(NamedTuple):
     fan_name: str
     lam: tuple
     bounds: list
     counts: list
     predicted: list
     ratios: list
-    constant: LeadingConstant | None = None
+    constant: LeadingConstant | None
     # the enumeration's _STATS counts; all 0 when the Cox-coordinate
     # count counts
-    stats: dict = field(default_factory=dict)
+    stats: dict
     # "torsor" (the Cox-coordinate count) or "dfs" (the enumeration)
-    engine: str = ""
+    engine: str
+
+
+class CountReport(_CountFields):
+    __slots__ = ()
+
+    def __new__(cls, fan_name, lam, bounds, counts, predicted, ratios,
+                constant=None, stats=None, engine=""):
+        # a new dict for each report that is given none
+        return super().__new__(cls, fan_name, lam, bounds, counts,
+                               predicted, ratios, constant,
+                               {} if stats is None else stats, engine)
 
     def rows(self):
         for B, N, pred, ratio in zip(self.bounds, self.counts,
@@ -616,8 +626,7 @@ def fit_asymptotic(report: CountReport, a: int, b: int):
     return list(coeffs)
 
 
-@dataclass
-class ZetaPartial:
+class ZetaPartial(NamedTuple):
     value: complex
     B: float
     n_points: int

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
 from .counting import (_MAX_TABLE, _check_table, _complex_fsum,
@@ -51,8 +51,12 @@ class FibrationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorsorSpec:
+class _TorsorFields(NamedTuple):
+    twist: int
+    section: str
+
+
+class TorsorSpec(_TorsorFields):
     """O(twist) over P^1 with max-norm metric, P^1 fibers.
 
     section chooses the trivializing chart: "x0" trivializes where
@@ -61,20 +65,24 @@ class TorsorSpec:
     heights satisfy H(x; x0) = H(c x; x1): fiberwise sums, height
     multisets, and character pairings are all unchanged."""
 
-    twist: int
-    section: str = "x0"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, twist: int, section: str = "x0"):
         try:
-            whole = self.twist == int(self.twist)
+            whole = twist == int(twist)
         except (OverflowError, ValueError):   # inf, nan
             whole = False
         if not whole:
             raise FibrationError("twist degree must be an integer")
-        # an int twist keeps the fiber heights exact
-        object.__setattr__(self, "twist", int(self.twist))
-        if self.section not in ("x0", "x1"):
+        if section not in ("x0", "x1"):
             raise FibrationError('section must be "x0" or "x1"')
+        # an int twist keeps the fiber heights exact
+        return super().__new__(cls, int(twist), section)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here, so it is checked too
+        return cls(*iterable)
 
     @property
     def fiber_fan(self) -> Fan:
@@ -152,8 +160,7 @@ def _fiber_lambda(lam) -> tuple:
     return vals
 
 
-@dataclass(frozen=True)
-class FibrationZeta:
+class FibrationZeta(NamedTuple):
     """Truncated height zeta of the torsor total space.
 
     height_counts maps each anticanonical height value, kept exact so two
@@ -348,8 +355,7 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
                                        _dirichlet_terms(c, s, int(H))))
 
 
-@dataclass(frozen=True)
-class FibrationPicard:
+class FibrationPicard(NamedTuple):
     """Picard data of the total space as a quotient V/M.
 
     V = PL(fiber fan) x Pic(P^1) with coordinates (fiber ray +1,
@@ -437,8 +443,7 @@ def hirzebruch_match(spec: TorsorSpec) -> tuple:
     return P
 
 
-@dataclass(frozen=True)
-class FibrationConstant:
+class FibrationConstant(NamedTuple):
     """Theta of the total space by the product rule: the quotient-cone
     characteristic value at the anticanonical class times the Tamagawa
     numbers of fiber and base."""

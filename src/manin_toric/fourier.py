@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,8 +317,7 @@ def rademacher_sweep(fan: Fan, sigma: float = 0.95,
     return rows
 
 
-@dataclass
-class PoissonReport:
+class PoissonReport(NamedTuple):
     fan_name: str
     lam: tuple
     lhs: float
@@ -486,7 +485,7 @@ def poisson_check(fan: Fan, lam=None, T: float = 2000.0, pmax: int = 400,
         pair = (lam[jp], lam[jm])
         if factors and factors[0].lam == pair:
             # the same lambda pair gives the same factor, up to its name
-            factors.append(replace(factors[0], fan_name=name))
+            factors.append(factors[0]._replace(fan_name=name))
             continue
         sub = make_fan(1, [[1], [-1]], [[0], [1]], name=name)
         factors.append(_poisson_line(sub, pair, T, pmax, B0, panel_width))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -97,8 +96,7 @@ def valuation_profile(x) -> ValuationProfile:
     return ValuationProfile(dim=d, support=support, signs=tuple(signs))
 
 
-@dataclass(frozen=True)
-class AdelicOffset:
+class AdelicOffset(NamedTuple):
     """Shift of the valuation data, finitely supported; the adelic
     argument of a height becomes (n_v + g_v) at each place."""
 

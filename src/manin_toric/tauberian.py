@@ -16,8 +16,7 @@ across the pole, and compares phi_0 with the predicted main term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,43 +53,83 @@ class TauberianError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PoleData:
-    """Rightmost pole: location, order, leading constant, analytic strip."""
-
+class _PoleFields(NamedTuple):
     abscissa: float
     order: int
     theta: float
     delta0: float
-    kappa: float = 0.0
+    kappa: float
 
-    def __post_init__(self):
-        if not self.abscissa > 0:
+
+class PoleData(_PoleFields):
+    """Rightmost pole: location, order, leading constant, analytic strip."""
+
+    __slots__ = ()
+
+    def __new__(cls, abscissa: float, order: int, theta: float,
+                delta0: float, kappa: float = 0.0):
+        if not abscissa > 0:
             raise TauberianError("pole abscissa must be positive")
-        if self.order < 1:
+        if order < 1:
             raise TauberianError("pole order must be at least 1")
-        if not self.theta > 0:
+        if not theta > 0:
             raise TauberianError("leading constant must be positive")
-        if not 0 < self.delta0 < self.abscissa:
+        if not 0 < delta0 < abscissa:
             raise TauberianError("strip width must satisfy 0 < delta0 < a")
-        if self.kappa < 0:
+        if kappa < 0:
             raise TauberianError("growth exponent must be nonnegative")
+        return super().__new__(cls, abscissa, order, theta, delta0, kappa)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through here, so it is checked too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class DirichletOracle:
     """Evaluator plus coefficient access for one Dirichlet series.
 
     The evaluator is a closed form on 1-d complex arrays, valid for
     Re s > a - delta0 off the pole (so on both sides of the pole line) and
     |Im s| up to a few thousand, the range of `zeta_line`; coefficients
-    feed brute-force cross-checks.
+    feed brute-force cross-checks.  Immutable and compared by its four
+    fields, as a NamedTuple would be, but one cannot hold the two whose
+    names begin with "_".
     """
 
-    name: str
-    pole: PoleData | None
-    _evaluate: Callable[[np.ndarray], np.ndarray]
-    _coefficients: Callable[[int], np.ndarray]
+    __slots__ = ("name", "pole", "_evaluate", "_coefficients")
+
+    def __init__(self, name: str, pole: PoleData | None,
+                 _evaluate: Callable[[np.ndarray], np.ndarray],
+                 _coefficients: Callable[[int], np.ndarray]):
+        for attr, value in zip(self.__slots__,
+                               (name, pole, _evaluate, _coefficients)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def _fields_tuple(self) -> tuple:
+        return tuple(getattr(self, attr) for attr in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not slot assignment
+        return self.__class__, self._fields_tuple()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields_tuple() == other._fields_tuple()
+
+    def __hash__(self):
+        return hash(self._fields_tuple())
+
+    def __repr__(self):
+        return "DirichletOracle(" + ", ".join(
+            f"{attr}={getattr(self, attr)!r}" for attr in self.__slots__) + ")"
 
     def evaluate(self, s) -> complex:
         return complex(self.evaluate_line(s)[0])
@@ -343,8 +382,7 @@ def residue_shape(pole: PoleData, X: float, k: int) -> float:
     return math.factorial(k) * pole.theta / math.factorial(j) * X**a * total
 
 
-@dataclass(frozen=True)
-class ContourReport:
+class ContourReport(NamedTuple):
     value_low: float
     value_high: float
     a_low: float
@@ -381,8 +419,7 @@ def contour_independence(oracle: DirichletOracle, pole: PoleData | None,
     )
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(NamedTuple):
     right: float
     left: float
     circle: float
@@ -455,8 +492,7 @@ def predict(pole: PoleData, X: float) -> float:
             * X**a * math.log(X) ** (b - 1))
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     oracle_name: str
     Xs: tuple
     counts: tuple

@@ -10,8 +10,8 @@ interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ class PicardError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PicardData:
+class PicardData(NamedTuple):
     """Pic = Z^J / M with the classes of the rays outside the first
     maximal cone as its basis.
 
@@ -121,8 +120,7 @@ def local_factor_coefficients(fan: Fan) -> tuple:
     return tuple(f)
 
 
-@dataclass(frozen=True)
-class EulerProductSpec:
+class EulerProductSpec(NamedTuple):
     """Local density data for the Tamagawa Euler product."""
 
     fan: Fan
@@ -175,8 +173,7 @@ def archimedean_volume_mc(fan: Fan, samples: int = 20000,
     return est, se
 
 
-@dataclass(frozen=True)
-class TamagawaResult:
+class TamagawaResult(NamedTuple):
     value: float
     lower: float
     upper: float
@@ -214,8 +211,7 @@ def tamagawa_number(fan: Fan, pmax: int = 1000000) -> TamagawaResult:
                           tail_log_bound=tail, spec=spec)
 
 
-@dataclass(frozen=True)
-class LeadingConstant:
+class LeadingConstant(NamedTuple):
     """Theta = alpha * tau with pole data (a, b) = (1, rank Pic)."""
 
     fan: Fan

@@ -245,3 +245,19 @@ def test_rows_classified_by_grid_parameters_only(monkeypatch):
     assert (rep.sup_base, rep.sup_extended) == (2.5e3, 1.0)
     assert rep.worst is rows[0]
     assert rep.stable and rep.passed
+
+
+@pytest.mark.parametrize("base, extend", [(100, 3), (300, 9)])
+def test_decade_limit_refused_before_any_work(monkeypatch, base, extend):
+    # 103 decades overflowed A^alpha B^beta into a division by zero after
+    # the whole sweep, 309 overflowed the grid itself
+    grids = []
+    monkeypatch.setitem(bounds._KIND_ROWS, "plus",
+                        lambda kmax: grids.append(kmax) or iter(()))
+    with pytest.raises(ValueError, match=f"base_decades {base} plus "
+                       f"extend_decades {extend} is {base + extend} "
+                       f"decades, over the limit of {bounds.MAX_DECADES}"):
+        verify_integral_bounds("plus", base, extend)
+    assert grids == []
+    verify_integral_bounds("plus", bounds.MAX_DECADES - 2, 2)
+    assert grids == [bounds.MAX_DECADES]

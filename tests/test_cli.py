@@ -1,6 +1,5 @@
 """Exit codes, artifact shapes, and reproducibility of the CLI."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -677,9 +676,8 @@ class TestFibration:
 
         def off(*args, **kwargs):
             fc = predicted(*args, **kwargs)
-            return dataclasses.replace(fc, alpha=fc.alpha * 2,
-                                       lower=fc.upper + 1,
-                                       upper=fc.upper + 2)
+            return fc._replace(alpha=fc.alpha * 2, lower=fc.upper + 1,
+                               upper=fc.upper + 2)
 
         monkeypatch.setattr(cli, "fibration_predicted_constant", off)
         assert run(["fibration", "constants", "--n", "1",

@@ -1,6 +1,5 @@
 """Picard data, alpha, local densities, Tamagawa products."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -164,7 +163,7 @@ def test_alpha_rejects_anticanonical_off_the_interior(monkeypatch,
     # boundary ray, or out of the cone, has a nonpositive linear factor
     pic = picard_data(builtin_fan("p1xp1"))
     assert pic.effective_cone.generators == ((1, 0), (0, 1))
-    moved = dataclasses.replace(pic, anticanonical=anticanonical)
+    moved = pic._replace(anticanonical=anticanonical)
     monkeypatch.setattr(toric, "picard_data", lambda fan: moved)
     with pytest.raises(PicardError, match="not interior"):
         alpha_constant(builtin_fan("p1xp1"))
