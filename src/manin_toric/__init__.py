@@ -24,11 +24,11 @@ from .fourier import (FourierError, PoissonReport, arch_transform,
                       cf_extract, finite_transform, poisson_check,
                       rademacher_sweep, zeta_line)
 from .heights import (AdelicOffset, ValuationProfile, character_pairing,
-                      cone_monomials, exact_height, global_height,
-                      local_height, make_offset, valuation_profile)
+                      exact_height, global_height, local_height, make_offset,
+                      valuation_profile)
 from .latticefan import (Fan, FanFormatError, FanValidationError, PLFunction,
                          builtin_fan, fan_from_json, fan_to_json, locate_cone,
-                         make_fan, pl_evaluate, validate_fan)
+                         make_fan, validate_fan)
 from .tauberian import (DirichletOracle, PerronLine, PoleData, TauberianError,
                         builtin_oracle, compare, contour_independence,
                         descend_k, perron_phi_k, predict, residue_circle,
@@ -53,7 +53,7 @@ __all__ = [
     "arakelov_L_partial", "arch_transform", "archimedean_volume",
     "archimedean_volume_mc", "builtin_fan", "builtin_oracle",
     "cf_extract", "char_evaluate", "char_function", "character_pairing",
-    "compare", "cone_monomials", "contour_independence", "count_N",
+    "compare", "contour_independence", "count_N",
     "count_points", "count_points_mod_p", "descend_k",
     "direct_zeta_partial", "dual_cone", "enumerate_bounded",
     "euler_product_spec", "exact_height", "fan_from_json", "fan_to_json",
@@ -62,7 +62,7 @@ __all__ = [
     "finite_transform", "fit_asymptotic", "global_height",
     "hirzebruch_fan", "hirzebruch_match", "leading_constant",
     "local_height", "locate_cone", "make_cone", "make_fan",
-    "make_offset", "perron_phi_k", "picard_data", "pl_evaluate",
+    "make_offset", "perron_phi_k", "picard_data",
     "poisson_check", "predict", "quotient_char", "rademacher_sweep",
     "residue_circle", "residue_consistency", "residue_shape",
     "residue_step", "tamagawa_number", "torsor_class",

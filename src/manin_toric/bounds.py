@@ -251,12 +251,17 @@ def verify_integral_bounds(kind: str, base_decades: int = 6,
 
     The base grid spans 10^0..10^base_decades; the extension adds
     extend_decades more.  passed = all ratios finite and the extended
-    supremum within stability_slack of the base supremum.  More than
-    MAX_DECADES in all raises DecadeLimitError before any work.
+    supremum within stability_slack of the base supremum.  A negative
+    count raises ValueError, more than MAX_DECADES in all
+    DecadeLimitError, both before any work.
     """
     if kind not in _KIND_ROWS:
         raise ValueError(f"unknown bound kind {kind!r}; "
                          f"expected one of {sorted(_KIND_ROWS)}")
+    if base_decades < 0 or extend_decades < 0:
+        raise ValueError(
+            f"base_decades {base_decades} and extend_decades "
+            f"{extend_decades} must both be nonnegative")
     if base_decades + extend_decades > MAX_DECADES:
         raise DecadeLimitError(
             f"base_decades {base_decades} plus extend_decades "

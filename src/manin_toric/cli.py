@@ -21,18 +21,18 @@ from pathlib import Path
 
 from .bounds import (_RESULTS, MAX_DECADES, DecadeLimitError,
                      verify_integral_bounds)
-from .counting import (CountingError, count_N, fit_asymptotic, zeta_partial)
-from .fibration import (FibrationError, TorsorSpec, direct_zeta_partial,
+from .counting import count_N, fit_asymptotic, zeta_partial
+from .fibration import (TorsorSpec, direct_zeta_partial,
                         fibration_predicted_constant, fibration_zeta_partial,
                         hirzebruch_fan)
-from .fourier import FourierError, poisson_check
+from .fourier import poisson_check
 from .heights import INF, exact_height, global_height, local_height, \
     valuation_profile
 from .latticefan import (Fan, FanFormatError, FanValidationError, builtin_fan,
                          fan_from_json)
 from .tauberian import PerronLine, TauberianError, builtin_oracle, \
     descend_k, descent_eta, predict
-from .toric import PicardError, archimedean_volume, leading_constant
+from .toric import archimedean_volume, leading_constant
 
 SUBCOMMANDS = ("validate", "constants", "count", "height", "zeta",
                "poisson-check", "tauber", "fibration", "bounds-sweep")
@@ -664,8 +664,7 @@ def run(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.exit_code
-    except (CountingError, FanValidationError, FibrationError, FourierError,
-            PicardError, TauberianError, ValueError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     _emit(result, args)

@@ -13,15 +13,10 @@ one per simplicial piece of a triangulation of the dual.  Pushforward
 to a quotient V/M is available through two independent routes: direct
 projection (quotient_char) and iterated one-variable contour residues
 (residue_step); they must agree wherever both apply.
-
-Cone JSON: { "dim": n, "generators": [["1","0"],["1","2"]] } with
-rational strings.  Form JSON: { "terms": [ {"coeff": "p/q",
-"forms": [["rational strings"]]} ] }.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -92,19 +87,6 @@ def make_cone(generators: Sequence[Sequence], dim: int | None = None,
             raise ConeError("measure basis is singular")
     return PolyhedralCone(dim=dim, generators=tuple(gens),
                           lineality=lin, measure_basis=mb)
-
-
-def cone_from_json(src: str | dict) -> PolyhedralCone:
-    obj = json.loads(src) if isinstance(src, str) else src
-    if not isinstance(obj, dict) or "dim" not in obj or "generators" not in obj:
-        raise ConeError("cone JSON needs keys 'dim' and 'generators'")
-    gens = [[Fraction(s) for s in row] for row in obj["generators"]]
-    return make_cone(gens, dim=obj["dim"])
-
-
-def cone_to_json(c: PolyhedralCone) -> dict:
-    return {"dim": c.dim,
-            "generators": [[str(x) for x in g] for g in c.generators]}
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -266,29 +248,8 @@ class RationalConeForm(NamedTuple):
     dim: int
     terms: tuple[tuple[Fraction, tuple[tuple[Fraction, ...], ...]], ...]
 
-    def evaluate(self, z: Sequence):
-        return char_evaluate(self, z)
-
     def __call__(self, z: Sequence):
         return char_evaluate(self, z)
-
-    def to_json(self) -> dict:
-        return {"terms": [
-            {"coeff": str(c),
-             "forms": [[str(x) for x in f] for f in forms]}
-            for c, forms in self.terms]}
-
-
-def form_from_json(src: str | dict, dim: int | None = None) -> RationalConeForm:
-    obj = json.loads(src) if isinstance(src, str) else src
-    terms = []
-    for t in obj["terms"]:
-        coeff = Fraction(t["coeff"])
-        forms = tuple(tuple(Fraction(s) for s in f) for f in t["forms"])
-        terms.append((coeff, forms))
-    if dim is None:
-        dim = len(terms[0][1][0]) if terms and terms[0][1] else 0
-    return RationalConeForm(dim=dim, terms=tuple(terms))
 
 
 def char_function(c: PolyhedralCone, *, density: Fraction | None = None,
@@ -388,9 +349,6 @@ class QuotientChar(NamedTuple):
 
     def evaluate(self, z: Sequence):
         return char_evaluate(self.form, self.project(z))
-
-    def __call__(self, z: Sequence):
-        return self.evaluate(z)
 
 
 def quotient_char(c: PolyhedralCone, m_basis: Sequence[Sequence]) -> QuotientChar:

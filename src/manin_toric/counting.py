@@ -26,6 +26,7 @@ import cmath
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import (accumulate, combinations, permutations,
                        product as _iproduct)
 from typing import NamedTuple
@@ -161,23 +162,17 @@ def projective_height_counts(n: int, T: int) -> np.ndarray:
     max-norm height max|x_i| is h, for primitive Cox coordinates x; 2^n
     sum_{d | h} mu(d) f(h/d) with f(m) = m^(n+1) - (m-1)^(n+1), the
     positive tuples of max-norm m (2^(n+1) sign patterns, two per point).
-    The Moebius sum is one sieve step (1 - [p]) per prime p <= T, in
-    int64: needs 2^n T^(n+1) < 2^63, which bounds every partial sum."""
+    For n = 1, a/b in lowest terms: 2 at h = 1 (the points 1 and -1),
+    4 phi(h) above (a/b and b/a, each with either sign, for the phi(h)
+    numerators 1 <= a < h coprime to h).  The Moebius sum is one sieve
+    step (1 - [p]) per prime p <= T, in int64: needs 2^n T^(n+1) < 2^63,
+    which bounds every partial sum."""
     g = np.arange(T + 1, dtype=np.int64) ** (n + 1)
     g[1:] -= g[:-1].copy()
     for p in primes_up_to(T).tolist():
         g[p::p] -= g[1:T // p + 1].copy()
     g *= 2 ** n
     return g
-
-
-def p1_height_counts(T: int) -> np.ndarray:
-    """c[h] for 0 <= h <= T: the number of torus points of P^1 whose
-    max-norm height max(|a|, |b|) is h, for a/b in lowest terms; 2 at
-    h = 1 (the points 1 and -1), 4 phi(h) above (a/b and b/a, each with
-    either sign, for the phi(h) numerators 1 <= a < h coprime to h).
-    The n = 1 case of projective_height_counts."""
-    return projective_height_counts(1, T)
 
 
 # The Cox-coordinate count.  A torus point of P^n is a primitive tuple of
@@ -307,15 +302,15 @@ def _hirzebruch_counts(n: int, k: int, Bqs) -> list:
     """N(B) on F_n for the scaled lambda k rho.
 
     A point is a base point of max-norm height H, one of c(H) =
-    p1_height_counts(H), with a coprime fiber pair (u, w) >= 1 and a
-    sign; its rho-height is H^2 max(S u^2, w^2 / S), S = H^n, the bounds
+    projective_height_counts(1, H)[H], with a coprime fiber pair
+    (u, w) >= 1 and a sign; its rho-height is H^2 max(S u^2, w^2 / S), S = H^n, the bounds
     fibration_zeta_partial walks.  With Q = B^(L/k) and R = floor(Q), the
     height is at most Q when u <= U = isqrt(floor(R / H^(n+2))) and w <= W
     = isqrt(floor(Q H^(n-2))), and N(B) = sum_H 2 c(H) #{coprime pairs in
     [1, U] x [1, W]} over H^(n+2) <= R, where U >= 1."""
     Rs = [_int_nth_root(Bq, k) for Bq in Bqs]
     _check_table(math.isqrt(Rs[-1]), Bqs[-1])
-    c = p1_height_counts(_int_nth_root(Rs[-1], n + 2))
+    c = projective_height_counts(1, _int_nth_root(Rs[-1], n + 2))
     mu = mobius_table(math.isqrt(Rs[-1]))   # U <= isqrt(R)
     out = []
     for Bq, R in zip(Bqs, Rs):
@@ -486,17 +481,6 @@ def _count_general(fan: Fan, lam, Bqs, *, halve: bool,
     return list(accumulate(bins))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
 def _count_grid(fan: Fan, lam, bounds, stats=None):
     """(engine, counts): N(B) for every B of the ascending bounds.  On the
     shapes of _cox_shape they come from the Cox-coordinate count (engine
@@ -553,10 +537,9 @@ def enumerate_bounded(fan: Fan, lam, B, stats=None):
         sign_box = list(_iproduct(*([(1, -1)] * d)))
         for signs in sign_box:
             yield ValuationProfile(d, (), signs)
-        for stack in collected:
-            support = tuple(sorted(stack))
+        for stack in collected:   # by ascending prime, as the walk grows
             for signs in sign_box:
-                yield ValuationProfile(d, support, signs)
+                yield ValuationProfile(d, stack, signs)
 
 
 class _CountFields(NamedTuple):
@@ -735,7 +718,7 @@ def _p1xp1_zeta(s1, s2, Bqs) -> list:
             f"{_ZETA} on P^1 x P^1 would take {pairs} "
             f"terms (B = {_magnitude(Bqs[-1])}), over the limit of "
             f"{_MAX_TABLE}")
-    table = p1_height_counts(top)
+    table = projective_height_counts(1, top)
     first = [0j, *_dirichlet_terms(table, s1, top)]
     second = [0j, *(h ** -s2 for h in range(1, top + 1))]
     c = table.tolist()
@@ -807,7 +790,7 @@ def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
     pl = PLFunction(fan, tuple(vals))
     cut = PLFunction(fan, rho)
     strict = cut.is_convex and len(cut.vertices) == len(fan.max_cones)
-    logs = _Memo(math.log)
+    logs = cache(math.log)
     located = 0
 
     def visit(stack, weight, first, M):
@@ -816,11 +799,11 @@ def _zeta_walk(fan: Fan, lam, Bs, stats=None) -> list:
             s = M.index(min(M))
         else:
             located += 1
-            s = pl.locate([-sum(n[c] * logs[p] for p, n in stack)
+            s = pl.locate([-sum(n[c] * logs(p) for p, n in stack)
                            for c in range(d)])[0]
         expo = 0j
         for p, n in stack:
-            expo += logs[p] * pl.row(n)[s]
+            expo += logs(p) * pl.row(n)[s]
         terms[first].append(weight * 2 ** d * cmath.exp(-expo))
 
     profiles = []

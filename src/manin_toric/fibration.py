@@ -22,12 +22,13 @@ from typing import NamedTuple
 from .cones import PolyhedralCone, QuotientChar, make_cone, quotient_char
 from .counting import (_MAX_TABLE, _check_table, _complex_fsum,
                        _dirichlet_terms, _hirzebruch_counts, _magnitude,
-                       enumerate_bounded, p1_height_counts)
+                       enumerate_bounded, projective_height_counts)
 from .heights import AdelicOffset, exact_height, global_height, make_offset
 from .latticefan import Fan, PLFunction, builtin_fan
 from .primes import factorize
 from .ratlinalg import solve_fraction
-from .toric import PicardData, picard_data, tamagawa_number, TamagawaResult
+from .toric import (LeadingConstant, PicardData, picard_data,
+                    tamagawa_number, TamagawaResult)
 
 __all__ = [
     "FibrationError",
@@ -137,7 +138,8 @@ def twisted_fiber_height(spec: TorsorSpec, lam, b, x) -> float:
 
 def base_points(m: int) -> list:
     """Coprime (b0, b1), b0 >= 1, b1 != 0, with max|.| = m, sorted: the
-    p1_height_counts(m)[m] torus points of P^1 of max-norm height m."""
+    projective_height_counts(1, m)[m] torus points of P^1 of max-norm
+    height m."""
     if m == 1:
         return [(1, -1), (1, 1)]
     batch = []
@@ -336,7 +338,7 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
     -twist times log(max|b| / that coordinate), add up to -twist log H(b)
     on either section.  So the sum is 2 (the two boundary points, where
     the torsor is trivial) plus sum_h c(h) h^-(a + i twist m), c the
-    p1_height_counts, whose limit is 4 zeta(s-1)/zeta(s) at
+    projective_height_counts of P^1, whose limit is 4 zeta(s-1)/zeta(s) at
     s = a + i twist m.
 
     Needs a > 2: the base count grows quadratically in the max-norm."""
@@ -350,7 +352,7 @@ def arakelov_L_partial(spec: TorsorSpec, a, m, H) -> complex:
         return 0j
     _check_table(int(H), Fraction(H), "the Arakelov L-sum", "H")
     s = complex(a, spec.twist * float(m))
-    c = p1_height_counts(int(H))
+    c = projective_height_counts(1, int(H))
     return _complex_fsum(lambda: chain([2.0],
                                        _dirichlet_terms(c, s, int(H))))
 
@@ -459,11 +461,7 @@ class FibrationConstant(NamedTuple):
     b: int
     picard: FibrationPicard
 
-    def predict(self, B: float) -> float:
-        if B <= 1:
-            return 0.0
-        return (self.theta * B * math.log(B) ** (self.b - 1)
-                / math.factorial(self.b - 1))
+    predict = LeadingConstant.predict
 
 
 def fibration_predicted_constant(spec: TorsorSpec,

@@ -104,10 +104,6 @@ class AdelicOffset(NamedTuple):
     finite: tuple = ()   # ((p, integer vector), ...) by ascending prime
     arch: tuple = ()     # real vector, empty means zero
 
-    @classmethod
-    def zero(cls, dim: int) -> "AdelicOffset":
-        return cls(dim=dim)
-
     @property
     def primes(self) -> tuple:
         return tuple(p for p, _ in self.finite)
@@ -143,7 +139,7 @@ def local_height(fan: Fan, lam, place, profile, offset=None):
     phi_lambda = _kernel(fan, lam)
     profile = _as_profile(profile)
     if offset is None:
-        offset = AdelicOffset.zero(fan.dim)
+        offset = AdelicOffset(fan.dim)
     if place == INF or place == "inf":
         base = profile.arch_log
         arg = tuple(-b + g for b, g in zip(base, offset.arch_vector))
@@ -167,19 +163,12 @@ def global_height(fan: Fan, lam, x, offset=None):
     lam = _kernel(fan, lam)
     profile = _as_profile(x)
     if offset is None:
-        offset = AdelicOffset.zero(fan.dim)
+        offset = AdelicOffset(fan.dim)
     places = sorted(set(profile.primes) | set(offset.primes))
     out = local_height(fan, lam, INF, profile, offset)
     for p in places:
         out *= local_height(fan, lam, p, profile, offset)
     return out
-
-
-def cone_monomials(fan: Fan, lam) -> tuple:
-    """Dual monomial m_sigma of each maximal cone: <m_sigma, e_j> = lam_j.
-
-    Integral for integral lambda, by regularity of the fan."""
-    return _kernel(fan, lam).monomials
 
 
 def exact_height(fan: Fan, lam, x) -> Fraction:
@@ -203,7 +192,7 @@ def character_pairing(fan: Fan, m, x, offset=None) -> complex:
     if len(m) != fan.dim:
         raise ValueError("spectral parameter has wrong dimension")
     if offset is None:
-        offset = AdelicOffset.zero(fan.dim)
+        offset = AdelicOffset(fan.dim)
     total = 0.0
     arch = [-a + g for a, g in zip(profile.arch_log, offset.arch_vector)]
     total += sum(mi * ai for mi, ai in zip(m, arch))

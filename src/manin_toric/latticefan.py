@@ -414,12 +414,6 @@ def locate_cone(fan: Fan, v: Sequence):
     return PLFunction(fan, (0,) * len(fan.rays)).locate(v)
 
 
-def pl_evaluate(fan: Fan, values: Sequence, v: Sequence):
-    """Evaluate the PL function with the given ray values at v; exact for
-    integer or Fraction input."""
-    return PLFunction(fan, tuple(values))(v)
-
-
 _BUILTINS: dict[str, dict] = {
     "p1": {
         "dim": 1,

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .counting import p1_height_counts
+from .counting import projective_height_counts
 from .fourier import _check_rule, _gauss_panels, _wsum, zeta_line
 from .primes import divisor_count_table
 
@@ -86,60 +86,29 @@ class PoleData(_PoleFields):
         return cls(*iterable)
 
 
-class DirichletOracle:
+class DirichletOracle(NamedTuple):
     """Evaluator plus coefficient access for one Dirichlet series.
 
-    The evaluator is a closed form on 1-d complex arrays, valid for
+    `series` is a closed form on 1-d complex arrays, valid for
     Re s > a - delta0 off the pole (so on both sides of the pole line) and
-    |Im s| up to a few thousand, the range of `zeta_line`; coefficients
-    feed brute-force cross-checks.  Immutable and compared by its four
-    fields, as a NamedTuple would be, but one cannot hold the two whose
-    names begin with "_".
+    |Im s| up to a few thousand, the range of `zeta_line`; `table(N)`
+    gives the coefficients, which feed brute-force cross-checks.
     """
 
-    __slots__ = ("name", "pole", "_evaluate", "_coefficients")
-
-    def __init__(self, name: str, pole: PoleData | None,
-                 _evaluate: Callable[[np.ndarray], np.ndarray],
-                 _coefficients: Callable[[int], np.ndarray]):
-        for attr, value in zip(self.__slots__,
-                               (name, pole, _evaluate, _coefficients)):
-            object.__setattr__(self, attr, value)
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
-
-    def _fields_tuple(self) -> tuple:
-        return tuple(getattr(self, attr) for attr in self.__slots__)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not slot assignment
-        return self.__class__, self._fields_tuple()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields_tuple() == other._fields_tuple()
-
-    def __hash__(self):
-        return hash(self._fields_tuple())
-
-    def __repr__(self):
-        return "DirichletOracle(" + ", ".join(
-            f"{attr}={getattr(self, attr)!r}" for attr in self.__slots__) + ")"
+    name: str
+    pole: PoleData | None
+    series: Callable[[np.ndarray], np.ndarray]
+    table: Callable[[int], np.ndarray]
 
     def evaluate(self, s) -> complex:
         return complex(self.evaluate_line(s)[0])
 
     def evaluate_line(self, s: np.ndarray) -> np.ndarray:
-        return self._evaluate(np.atleast_1d(np.asarray(s, dtype=complex)))
+        return self.series(np.atleast_1d(np.asarray(s, dtype=complex)))
 
     def coefficients(self, N: int) -> np.ndarray:
         """c_1..c_N as arr[1..N]; arr[0] is unused padding."""
-        return self._coefficients(int(N))
+        return self.table(int(N))
 
     def phi_direct(self, X: float, k):
         """Exact phi_k(X) by direct summation of the coefficients.  For a
@@ -189,7 +158,7 @@ def _coeff_p1(N):
     # the max-norm heights h
     arr = np.zeros(N + 1)
     T = math.isqrt(N)
-    arr[np.arange(T + 1) ** 2] = p1_height_counts(T)
+    arr[np.arange(T + 1) ** 2] = projective_height_counts(1, T)
     return arr
 
 
@@ -213,8 +182,7 @@ def builtin_oracle(name: str) -> DirichletOracle:
         raise TauberianError(
             f"unknown oracle {name!r}; have {sorted(_BUILTIN_ORACLES)}"
         ) from None
-    return DirichletOracle(name=name, pole=pole, _evaluate=ev,
-                           _coefficients=co)
+    return DirichletOracle(name, pole, ev, co)
 
 
 _ORDER = 12   # Gauss-Legendre points per panel of a Perron rule

@@ -261,3 +261,16 @@ def test_decade_limit_refused_before_any_work(monkeypatch, base, extend):
     assert grids == []
     verify_integral_bounds("plus", bounds.MAX_DECADES - 2, 2)
     assert grids == [bounds.MAX_DECADES]
+
+
+@pytest.mark.parametrize("base, extend", [(400, -300), (2, -1), (-1, 3)])
+def test_negative_decades_refused_before_any_work(monkeypatch, base, extend):
+    # (400, -300) passed the limit and overflowed the grid; (2, -1) swept
+    # one decade of base rows and passed with no extension at all
+    grids = []
+    monkeypatch.setitem(bounds._KIND_ROWS, "plus",
+                        lambda kmax: grids.append(kmax) or iter(()))
+    with pytest.raises(ValueError, match=f"base_decades {base} and "
+                       f"extend_decades {extend} must both be nonnegative"):
+        verify_integral_bounds("plus", base, extend)
+    assert grids == []

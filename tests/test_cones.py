@@ -1,6 +1,5 @@
 """Dual cones, triangulation, characteristic functions, pushforwards."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -15,10 +14,7 @@ from manin_toric.cones import (
     char_evaluate,
     char_function,
     cone_contains,
-    cone_from_json,
-    cone_to_json,
     dual_cone,
-    form_from_json,
     interior_point,
     is_full_dim,
     is_pointed,
@@ -100,12 +96,6 @@ def test_cone_contains():
     assert cone_contains(c, (1, 0))
     assert not cone_contains(c, (0, 1))
     assert not cone_contains(c, (-1, 0))
-
-
-def test_cone_json_roundtrip():
-    c = make_cone([[1, 0], [1, 2]])
-    c2 = cone_from_json(json.dumps(cone_to_json(c)))
-    assert c2.generators == c.generators
 
 
 # --------------------------------------------------------- triangulation
@@ -260,12 +250,6 @@ def test_char_declared_measure_basis():
     c = make_cone([[1, 0], [0, 1]], measure_basis=[[2, 0], [0, 1]])
     f = char_function(c)
     assert char_evaluate(f, (Fraction(1), Fraction(1))) == 2
-
-
-def test_form_json_roundtrip():
-    f = char_function(make_cone([[1, 0], [1, 2]]))
-    g = form_from_json(json.dumps(f.to_json()))
-    assert g.terms == f.terms
 
 
 @pytest.mark.parametrize("gens,z", [

@@ -76,7 +76,7 @@ def dfs_counts(fan, lam, bounds, stats=None):
     return [0] * low + [n * 2 ** fan.dim for n in profiles]
 
 
-def cone_monomials(fan, lam):
+def monomials_by_solve(fan, lam):
     # dual functional of each maximal cone; integral since cones are unimodular
     out = []
     for cone in fan.max_cones:
@@ -92,7 +92,7 @@ def cone_monomials(fan, lam):
 def exact_height(fan, lam, point):
     """Height as an exact rational: product over places of max |x^m|_v^-1."""
     ys = []
-    for m in cone_monomials(fan, lam):
+    for m in monomials_by_solve(fan, lam):
         y = Fraction(1)
         for mi, xi in zip(m, point):
             y *= Fraction(xi) ** mi
@@ -134,9 +134,9 @@ def cone_functionals(fan, lam):
     """The cone monomials of lambda, and those of each ray's indicator:
     the coordinate of u along ray j in cone s is <coords[j][s], u>."""
     r = len(fan.rays)
-    coords = [cone_monomials(fan, [int(i == j) for i in range(r)])
+    coords = [monomials_by_solve(fan, [int(i == j) for i in range(r)])
               for j in range(r)]
-    return cone_monomials(fan, lam), coords
+    return monomials_by_solve(fan, lam), coords
 
 
 def pl_height(fan, lam, point):
@@ -864,7 +864,7 @@ class TestHeightClassRoute:
                                                      B, message):
         built = []
         for name in ("mobius_table", "primes_up_to",
-                     "projective_height_counts", "p1_height_counts"):
+                     "projective_height_counts"):
             monkeypatch.setattr(counting, name, built.append)
         with pytest.raises(CountingError, match=message):
             zeta_partial(fan, (2,) * len(fan.rays), B)
@@ -1156,6 +1156,9 @@ class TestEnumerationContracts:
         for run in runs:
             assert len({p.support for p in run}) == 1
             assert [p.signs for p in run] == signs
+            # the walk's stack is the support: it grows by larger primes
+            primes = [q for q, _n in run[0].support]
+            assert all(a < b for a, b in zip(primes, primes[1:]))
         assert len({run[0].support for run in runs}) == len(runs)
 
     @pytest.mark.parametrize("fan,lam", [(F1, (1, 1, 1, 1)),

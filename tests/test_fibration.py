@@ -12,7 +12,7 @@ import pytest
 
 from manin_toric import fibration
 from manin_toric.counting import (CountingError, count_points,
-                                  enumerate_bounded, p1_height_counts)
+                                  enumerate_bounded, projective_height_counts)
 from manin_toric.fibration import (FibrationError, TorsorSpec,
                                    arakelov_L_partial, base_points,
                                    direct_zeta_partial, fibration_picard,
@@ -153,7 +153,7 @@ class TestEnumerateBase:
         assert len(base_up_to(H)) == want
 
     def test_height_table_counts_base_points(self):
-        c = p1_height_counts(200)
+        c = projective_height_counts(1, 200)
         assert c[0] == 0
         for h in range(1, 201):
             points = base_points(h)
@@ -454,10 +454,10 @@ class TestArakelov:
             arakelov_L_partial(TorsorSpec(1), 4, 0, H)
 
     def test_oversized_table_refused_before_allocation(self, monkeypatch):
-        def no_table(T):
+        def no_table(n, T):
             raise AssertionError("the table was built")
 
-        monkeypatch.setattr(fibration, "p1_height_counts", no_table)
+        monkeypatch.setattr(fibration, "projective_height_counts", no_table)
         with pytest.raises(CountingError,
                            match=r"1e\+12 entries \(H = 1e\+12\)"):
             arakelov_L_partial(TorsorSpec(1), 4, 0, 1e12)

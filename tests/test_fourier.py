@@ -24,7 +24,7 @@ from manin_toric.fourier import (
     rademacher_sweep,
     zeta_line,
 )
-from manin_toric.latticefan import builtin_fan, make_fan, pl_evaluate
+from manin_toric.latticefan import PLFunction, builtin_fan, make_fan
 from manin_toric.toric import archimedean_volume
 
 P1 = builtin_fan("p1")
@@ -52,11 +52,12 @@ class TestArchTransform:
     def test_p2_against_quadrature(self):
         m = (1.0, 0.0)
         rho = (1, 1, 1)
+        phi = PLFunction(P2, rho)
 
         def integrand(part):
             def f(v2, v1):
                 phase = v1 * m[0] + v2 * m[1]
-                val = cmath.exp(-float(pl_evaluate(P2, rho, (v1, v2))) - 1j * phase)
+                val = cmath.exp(-float(phi((v1, v2))) - 1j * phase)
                 return part(val)
 
             return f

@@ -188,7 +188,7 @@ def test_character_single_offset_place():
 
 
 def test_offset_zero_factory():
-    off = AdelicOffset.zero(3)
+    off = AdelicOffset(3)
     assert off.finite == ()
     assert off.arch_vector == (0.0, 0.0, 0.0)
     assert off.finite_vector(5) == (0, 0, 0)

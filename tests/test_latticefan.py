@@ -22,7 +22,6 @@ from manin_toric.latticefan import (
     fan_to_json,
     locate_cone,
     make_fan,
-    pl_evaluate,
     validate_fan,
 )
 from manin_toric import ratlinalg
@@ -234,8 +233,8 @@ def test_locate_cone_float_and_fraction_agree():
         sf, cf = locate_cone(fan, vf)
         # wall points may differ in index but the PL value must agree
         rho = (1, 1, 1)
-        assert pl_evaluate(fan, rho, vq) == pytest.approx(
-            pl_evaluate(fan, rho, vf), abs=1e-9)
+        assert PLFunction(fan, rho)(vq) == pytest.approx(
+            PLFunction(fan, rho)(vf), abs=1e-9)
         if all(c > Fraction(1, 100) for c in cq):
             assert sq == sf
 
@@ -244,19 +243,19 @@ def test_pl_evaluate_p1_absolute_value():
     fan = builtin_fan("p1")
     rho = (1, 1)
     for v in [3, -3, Fraction(5, 2), 0]:
-        assert pl_evaluate(fan, rho, (v,)) == abs(v)
-    assert pl_evaluate(fan, (2, 3), (Fraction(5, 2),)) == 5
-    assert pl_evaluate(fan, (2, 3), (Fraction(-5, 2),)) == Fraction(15, 2)
+        assert PLFunction(fan, rho)((v,)) == abs(v)
+    assert PLFunction(fan, (2, 3))((Fraction(5, 2),)) == 5
+    assert PLFunction(fan, (2, 3))((Fraction(-5, 2),)) == Fraction(15, 2)
 
 
 def test_pl_evaluate_p2_anticanonical():
     fan = builtin_fan("p2")
     rho = (1, 1, 1)
-    assert pl_evaluate(fan, rho, (2, 1)) == 3
-    assert pl_evaluate(fan, rho, (-1, -1)) == 1
+    assert PLFunction(fan, rho)((2, 1)) == 3
+    assert PLFunction(fan, rho)((-1, -1)) == 1
     # on the cone spanned by e2 and -e1-e2 the function is v2 - 2*v1
-    assert pl_evaluate(fan, rho, (-2, 1)) == 5
-    assert pl_evaluate(fan, rho, (1, -3)) == 7
+    assert PLFunction(fan, rho)((-2, 1)) == 5
+    assert PLFunction(fan, rho)((1, -3)) == 7
 
 
 def test_pl_evaluate_p1xp1():
@@ -265,7 +264,7 @@ def test_pl_evaluate_p1xp1():
     s, coords = locate_cone(fan, (3, -2))
     assert fan.max_cones[s] == (0, 3)
     assert coords == (3, 2)
-    assert pl_evaluate(fan, rho, (3, -2)) == 5
+    assert PLFunction(fan, rho)((3, -2)) == 5
 
 
 def test_pl_wall_continuity():
@@ -276,10 +275,10 @@ def test_pl_wall_continuity():
     for _ in range(100):
         v = (Fraction(rng.randint(-50, 50), rng.randint(1, 7)),
              Fraction(rng.randint(-50, 50), rng.randint(1, 7)))
-        base = pl_evaluate(fan, lam, v)
+        base = PLFunction(fan, lam)(v)
         eps = Fraction(1, 10 ** 9)
         for dv in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
-            near = pl_evaluate(fan, lam, (v[0] + dv[0], v[1] + dv[1]))
+            near = PLFunction(fan, lam)((v[0] + dv[0], v[1] + dv[1]))
             assert abs(near - base) < Fraction(1, 10 ** 6)
 
 
@@ -290,7 +289,7 @@ def test_hirzebruch_zero_matches_p1xp1_values():
     rng = random.Random(3)
     for _ in range(40):
         v = (rng.randint(-30, 30), rng.randint(-30, 30))
-        assert pl_evaluate(f0, rho4, v) == pl_evaluate(pp, rho4, v)
+        assert PLFunction(f0, rho4)(v) == PLFunction(pp, rho4)(v)
 
 
 def test_unknown_builtin():

@@ -228,8 +228,8 @@ class TestPerronLine:
         def spy(f):
             return lambda s: calls.append(s) or f(s)
 
-        oracle = DirichletOracle("spy", ZETA2.pole, spy(ZETA2._evaluate),
-                                 ZETA2._coefficients)
+        oracle = DirichletOracle("spy", ZETA2.pole, spy(ZETA2.series),
+                                 ZETA2.table)
         with pytest.raises(TauberianError, match="kappa"):
             PerronLine(oracle, None, 1)
         assert calls == []
@@ -241,9 +241,9 @@ class TestPerronLine:
 
         def spy(s):
             calls.append(s)
-            return ZETA2._evaluate(s)
+            return ZETA2.series(s)
 
-        oracle = DirichletOracle("spy", ZETA2.pole, spy, ZETA2._coefficients)
+        oracle = DirichletOracle("spy", ZETA2.pole, spy, ZETA2.table)
         line = PerronLine(oracle, None, 3, T=1e6)
         with pytest.raises(FourierError, match="over the limit"):
             line(1e4)

@@ -79,7 +79,7 @@ def orthant_alpha(fan):
     J = len(fan.rays)
     orthant = make_cone([[int(i == j) for i in range(J)] for j in range(J)])
     m_basis = [[ray[i] for ray in fan.rays] for i in range(fan.dim)]
-    return quotient_char(orthant, m_basis)((1,) * J)
+    return quotient_char(orthant, m_basis).evaluate((1,) * J)
 
 
 # P^n has alpha 1/(n + 1), F_n 1/(2n + 4) and dP6 1/12
